@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--question", default=None)
     detect.add_argument("--budget", type=int, default=64)
     detect.add_argument("--out", default=None)
-    detect.add_argument("--delimiter", default=",")
-    detect.add_argument("--na-tokens", dest="na_tokens", default=None)
 
     repl = sub.add_parser("repl", help="interactive detect-and-refine loop")
     repl.add_argument("dataset")

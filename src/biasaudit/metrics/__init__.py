@@ -13,23 +13,16 @@ from .base import (
     classify_scenario,
 )
 
+# Scenario -> {metric id: metric function}, in the paper's order.
 SCENARIO_METRICS = {
-    Scenario.CAT_DIST: tuple(cat_dist.METRICS),
-    Scenario.NUM_DIST: tuple(num_dist.METRICS),
-    Scenario.CAT_CAT: tuple(cat_cat.METRICS),
-    Scenario.CAT_NUM: tuple(cat_num.METRICS),
-    Scenario.NUM_NUM: tuple(num_num.METRICS),
-}
-
-ALL_METRIC_IDS = tuple(m for ids in SCENARIO_METRICS.values() for m in ids)
-
-_DISPATCH = {
     Scenario.CAT_DIST: cat_dist.METRICS,
     Scenario.NUM_DIST: num_dist.METRICS,
     Scenario.CAT_CAT: cat_cat.METRICS,
     Scenario.CAT_NUM: cat_num.METRICS,
     Scenario.NUM_NUM: num_num.METRICS,
 }
+
+ALL_METRIC_IDS = tuple(m for ids in SCENARIO_METRICS.values() for m in ids)
 
 
 def scenario_of_metric(metric_id: str) -> Scenario:
@@ -43,16 +36,21 @@ def run_metric(metric_id: str, cols, opts: MetricOptions = MetricOptions()) -> M
     """Evaluate one metric on 1 or 2 columns, ordering them as needed.
 
     Two-column scenarios accept the columns in either order: the
-    categorical column is passed as the group for cat/num metrics.
+    categorical column is passed as the group for cat/num metrics. The
+    column kinds must match the metric's scenario.
     """
     scenario = scenario_of_metric(metric_id)
-    fn = _DISPATCH[scenario][metric_id]
+    fn = SCENARIO_METRICS[scenario][metric_id]
     if scenario in (Scenario.CAT_DIST, Scenario.NUM_DIST):
         if len(cols) != 1:
             raise UnknownMetricError(f"{metric_id} takes exactly 1 column")
-        return fn(cols[0], opts)
-    if len(cols) != 2:
+    elif len(cols) != 2:
         raise UnknownMetricError(f"{metric_id} takes exactly 2 columns")
+    if classify_scenario(cols) is not scenario:
+        raise UnknownMetricError(f"{metric_id} is a {scenario.value} metric; "
+                                 f"got {[c.kind.value for c in cols]} columns")
+    if len(cols) == 1:
+        return fn(cols[0], opts)
     a, b = cols
     if scenario is Scenario.CAT_NUM and a.kind is not Kind.CATEGORICAL:
         a, b = b, a

@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from ..errors import UnsupportedArityError
-from ..tabular import Column, Kind
+from ..tabular import Column, ColumnView, Kind, present_rows
 
 
 class Scenario(str, Enum):
@@ -82,14 +82,23 @@ def classify_scenario(cols, stated_bias: BiasType = BiasType.UNSTATED) -> Scenar
 
 def column_values(col: Column) -> np.ndarray:
     """Non-missing values of a numerical column as a float array."""
-    return np.asarray(col.non_missing(), dtype=float)
+    view = col.view
+    return view.data[view.present]
 
 
 def category_counts(col: Column) -> dict:
-    """Counts of non-missing categories, keyed and ordered by label."""
-    counts = {}
-    for v in col.values:
-        if v is None:
-            continue
-        counts[v] = counts.get(v, 0) + 1
-    return {k: counts[k] for k in sorted(counts, key=str)}
+    """Counts of non-missing categories, keyed and ordered by label.
+
+    A numerical column counts its distinct values, ordered by ``str``.
+    """
+    view = col.view
+    if view.labels is None:
+        view = ColumnView.encode(Kind.CATEGORICAL, column_values(col).tolist())
+    counts = np.bincount(view.data[view.present], minlength=len(view.labels))
+    return dict(zip(view.labels, counts.tolist()))
+
+
+def paired(*cols: Column) -> list:
+    """The columns' view data on the rows where none of them is missing."""
+    keep = present_rows(cols, len(cols[0].values))
+    return [c.view.data[keep] for c in cols]

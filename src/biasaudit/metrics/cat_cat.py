@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import DegenerateTableError
 from ..tabular import Column
-from .base import MetricOptions, MetricResult, Scenario
+from .base import MetricOptions, MetricResult, Scenario, paired
 
 
 def _result(metric_id, raw, n, details=""):
@@ -20,16 +20,15 @@ def _result(metric_id, raw, n, details=""):
 
 def contingency(a: Column, b: Column):
     """Contingency counts with rows/columns ordered by label."""
-    pairs = [(x, y) for x, y in zip(a.values, b.values)
-             if x is not None and y is not None]
-    rows = sorted({x for x, _ in pairs}, key=str)
-    cols = sorted({y for _, y in pairs}, key=str)
-    table = np.zeros((len(rows), len(cols)))
-    ri = {r: i for i, r in enumerate(rows)}
-    ci = {c: j for j, c in enumerate(cols)}
-    for x, y in pairs:
-        table[ri[x], ci[y]] += 1
-    return table, rows, cols
+    ca, cb = paired(a, b)
+    la, lb = a.view.labels, b.view.labels
+    counts = np.bincount(ca * len(lb) + cb, minlength=len(la) * len(lb))
+    table = counts.reshape(len(la), len(lb)).astype(float)
+    used_r = table.sum(axis=1) > 0
+    used_c = table.sum(axis=0) > 0
+    rows = [r for r, used in zip(la, used_r) if used]
+    cols = [c for c, used in zip(lb, used_c) if used]
+    return table[np.ix_(used_r, used_c)], rows, cols
 
 
 def _checked(a: Column, b: Column, metric_id: str):
@@ -62,22 +61,14 @@ def elift(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> Metric
     """
     o, rows, cols = _checked(a, b, "elift")
     n = o.sum()
-    row_tot = o.sum(axis=1)
-    col_tot = o.sum(axis=0)
+    lift = (o / o.sum(axis=1, keepdims=True)) / (o.sum(axis=0) / n)
     support = opts.min_cell_support
-    fallback = False
-    cells = [(i, j) for i in range(len(rows)) for j in range(len(cols))
-             if o[i, j] >= support]
-    if not cells:
-        fallback = True
-        cells = [(i, j) for i in range(len(rows)) for j in range(len(cols))
-                 if o[i, j] > 0]
-    worst = 1.0
-    for i, j in cells:
-        p_y_given_x = o[i, j] / row_tot[i]
-        p_y = col_tot[j] / n
-        lift = p_y_given_x / p_y
-        worst = max(worst, lift, 1.0 / lift if lift > 0 else worst)
+    cells = o >= support
+    fallback = not cells.any()
+    if fallback:
+        cells = o > 0
+    lift = lift[cells]
+    worst = max(1.0, lift.max(initial=1.0), (1.0 / lift[lift > 0]).max(initial=1.0))
     details = "fallback: no cell met support" if fallback else f"support>={support}"
     return _result("elift", {"max_elift": float(worst)}, int(n), details)
 
@@ -86,28 +77,23 @@ def statistical_parity(a: Column, b: Column,
                        opts: MetricOptions = MetricOptions()) -> MetricResult:
     """Max outcome-rate gap between group pairs, with a pooled z-score."""
     o, rows, cols = _checked(a, b, "statistical_parity")
-    row_tot = o.sum(axis=1)
-    max_delta = 0.0
-    max_z = 0.0
-    for j in range(len(cols)):
-        for g in range(len(rows)):
-            for h in range(g + 1, len(rows)):
-                n_g, n_h = row_tot[g], row_tot[h]
-                p_g = o[g, j] / n_g
-                p_h = o[h, j] / n_h
-                delta = abs(p_g - p_h)
-                max_delta = max(max_delta, delta)
-                pooled = (o[g, j] + o[h, j]) / (n_g + n_h)
-                denom = pooled * (1 - pooled) * (1 / n_g + 1 / n_h)
-                if denom > 0:
-                    max_z = max(max_z, delta / np.sqrt(denom))
+    n = o.sum(axis=1, keepdims=True)
+    p = o / n
+    max_delta = max_z = 0.0
+    for g in range(len(rows) - 1):  # group g against every later group h
+        delta = np.abs(p[g] - p[g + 1:])
+        pooled = (o[g] + o[g + 1:]) / (n[g] + n[g + 1:])
+        denom = pooled * (1 - pooled) * (1 / n[g] + 1 / n[g + 1:])
+        z = delta[denom > 0] / np.sqrt(denom[denom > 0])
+        max_delta = max(max_delta, delta.max())
+        max_z = max(max_z, z.max(initial=0.0))
     return _result("statistical_parity",
                    {"max_delta": float(max_delta), "max_z": float(max_z)},
                    int(o.sum()))
 
 
-def _tvd(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(p - q).sum())
+def _tvd(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return 0.5 * np.abs(p - q).sum(axis=-1)
 
 
 def lipschitz(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
@@ -118,11 +104,8 @@ def lipschitz(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> Me
     """
     o, rows, cols = _checked(a, b, "lipschitz")
     cond = o / o.sum(axis=1, keepdims=True)
-    worst = 0.0
-    for g in range(len(rows)):
-        for h in range(g + 1, len(rows)):
-            worst = max(worst, _tvd(cond[g], cond[h]))
-    return _result("lipschitz", {"lipschitz": worst}, int(o.sum()))
+    worst = max(_tvd(cond[g], cond[g + 1:]).max() for g in range(len(rows) - 1))
+    return _result("lipschitz", {"lipschitz": float(worst)}, int(o.sum()))
 
 
 def total_variation(a: Column, b: Column,
@@ -130,9 +113,8 @@ def total_variation(a: Column, b: Column,
     """Largest TVD between a group's outcome distribution and the overall one."""
     o, rows, cols = _checked(a, b, "total_variation")
     n = o.sum()
-    overall = o.sum(axis=0) / n
     cond = o / o.sum(axis=1, keepdims=True)
-    worst = max(_tvd(cond[g], overall) for g in range(len(rows)))
+    worst = float(_tvd(cond, o.sum(axis=0) / n).max())
     return _result("total_variation", {"tvd": worst}, int(n))
 
 

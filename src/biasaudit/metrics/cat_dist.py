@@ -26,23 +26,24 @@ def _counts(col: Column, require_k2: bool, metric_id: str):
     return counts
 
 
-def shannon_balance(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
-    """Shannon entropy H and balance = H / ln k."""
-    counts = _counts(col, True, "shannon_balance")
+def _entropy(col: Column, metric_id: str):
+    """Shannon entropy H, its normalized form H / ln k, n and k."""
+    counts = _counts(col, True, metric_id)
     n = sum(counts.values())
     h = -sum((c / n) * math.log(c / n) for c in counts.values() if c > 0)
-    balance = h / math.log(len(counts))
-    return _result("shannon_balance", {"H": h, "balance": balance}, n,
-                   f"k={len(counts)}")
+    return h, h / math.log(len(counts)), n, len(counts)
+
+
+def shannon_balance(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+    """Shannon entropy H and balance = H / ln k."""
+    h, balance, n, k = _entropy(col, "shannon_balance")
+    return _result("shannon_balance", {"H": h, "balance": balance}, n, f"k={k}")
 
 
 def entropy(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
     """Shannon entropy with its normalized form H / ln k."""
-    counts = _counts(col, True, "entropy")
-    n = sum(counts.values())
-    h = -sum((c / n) * math.log(c / n) for c in counts.values() if c > 0)
-    return _result("entropy", {"H": h, "H_norm": h / math.log(len(counts))}, n,
-                   f"k={len(counts)}")
+    h, h_norm, n, k = _entropy(col, "entropy")
+    return _result("entropy", {"H": h, "H_norm": h_norm}, n, f"k={k}")
 
 
 def max_min_ratio(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:

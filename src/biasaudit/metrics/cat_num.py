@@ -14,23 +14,30 @@ from ..errors import (
     SingletonGroupError,
     ZeroVarianceError,
 )
-from ..tabular import Column, Kind
-from .base import MetricOptions, MetricResult, Scenario
+from ..tabular import Column, ColumnView, Kind
+from .base import MetricOptions, MetricResult, Scenario, paired
 
 
 def _result(metric_id, raw, n, details=""):
     return MetricResult(metric_id, Scenario.CAT_NUM, raw, n, details)
 
 
+def _split(codes: np.ndarray, values: np.ndarray, k: int = 0) -> list:
+    """``values`` split by code into parts 0, 1, ... (at least ``k``), each
+    in row order."""
+    sizes = np.bincount(codes, minlength=k)
+    return np.split(values[np.argsort(codes, kind="stable")],
+                    np.cumsum(sizes)[:-1])
+
+
 def group_values(g: Column, y: Column):
     """Per-group value arrays for paired non-missing rows."""
-    groups = {}
-    for gv, yv in zip(g.values, y.values):
-        if gv is None or yv is None:
-            continue
-        groups.setdefault(gv, []).append(yv)
-    ordered = sorted(groups, key=lambda k: (-len(groups[k]), str(k)))
-    return {k: np.asarray(groups[k], dtype=float) for k in ordered}
+    codes, ys = paired(g, y)
+    labels = g.view.labels
+    parts = _split(codes, ys, len(labels))
+    ordered = sorted((i for i, part in enumerate(parts) if part.size),
+                     key=lambda i: (-parts[i].size, i))  # labels are str-sorted
+    return {labels[i]: parts[i] for i in ordered}
 
 
 def _checked_groups(g: Column, y: Column, metric_id: str):
@@ -60,18 +67,17 @@ def max_abs_mean(g: Column, y: Column, opts: MetricOptions = MetricOptions()) ->
 
 def cohens_d(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
     """Largest pairwise Cohen's d with the pooled sample-variance sd."""
-    groups = _checked_groups(g, y, "cohens_d")
-    keys = list(groups)
+    groups = _checked_groups(g, y, "cohens_d").values()
+    size = np.array([v.size for v in groups])
+    mean = np.array([v.mean() for v in groups])
+    squares = np.array([(v.size - 1) * v.var(ddof=1) for v in groups])
     worst = 0.0
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            a, b = groups[keys[i]], groups[keys[j]]
-            pooled = ((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1)) \
-                / (a.size + b.size - 2)
-            if pooled == 0:
-                raise ZeroVarianceError("cohens_d undefined: zero pooled variance")
-            worst = max(worst, abs(float((a.mean() - b.mean()) / np.sqrt(pooled))))
-    return _result("cohens_d", {"d": worst}, _all_y(groups).size)
+    for i in range(len(groups) - 1):  # group i against every later group
+        pooled = (squares[i] + squares[i + 1:]) / (size[i] + size[i + 1:] - 2)
+        if (pooled == 0).any():
+            raise ZeroVarianceError("cohens_d undefined: zero pooled variance")
+        worst = max(worst, np.abs((mean[i] - mean[i + 1:]) / np.sqrt(pooled)).max())
+    return _result("cohens_d", {"d": float(worst)}, int(size.sum()))
 
 
 def standardized_difference(g: Column, y: Column,
@@ -83,13 +89,10 @@ def standardized_difference(g: Column, y: Column,
     mad = float(np.median(np.abs(allv - med)))
     if mad == 0:
         raise ZeroVarianceError("standardized_difference undefined: MAD is zero")
-    keys = list(groups)
-    worst = 0.0
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            gap = abs(float(groups[keys[i]].mean() - groups[keys[j]].mean()))
-            worst = max(worst, gap / (1.4826 * mad))
-    return _result("standardized_difference", {"sd": worst}, allv.size)
+    means = [v.mean() for v in groups.values()]
+    gap = float(max(means) - min(means))  # the largest pairwise gap
+    return _result("standardized_difference", {"sd": gap / (1.4826 * mad)},
+                   allv.size)
 
 
 def causal_effect(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
@@ -117,20 +120,20 @@ def causal_effect(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -
 
 
 def _stratified_ace(g: Column, y: Column, cov: Column, keys):
-    strata = {}
-    for gv, yv, cv in zip(g.values, y.values, cov.values):
-        if gv is None or yv is None or cv is None or gv not in keys:
-            continue
-        strata.setdefault(cv, {k: [] for k in keys})[gv].append(yv)
+    codes, ys, strata = paired(g, y, cov)
+    treated, control = (g.view.labels.index(k) for k in keys)
+    if cov.kind is Kind.NUMERICAL:  # strata are the distinct values, by str
+        strata = ColumnView.encode(Kind.CATEGORICAL, strata.tolist()).data
+    arm = (codes == treated) | (codes == control)
+    parts = _split(strata[arm] * 2 + (codes[arm] == control), ys[arm])
     total = 0
     acc = 0.0
     used = 0
-    for sv in sorted(strata, key=str):
-        cell = strata[sv]
-        if not cell[keys[0]] or not cell[keys[1]]:
+    for a, b in zip(parts[0::2], parts[1::2]):
+        if not a.size or not b.size:
             continue
-        size = len(cell[keys[0]]) + len(cell[keys[1]])
-        diff = float(np.mean(cell[keys[0]]) - np.mean(cell[keys[1]]))
+        size = a.size + b.size
+        diff = float(np.mean(a) - np.mean(b))
         acc += size * diff
         total += size
         used += 1
@@ -154,16 +157,12 @@ def pse(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricRe
         raise MissingMediatorError("pse mediator must be numerical")
     groups = _checked_groups(g, y, "pse")
     keys = list(groups)[:2]
-    t_list, m_list, y_list = [], [], []
-    for gv, yv, mv in zip(g.values, y.values, med.values):
-        if gv is None or yv is None or mv is None or gv not in keys:
-            continue
-        t_list.append(1.0 if gv == keys[0] else 0.0)
-        m_list.append(mv)
-        y_list.append(yv)
-    t = np.asarray(t_list)
-    m = np.asarray(m_list)
-    yv = np.asarray(y_list)
+    codes, yv, m = paired(g, y, med)
+    treated, control = (g.view.labels.index(k) for k in keys)
+    arm = (codes == treated) | (codes == control)
+    t = (codes[arm] == treated).astype(float)
+    m = m[arm]
+    yv = yv[arm]
     if t.size < 3 or t.var() == 0:
         raise SingletonGroupError("pse: treatment is constant after binarization")
     sd = yv.std()

@@ -13,21 +13,11 @@ import numpy as np
 
 from ..errors import ConstantColumnError, InsufficientSamplesError
 from ..tabular import Column
-from .base import MetricOptions, MetricResult, Scenario
+from .base import MetricOptions, MetricResult, Scenario, paired
 
 
 def _result(metric_id, raw, n, details=""):
     return MetricResult(metric_id, Scenario.NUM_NUM, raw, n, details)
-
-
-def paired(x: Column, y: Column):
-    xs, ys = [], []
-    for a, b in zip(x.values, y.values):
-        if a is None or b is None:
-            continue
-        xs.append(a)
-        ys.append(b)
-    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
 
 def _checked(x: Column, y: Column, opts: MetricOptions, metric_id: str,
@@ -59,9 +49,8 @@ def _equal_frequency_bins(v: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _joint_hist(bx: np.ndarray, by: np.ndarray, bins: int) -> np.ndarray:
-    joint = np.zeros((bins, bins))
-    np.add.at(joint, (bx, by), 1.0)
-    return joint / bx.size
+    counts = np.bincount(bx * bins + by, minlength=bins * bins)
+    return counts.reshape(bins, bins) / bx.size
 
 
 def _entropy(p: np.ndarray) -> float:

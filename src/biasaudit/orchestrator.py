@@ -33,7 +33,11 @@ from .metrics import (
     BiasType,
     MetricOptions,
     Scenario,
+    base,
+    cat_cat,
+    cat_num,
     classify_scenario,
+    num_num,
     run_metric,
 )
 from .reporting import ChartKind, ChartSpec, Finding, assemble_report, render_chart
@@ -367,20 +371,13 @@ def _chart_data(state: SessionState, kind: ChartKind) -> ChartSpec:
     if kind in (ChartKind.BAR, ChartKind.PIE, ChartKind.HORIZONTAL_BAR,
                 ChartKind.TREEMAP, ChartKind.HEATMAP):
         col = next((c for c in cols if c.kind is Kind.CATEGORICAL), cols[0])
-        counts = {}
-        for v in col.values:
-            if v is not None:
-                counts[v] = counts.get(v, 0) + 1
-        return ChartSpec(kind, {"series": counts}, title=title)
+        return ChartSpec(kind, {"series": base.category_counts(col)}, title=title)
     if kind in (ChartKind.STACKED_BAR, ChartKind.GROUPED_BAR):
-        if len(cols) != 2:
+        if len(cols) != 2 or any(c.kind is not Kind.CATEGORICAL for c in cols):
             raise ToolError(f"{kind.value} needs two categorical features")
-        groups = {}
-        for a, b in zip(cols[0].values, cols[1].values):
-            if a is None or b is None:
-                continue
-            groups.setdefault(str(a), {}).setdefault(str(b), 0)
-            groups[str(a)][str(b)] += 1
+        counts, rows, outcomes = cat_cat.contingency(*cols)
+        groups = {str(r): {str(o): int(n) for o, n in zip(outcomes, row) if n}
+                  for r, row in zip(rows, counts)}
         return ChartSpec(kind, {"groups": groups}, title=title)
     if kind is ChartKind.BOX:
         cat = next((c for c in cols if c.kind is Kind.CATEGORICAL), None)
@@ -388,22 +385,18 @@ def _chart_data(state: SessionState, kind: ChartKind) -> ChartSpec:
         if num is None:
             raise ToolError("box plot needs a numerical feature")
         if cat is None:
-            groups = {num.name: num.non_missing()}
+            groups = {num.name: base.column_values(num).tolist()}
         else:
-            groups = {}
-            for g, v in zip(cat.values, num.values):
-                if g is None or v is None:
-                    continue
-                groups.setdefault(str(g), []).append(v)
+            groups = {str(g): v.tolist()
+                      for g, v in cat_num.group_values(cat, num).items()}
         return ChartSpec(kind, {"groups": groups}, title=title)
     # correlation heatmap over the numerical features
     nums = [c for c in cols if c.kind is Kind.NUMERICAL]
     if len(nums) < 2:
         raise ToolError("correlation heatmap needs two numerical features")
-    from .metrics.num_num import pearson as _pearson
     labels = [c.name for c in nums]
     matrix = [[1.0 if i == j else
-               _pearson(nums[i], nums[j], state.opts).raw["r"]
+               num_num.pearson(nums[i], nums[j], state.opts).raw["r"]
                for j in range(len(nums))] for i in range(len(nums))]
     return ChartSpec(kind, {"labels": labels, "matrix": matrix}, title=title)
 
@@ -834,7 +827,7 @@ def _legal_transition(current: Stage, target: Stage) -> bool:
 def _incomplete_report(state: SessionState) -> ReportDocument:
     try:
         scenario = state.scenario()
-    except (BiasAuditError, Exception):
+    except BiasAuditError:
         scenario = Scenario.CAT_DIST
     return ReportDocument(
         task_summary=state.task.question,

@@ -2,7 +2,9 @@
 
 A :class:`Table` is immutable after construction; every operation returns a
 new table. Cells are ``str`` (categorical), ``float`` (numerical), or ``None``
-(missing).
+(missing). Each :class:`Column` also encodes its cells once, on first use,
+into a numpy :class:`ColumnView` that cleaning, the metrics and the charts
+share; :func:`load_table` parses each cell once.
 """
 
 from __future__ import annotations
@@ -11,9 +13,13 @@ import csv
 import io
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import compress, islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     AllRowsDroppedError,
@@ -50,11 +56,46 @@ class CleaningPolicy:
     invalid_tokens: frozenset = DEFAULT_NA_TOKENS
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnView:
+    """Numerical: ``data`` is float64, NaN for missing, and ``labels`` is
+    None. Categorical: ``data`` holds int codes into ``labels`` (the labels
+    present, sorted by ``str``), -1 for missing."""
+
+    data: np.ndarray
+    labels: tuple | None = None
+
+    @classmethod
+    def encode(cls, kind: Kind, values: Sequence) -> ColumnView:
+        """The view of a cell sequence of the given kind (``None`` missing)."""
+        if kind is Kind.NUMERICAL:
+            return cls(np.array(values, dtype=np.float64))
+        index = dict.fromkeys(values)
+        index.pop(None, None)
+        labels = tuple(sorted(index, key=str))
+        index = {label: code for code, label in enumerate(labels)}
+        index[None] = -1
+        return cls(np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                               count=len(values)), labels)
+
+    @property
+    def present(self) -> np.ndarray:
+        return ~np.isnan(self.data) if self.labels is None else self.data >= 0
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
     kind: Kind
     values: tuple
+    _view: ColumnView | None = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    @property
+    def view(self) -> ColumnView:
+        if self._view is None:
+            object.__setattr__(self, "_view", ColumnView.encode(self.kind, self.values))
+        return self._view
 
     def non_missing(self) -> list:
         return [v for v in self.values if v is not None]
@@ -109,6 +150,80 @@ def _try_parse_float(token: str):
     return v if math.isfinite(v) else None
 
 
+def _parses(token: str) -> bool:
+    try:
+        float(token)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _parse_floats(texts: list) -> list:
+    """Each text as a finite float, or None. Blocks of texts parse at once;
+    only a block with a text that does not parse goes text by text."""
+    out = []
+    for i in range(0, len(texts), 1024):
+        block = texts[i:i + 1024]
+        try:
+            values = np.array(block, dtype=np.float64).tolist()
+        except ValueError:
+            values = list(map(_try_parse_float, block))
+        else:
+            if not math.isfinite(sum(values)):  # some value is inf or nan
+                values = [v if math.isfinite(v) else None for v in values]
+        out.extend(values)
+    return out
+
+
+def _kind_of(present: int, numeric: int, numbers: list) -> Kind:
+    """The :func:`infer_kind` rule from the counts of present and of numeric
+    cells and the finite values parsed (duplicates allowed)."""
+    if not present or numeric / present < NUMERIC_PARSE_THRESHOLD:
+        return Kind.CATEGORICAL
+    if all(map(float.is_integer, numbers)) and \
+            len(set(numbers)) <= INTEGER_CODE_MAX_DISTINCT:
+        return Kind.CATEGORICAL
+    return Kind.NUMERICAL
+
+
+def _parse_column(cells: list, na: frozenset):
+    """The kind and the cells of one column of raw text, each parsed once.
+
+    A cell is missing if its stripped text is an na token; a present cell
+    is numeric if it parses as a finite real. If no na token parses, cells
+    that are exactly an na token read as "nan", and when every cell then
+    parses one vectorized parse decides. Otherwise each distinct text is
+    checked against the na tokens and parsed once.
+    """
+    if not any(map(_parses, na)):
+        texts, present = cells, len(cells)
+        if not na.isdisjoint(cells):
+            texts = list(map(dict.fromkeys(na, "nan").get, cells, cells))
+            present -= sum(map(na.__contains__, cells))
+        try:
+            numbers = np.array(texts, dtype=np.float64).tolist()
+        except ValueError:
+            numbers = None
+        if numbers is not None:
+            # A finite sum means every value is finite.
+            finite = numbers if math.isfinite(sum(numbers)) else [
+                v for v in numbers if math.isfinite(v)]
+            if _kind_of(present, len(finite), finite) is Kind.NUMERICAL:
+                if len(finite) < len(numbers):
+                    numbers = [v if math.isfinite(v) else None for v in numbers]
+                return Kind.NUMERICAL, numbers
+    counts = Counter(cells)
+    present_texts = [text for text in counts if text.strip() not in na]
+    parsed = dict(zip(present_texts, _parse_floats(present_texts)))
+    numeric = [text for text, v in parsed.items() if v is not None]
+    kind = _kind_of(sum(map(counts.__getitem__, present_texts)),
+                    sum(map(counts.__getitem__, numeric)),
+                    list(map(parsed.__getitem__, numeric)))
+    # Present texts map to one shared object per distinct text.
+    cell_of = parsed if kind is Kind.NUMERICAL else {t: t for t in parsed}
+    return kind, list(map(cell_of.get, cells))
+
+
 def infer_kind(values: Sequence, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -> Kind:
     """Decide whether a raw cell sequence is numerical or categorical.
 
@@ -116,19 +231,18 @@ def infer_kind(values: Sequence, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -
     parsed values are not a small integer code (<= 10 distinct all-integer
     values), so demographic codes like ``sex in {0, 1}`` stay categorical.
     """
-    na = set(na_tokens)
-    present = [v for v in values if v is not None and str(v).strip() not in na]
-    if not present:
-        return Kind.CATEGORICAL
-    parsed = [_try_parse_float(str(v).strip()) for v in present]
-    numeric = [p for p in parsed if p is not None]
-    if len(numeric) / len(present) < NUMERIC_PARSE_THRESHOLD:
-        return Kind.CATEGORICAL
-    distinct = set(numeric)
-    all_integer = all(float(v).is_integer() for v in distinct)
-    if all_integer and len(distinct) <= INTEGER_CODE_MAX_DISTINCT:
-        return Kind.CATEGORICAL
-    return Kind.NUMERICAL
+    cells = [str(v) for v in values if v is not None]
+    return _parse_column(cells, frozenset(na_tokens))[0]
+
+
+def present_rows(cols: Sequence[Column], n: int) -> np.ndarray:
+    """Mask of the ``n`` rows where none of ``cols`` is missing."""
+    keep = np.ones(n, dtype=bool)
+    for c in cols:
+        if len(c.values) != n:
+            raise RaggedRowError(f"column {c.name!r} has {len(c.values)} rows, not {n}")
+        keep &= c.view.present
+    return keep
 
 
 def list_features(path, delimiter: str = ",") -> list:
@@ -155,33 +269,28 @@ def load_table(path, delimiter: str = ",",
     column that do not parse are marked missing, as are na tokens anywhere.
     """
     header = list_features(path, delimiter=delimiter)
-    na = set(na_tokens)
-    raw_cols = [[] for _ in header]
+    na = frozenset(na_tokens)
+    raw = [[] for _ in header]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         next(reader)  # header
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+        rownum = 2
+        # Blocks of rows move into the columns at once, so at most one block
+        # of per-row lists is alive at a time.
+        while block := list(islice(reader, 4096)):
+            if set(map(len, block)) != {len(header)}:
+                bad = next(i for i, row in enumerate(block) if len(row) != len(header))
                 raise RaggedRowError(
-                    f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}",
-                    row=rownum)
-            for col, cell in zip(raw_cols, row):
-                col.append(cell)
+                    f"{path}: row {rownum + bad} has {len(block[bad])} fields, "
+                    f"expected {len(header)}", row=rownum + bad)
+            for i, cells in enumerate(raw):
+                cells.extend([row[i] for row in block])
+            rownum += len(block)
     columns = []
-    for cname, raw in zip(header, raw_cols):
-        columns.append(_build_column(cname, raw, na))
+    for cname in header:
+        kind, cells = _parse_column(raw.pop(0), na)
+        columns.append(Column(cname, kind, tuple(cells)))
     return Table(name=name or str(path), columns=tuple(columns))
-
-
-def _build_column(name: str, raw: list, na: set) -> Column:
-    kind = infer_kind(raw, na)
-    if kind is Kind.NUMERICAL:
-        values = tuple(
-            None if str(v).strip() in na else _try_parse_float(str(v).strip())
-            for v in raw)
-    else:
-        values = tuple(None if str(v).strip() in na else str(v) for v in raw)
-    return Column(name=name, kind=kind, values=values)
 
 
 def from_columns(name: str, cols: Sequence[tuple], meta: dict | None = None) -> Table:
@@ -224,15 +333,14 @@ def clean_missing(table: Table, columns: Sequence[str],
     """Remove or fill missing values in the named columns."""
     targets = [table.column(n) for n in columns]
     if policy.mode is CleaningMode.DROP_ROW:
-        keep = [i for i in range(table.row_count)
-                if all(c.values[i] is not None for c in targets)]
-        if table.row_count > 0 and not keep:
+        keep = present_rows(targets, table.row_count)
+        if table.row_count > 0 and not keep.any():
             raise AllRowsDroppedError(
                 f"cleaning {list(columns)} with drop_row removed every row")
-        new_cols = tuple(
-            replace(c, values=tuple(c.values[i] for i in keep))
+        dropped = table.row_count - int(keep.sum())
+        new_cols = table.columns if not dropped else tuple(
+            replace(c, values=tuple(compress(c.values, keep.tolist())))
             for c in table.columns)
-        dropped = table.row_count - len(keep)
         return CleaningResult(
             Table(table.name, new_cols, dict(table.meta)), 0, dropped)
 

@@ -456,3 +456,50 @@ def hsic(x_vals, y_vals):
     norm = math.sqrt(hxx * hyy)
     nh = max(0.0, min(1.0, hxy / norm)) if norm > 0 else 0.0
     return {"hsic": hxy / (n - 1) ** 2, "nhsic": nh}
+
+
+# ------------------------------------------------------------ CSV loader
+
+def _try_parse_float(token):
+    try:
+        v = float(token)
+    except (TypeError, ValueError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+def infer_kind(values, na_tokens):
+    """Two-pass reference type inference: "numerical" or "categorical"."""
+    na = set(na_tokens)
+    present = [v for v in values if v is not None and str(v).strip() not in na]
+    if not present:
+        return "categorical"
+    parsed = [_try_parse_float(str(v).strip()) for v in present]
+    numeric = [p for p in parsed if p is not None]
+    if len(numeric) / len(present) < 0.95:
+        return "categorical"
+    distinct = set(numeric)
+    if all(float(v).is_integer() for v in distinct) and len(distinct) <= 10:
+        return "categorical"
+    return "numerical"
+
+
+def load_columns(path, na_tokens, delimiter=","):
+    """Reference loader: (name, kind, cells) per column, every cell parsed
+    once to infer the kind and again to convert it."""
+    import csv
+    na = set(na_tokens)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh, delimiter=delimiter))
+    header, body = rows[0], rows[1:]
+    out = []
+    for i, name in enumerate(header):
+        raw = [row[i] for row in body]
+        kind = infer_kind(raw, na)
+        if kind == "numerical":
+            cells = tuple(None if v.strip() in na else _try_parse_float(v.strip())
+                          for v in raw)
+        else:
+            cells = tuple(None if v.strip() in na else v for v in raw)
+        out.append((name, kind, cells))
+    return out

@@ -55,6 +55,15 @@ class TestDetect:
                      "--bias-type", "distribution", "--budget", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--delimiter", ";"], ["--na-tokens", "x"]])
+    def test_removed_loader_flags_are_usage_errors(self, cat_csv, flag, capsys):
+        # detect always loads with the default delimiter and na tokens, so
+        # these flags are rejected rather than parsed and ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", cat_csv, "--features", "group", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_repeated_runs_byte_identical(self, cat_csv, tmp_path):
         out1 = tmp_path / "one"
         out2 = tmp_path / "two"

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from biasaudit.errors import UnsupportedArityError
+from biasaudit.errors import RaggedRowError, UnknownMetricError, UnsupportedArityError
 from biasaudit.metrics import (
     BiasType,
     MetricOptions,
@@ -267,3 +267,21 @@ def test_run_metric_swaps_cat_num_order():
     r1 = run_metric("cohens_d", [g, y])
     r2 = run_metric("cohens_d", [y, g])
     assert r1.raw == r2.raw
+
+
+@pytest.mark.parametrize("metric_id, cols", [
+    ("cramers_v", [num([1, 2, 3, 4]), num([4, 3, 2, 1], "y")]),
+    ("cohens_d", [cat(["a", "b", "a", "b"]), cat(["x", "y", "y", "x"], "d")]),
+    ("pearson", [cat(["a", "b", "a", "b"]), num([1, 2, 3, 4])]),
+    ("skewness", [cat(["a", "b", "c"])]),
+])
+def test_run_metric_rejects_columns_of_another_scenario(metric_id, cols):
+    with pytest.raises(UnknownMetricError, match="metric; got"):
+        run_metric(metric_id, cols)
+
+
+def test_mediator_of_another_length_is_a_table_error():
+    g = cat(["a", "a", "a", "b", "b", "b"], "g")
+    y = num([1, 2, 4, 3, 5, 8], "y")
+    with pytest.raises(RaggedRowError):
+        pse(g, y, MetricOptions(mediator=num([1, 2, 3, 4], "m")))

@@ -124,3 +124,48 @@ def test_metric_matches_oracle(metric_id):
 def test_all_metrics_covered():
     assert set(ORACLES) == set(ALL_METRIC_IDS)
     assert len(ALL_METRIC_IDS) == 25
+
+
+MISSING_RATE = 0.15
+
+
+def gen_missing_instance(metric_id, rng):
+    """A gen_instance draw with cells blanked independently in each column,
+    the mediator included, so the pairwise-missing masks differ."""
+    cols, args, extra = gen_instance(metric_id, rng)
+    args = tuple([None if rng.random() < MISSING_RATE else v for v in vals]
+                 for vals in args)
+
+    def blanked(col, vals):
+        cast = float if col.kind is Kind.NUMERICAL else (lambda v: v)
+        return Column(col.name, col.kind,
+                      tuple(None if v is None else cast(v) for v in vals))
+
+    cols = [blanked(c, vals) for c, vals in zip(cols, args)]
+    if "mediator" in extra:
+        extra = {"mediator": blanked(extra["mediator"], args[2])}
+    return cols, args, extra
+
+
+@pytest.mark.parametrize("metric_id", ALL_METRIC_IDS)
+def test_metric_matches_oracle_with_missing_cells(metric_id):
+    rng = random.Random(f"{metric_id}:missing")
+    checked = 0
+    attempts = 0
+    while checked < INSTANCES:
+        attempts += 1
+        assert attempts < 2000, f"could not build {INSTANCES} valid instances"
+        cols, args, extra = gen_missing_instance(metric_id, rng)
+        opts = MetricOptions(bins=OPTS.bins, kde_grid=OPTS.kde_grid, **extra)
+        try:
+            result = run_metric(metric_id, cols, opts)
+        except MetricError:
+            continue  # degenerate draw; try another
+        expected = ORACLES[metric_id](*args)
+        for key, want in expected.items():
+            got = result.raw[key]
+            if math.isinf(want):
+                assert math.isinf(got), f"{metric_id}.{key}"
+            else:
+                assert got == pytest.approx(want, abs=TOL), f"{metric_id}.{key}"
+        checked += 1

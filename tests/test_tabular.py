@@ -1,5 +1,7 @@
 """Loading, type inference, and preprocessing of delimited tables."""
 
+from dataclasses import replace
+
 import pytest
 
 from biasaudit.errors import (
@@ -183,3 +185,26 @@ class TestGroupAggregate:
                                ("x", "numerical", (1.0, 2.0))])
         out = group_and_aggregate(t, "g", "x", AggregateFn.SUM)
         assert out.row_count == 1
+
+
+class TestColumnView:
+    def test_categorical_codes_in_label_order(self):
+        col = from_columns("t", [("g", "categorical", ("b", None, "a", "b"))]).columns[0]
+        assert col.view.labels == ("a", "b")
+        assert col.view.data.tolist() == [1, -1, 0, 1]
+        assert col.view.present.tolist() == [True, False, True, True]
+
+    def test_numerical_missing_is_nan(self):
+        col = from_columns("t", [("x", "numerical", (1.5, None))]).columns[0]
+        assert col.view.data[0] == 1.5
+        assert col.view.present.tolist() == [True, False]
+
+    def test_built_once_and_not_carried_to_copies(self):
+        col = from_columns("t", [("g", "categorical", ("a", "b"))]).columns[0]
+        assert col.view is col.view
+        assert replace(col, values=("c",)).view.labels == ("c",)
+
+    def test_drop_row_keeps_columns_without_missing_cells(self, tmp_path):
+        t = load_table(write(tmp_path, "g,x\na,1.5\nb,2.5\n"))
+        cleaned = clean_missing(t, ["g", "x"]).table
+        assert all(a is b for a, b in zip(cleaned.columns, t.columns))
