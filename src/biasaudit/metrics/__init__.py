@@ -40,15 +40,10 @@ def run_metric(metric_id: str, cols, opts: MetricOptions = MetricOptions()) -> M
     column kinds must match the metric's scenario.
     """
     scenario = scenario_of_metric(metric_id)
-    fn = SCENARIO_METRICS[scenario][metric_id]
-    if scenario in (Scenario.CAT_DIST, Scenario.NUM_DIST):
-        if len(cols) != 1:
-            raise UnknownMetricError(f"{metric_id} takes exactly 1 column")
-    elif len(cols) != 2:
-        raise UnknownMetricError(f"{metric_id} takes exactly 2 columns")
-    if classify_scenario(cols) is not scenario:
+    if len(cols) not in (1, 2) or classify_scenario(cols) is not scenario:
         raise UnknownMetricError(f"{metric_id} is a {scenario.value} metric; "
                                  f"got {[c.kind.value for c in cols]} columns")
+    fn = SCENARIO_METRICS[scenario][metric_id]
     if len(cols) == 1:
         return fn(cols[0], opts)
     a, b = cols

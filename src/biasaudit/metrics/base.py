@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from ..errors import UnsupportedArityError
-from ..tabular import Column, ColumnView, Kind, present_rows
+from ..tabular import Column, Kind, present_rows
 
 
 class Scenario(str, Enum):
@@ -91,9 +91,7 @@ def category_counts(col: Column) -> dict:
 
     A numerical column counts its distinct values, ordered by ``str``.
     """
-    view = col.view
-    if view.labels is None:
-        view = ColumnView.encode(Kind.CATEGORICAL, column_values(col).tolist())
+    view = col.category_view()
     counts = np.bincount(view.data[view.present], minlength=len(view.labels))
     return dict(zip(view.labels, counts.tolist()))
 

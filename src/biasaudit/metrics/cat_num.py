@@ -14,7 +14,7 @@ from ..errors import (
     SingletonGroupError,
     ZeroVarianceError,
 )
-from ..tabular import Column, ColumnView, Kind
+from ..tabular import Column, ColumnView, Kind, split_by_code
 from .base import MetricOptions, MetricResult, Scenario, paired
 
 
@@ -22,19 +22,11 @@ def _result(metric_id, raw, n, details=""):
     return MetricResult(metric_id, Scenario.CAT_NUM, raw, n, details)
 
 
-def _split(codes: np.ndarray, values: np.ndarray, k: int = 0) -> list:
-    """``values`` split by code into parts 0, 1, ... (at least ``k``), each
-    in row order."""
-    sizes = np.bincount(codes, minlength=k)
-    return np.split(values[np.argsort(codes, kind="stable")],
-                    np.cumsum(sizes)[:-1])
-
-
 def group_values(g: Column, y: Column):
     """Per-group value arrays for paired non-missing rows."""
     codes, ys = paired(g, y)
     labels = g.view.labels
-    parts = _split(codes, ys, len(labels))
+    parts = split_by_code(codes, ys, len(labels))
     ordered = sorted((i for i, part in enumerate(parts) if part.size),
                      key=lambda i: (-parts[i].size, i))  # labels are str-sorted
     return {labels[i]: parts[i] for i in ordered}
@@ -125,7 +117,7 @@ def _stratified_ace(g: Column, y: Column, cov: Column, keys):
     if cov.kind is Kind.NUMERICAL:  # strata are the distinct values, by str
         strata = ColumnView.encode(Kind.CATEGORICAL, strata.tolist()).data
     arm = (codes == treated) | (codes == control)
-    parts = _split(strata[arm] * 2 + (codes[arm] == control), ys[arm])
+    parts = split_by_code(strata[arm] * 2 + (codes[arm] == control), ys[arm])
     total = 0
     acc = 0.0
     used = 0

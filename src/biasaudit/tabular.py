@@ -16,6 +16,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from itertools import compress, islice
 from typing import Iterable, Sequence
 
@@ -88,14 +89,18 @@ class Column:
     name: str
     kind: Kind
     values: tuple
-    _view: ColumnView | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
-    @property
+    @cached_property
     def view(self) -> ColumnView:
-        if self._view is None:
-            object.__setattr__(self, "_view", ColumnView.encode(self.kind, self.values))
-        return self._view
+        """The cells encoded once, on first use (copies start without it)."""
+        return ColumnView.encode(self.kind, self.values)
+
+    def category_view(self) -> ColumnView:
+        """The cells as categories: a numerical column's labels are its
+        distinct values."""
+        if self.kind is Kind.CATEGORICAL:
+            return self.view
+        return ColumnView.encode(Kind.CATEGORICAL, self.values)
 
     def non_missing(self) -> list:
         return [v for v in self.values if v is not None]
@@ -158,23 +163,6 @@ def _parses(token: str) -> bool:
     return True
 
 
-def _parse_floats(texts: list) -> list:
-    """Each text as a finite float, or None. Blocks of texts parse at once;
-    only a block with a text that does not parse goes text by text."""
-    out = []
-    for i in range(0, len(texts), 1024):
-        block = texts[i:i + 1024]
-        try:
-            values = np.array(block, dtype=np.float64).tolist()
-        except ValueError:
-            values = list(map(_try_parse_float, block))
-        else:
-            if not math.isfinite(sum(values)):  # some value is inf or nan
-                values = [v if math.isfinite(v) else None for v in values]
-        out.extend(values)
-    return out
-
-
 def _kind_of(present: int, numeric: int, numbers: list) -> Kind:
     """The :func:`infer_kind` rule from the counts of present and of numeric
     cells and the finite values parsed (duplicates allowed)."""
@@ -190,33 +178,28 @@ def _parse_column(cells: list, na: frozenset):
     """The kind and the cells of one column of raw text, each parsed once.
 
     A cell is missing if its stripped text is an na token; a present cell
-    is numeric if it parses as a finite real. If no na token parses, cells
-    that are exactly an na token read as "nan", and when every cell then
-    parses one vectorized parse decides. Otherwise each distinct text is
-    checked against the na tokens and parsed once.
+    is numeric if it parses as a finite real. When no na token parses as a
+    number and every cell parses, one vectorized parse decides. Otherwise
+    each distinct text is checked against the na tokens and parsed once.
     """
     if not any(map(_parses, na)):
-        texts, present = cells, len(cells)
-        if not na.isdisjoint(cells):
-            texts = list(map(dict.fromkeys(na, "nan").get, cells, cells))
-            present -= sum(map(na.__contains__, cells))
         try:
-            numbers = np.array(texts, dtype=np.float64).tolist()
+            numbers = np.array(cells, dtype=np.float64).tolist()
         except ValueError:
             numbers = None
         if numbers is not None:
             # A finite sum means every value is finite.
             finite = numbers if math.isfinite(sum(numbers)) else [
                 v for v in numbers if math.isfinite(v)]
-            if _kind_of(present, len(finite), finite) is Kind.NUMERICAL:
+            if _kind_of(len(cells), len(finite), finite) is Kind.NUMERICAL:
                 if len(finite) < len(numbers):
                     numbers = [v if math.isfinite(v) else None for v in numbers]
                 return Kind.NUMERICAL, numbers
     counts = Counter(cells)
-    present_texts = [text for text in counts if text.strip() not in na]
-    parsed = dict(zip(present_texts, _parse_floats(present_texts)))
+    parsed = {text: _try_parse_float(text) for text in counts
+              if text.strip() not in na}
     numeric = [text for text, v in parsed.items() if v is not None]
-    kind = _kind_of(sum(map(counts.__getitem__, present_texts)),
+    kind = _kind_of(sum(map(counts.__getitem__, parsed)),
                     sum(map(counts.__getitem__, numeric)),
                     list(map(parsed.__getitem__, numeric)))
     # Present texts map to one shared object per distinct text.
@@ -243,6 +226,14 @@ def present_rows(cols: Sequence[Column], n: int) -> np.ndarray:
             raise RaggedRowError(f"column {c.name!r} has {len(c.values)} rows, not {n}")
         keep &= c.view.present
     return keep
+
+
+def split_by_code(codes: np.ndarray, values: np.ndarray, k: int = 0) -> list:
+    """``values`` split by code into parts 0, 1, ... (at least ``k``), each
+    in row order."""
+    sizes = np.bincount(codes, minlength=k)
+    return np.split(values[np.argsort(codes, kind="stable")],
+                    np.cumsum(sizes)[:-1])
 
 
 def list_features(path, delimiter: str = ",") -> list:
@@ -359,11 +350,9 @@ def clean_missing(table: Table, columns: Sequence[str],
                 raise NonNumericalTargetError(
                     f"fill_median requires a numerical column, got {c.name!r}")
             fill = statistics.median(present)
-        else:  # FILL_MODE
-            counts = {}
-            for v in present:
-                counts[v] = counts.get(v, 0) + 1
-            fill = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[0][0]
+        else:  # FILL_MODE: the most frequent value, ties to the first label
+            view = c.category_view()
+            fill = view.labels[int(np.bincount(view.data[view.present]).argmax())]
         filled = tuple(fill if v is None else v for v in c.values)
         changed += c.missing_count()
         new_cols.append(replace(c, values=filled))
@@ -421,17 +410,16 @@ def group_and_aggregate(table: Table, by: str, target: str,
     if fn is not AggregateFn.COUNT and target_col.kind is not Kind.NUMERICAL:
         raise NonNumericalTargetError(
             f"{fn.value} requires a numerical target, got {target!r}")
-    groups = {}
-    for g, v in zip(by_col.values, target_col.values):
-        if g is None:
-            continue
-        groups.setdefault(g, []).append(v)
-    keys = sorted(groups, key=str)
+    view = by_col.category_view()
+    keys = view.labels
+    sizes = np.bincount(view.data[view.present], minlength=len(keys))
+    keep = view.present & target_col.view.present
+    parts = split_by_code(view.data[keep], target_col.view.data[keep], len(keys))
     out = []
-    for k in keys:
-        vals = [v for v in groups[k] if v is not None]
+    for size, part in zip(sizes.tolist(), parts):
+        vals = part.tolist()
         if fn is AggregateFn.COUNT:
-            out.append(float(len(groups[k])))
+            out.append(float(size))
         elif not vals:
             out.append(None)
         elif fn is AggregateFn.MEAN:

@@ -168,6 +168,22 @@ class TestRunSession:
             run_session(cat_task(cat_csv), planner, registry)
         assert "missing_col" in str(info.value)
 
+    def test_metric_of_another_scenario_is_a_tool_error(self, registry, cat_csv):
+        # A numerical-distribution metric on a categorical feature fails as
+        # one tool call; the session goes on and still completes.
+        script = list(CANONICAL_DISTRIBUTION_SCRIPT)
+        script.insert(5, Action(ActionKind.INVOKE_TOOL,
+                                tool="numerical_distribution_skewness"))
+        report, log = run_session(cat_task(cat_csv), ScriptedPlanner(script),
+                                  registry)
+        assert report.complete
+        assert len(report.findings) == 5
+        failed = [e.payload for e in log.events
+                  if e.action == "result" and not e.payload["ok"]]
+        assert len(failed) == 1
+        assert failed[0]["tool"] == "numerical_distribution_skewness"
+        assert "skewness is a num_dist metric" in failed[0]["error"]
+
 
 class TestRulePlanner:
     def test_eighteen_action_policy(self, registry, cat_csv):
