@@ -24,7 +24,6 @@ from .metrics import (
     SCENARIO_METRICS,
     BiasType,
     MetricOptions,
-    Scenario,
     classify_scenario,
     run_metric,
 )
@@ -32,13 +31,12 @@ from .orchestrator import (
     DETECTION_TOOLS,
     STAGE_ORDER,
     SessionLog,
-    Stage,
     TaskContext,
     ToolRegistry,
     run_session,
 )
 from .severity import DEFAULT_TABLE, ThresholdTable, map_to_level
-from .tabular import CleaningPolicy, clean_missing, extract_columns, load_table
+from .tabular import clean_missing, extract_columns, load_table
 
 # Task bias types as they appear in taskset files. "implication" leaves the
 # distribution/correlation split to the feature count.
@@ -128,7 +126,7 @@ def ground_truth(task: TaskSpec, thresholds: ThresholdTable = DEFAULT_TABLE,
     """Oracle reference: run all five scenario metrics, take the max level."""
     table = load_table(task.dataset)
     subset = extract_columns(table, task.features)
-    cleaned = clean_missing(subset, subset.column_names, CleaningPolicy()).table
+    cleaned = clean_missing(subset, subset.column_names).table
     cols = [cleaned.column(n) for n in task.features]
     scenario = classify_scenario(cols, task.bias_type)
     levels = {}
@@ -408,8 +406,7 @@ class BenchmarkReport:
 def _run_one(task: TaskSpec, planner_factory, registry, thresholds, opts,
              out_dir):
     context = TaskContext(question=task.question, dataset=task.dataset,
-                          features=task.features, bias_type=task.bias_type,
-                          task_id=task.id)
+                          features=task.features, bias_type=task.bias_type)
     task_dir = None
     if out_dir is not None:
         task_dir = os.path.join(out_dir, task.id)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import bench as benchmod
 from . import methodlib, synthgen
 from .errors import BiasAuditError, EndOfInputError
-from .metrics import BiasType, MetricOptions, Scenario
+from .metrics import BiasType, Scenario
 from .orchestrator import (
     ChatConfig,
     ChatPlanner,
@@ -27,7 +27,7 @@ from .orchestrator import (
     run_session,
 )
 from .severity import DEFAULT_TABLE, ThresholdTable
-from .tabular import load_table, save_table
+from .tabular import save_table, serialize_table
 
 
 @dataclass(frozen=True)
@@ -82,29 +82,18 @@ def _planner(config: Config):
 
 
 def _task_from_args(args) -> TaskContext:
-    bias_type = {None: BiasType.UNSTATED,
-                 "distribution": BiasType.DISTRIBUTION,
-                 "correlation": BiasType.CORRELATION,
-                 "implication": BiasType.UNSTATED}[args.bias_type]
-    question = getattr(args, "question", None) or (
+    bias_type = benchmod._BIAS_TYPE_IN.get(args.bias_type, BiasType.UNSTATED)
+    question = args.question or (
         f"Audit feature(s) {', '.join(args.features)} of {args.dataset} "
         f"for bias.")
     return TaskContext(question=question, dataset=args.dataset,
                        features=tuple(args.features), bias_type=bias_type)
 
 
-def _run_detect_session(args, config, out_dir, interactive=False,
-                        followups=()):
-    task = _task_from_args(args)
-    if interactive or followups:
-        task = TaskContext(question=task.question, dataset=task.dataset,
-                           features=task.features, bias_type=task.bias_type,
-                           followups=tuple(followups),
-                           interactive=interactive)
+def _run_detect_session(args, config, out_dir):
     report, log = run_session(
-        task, _planner(config), build_registry(),
-        budget=args.budget, thresholds=_thresholds(config),
-        opts=MetricOptions(seed=args.seed), out_dir=out_dir,
+        _task_from_args(args), _planner(config), build_registry(),
+        budget=args.budget, thresholds=_thresholds(config), out_dir=out_dir,
         library=_library(config))
     if out_dir is not None:
         with open(os.path.join(out_dir, "session.log.jsonl"), "w",
@@ -151,8 +140,8 @@ def cmd_bench(args, config: Config) -> int:
     tasks = benchmod.load_taskset(args.taskset)
     report = benchmod.run_benchmark(
         tasks, lambda: _planner(config), build_registry(),
-        thresholds=_thresholds(config), opts=MetricOptions(seed=args.seed),
-        out_dir=args.out or config.out_dir, jobs=args.jobs)
+        thresholds=_thresholds(config), out_dir=args.out or config.out_dir,
+        jobs=args.jobs)
     print(report.to_markdown())
     return 0 if not report.failures else 2
 
@@ -161,8 +150,7 @@ def cmd_calibrate(args, config: Config) -> int:
     scenarios = ([Scenario(args.scenario)] if args.scenario
                  else list(Scenario))
     table, report = synthgen.calibrate_scenarios(
-        scenarios, _thresholds(config), opts=MetricOptions(seed=args.seed),
-        base_seed=args.seed or 7)
+        scenarios, _thresholds(config), base_seed=args.seed)
     print(report.to_markdown())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -203,7 +191,6 @@ def cmd_synth(args, config: Config) -> int:
         save_table(table, args.out)
         print(args.out, file=sys.stderr)
     else:
-        from .tabular import serialize_table
         print(serialize_table(table), end="")
     return 0
 
@@ -214,26 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bias audit for tabular data: detect, visualize, report.")
     parser.add_argument("--config", default=None,
                         help="path to a JSON config file")
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    detect = sub.add_parser("detect", help="run one detection session")
-    detect.add_argument("dataset")
-    detect.add_argument("--features", nargs="+", required=True)
-    detect.add_argument("--bias-type", dest="bias_type", default=None,
-                        choices=["distribution", "correlation", "implication"])
-    detect.add_argument("--question", default=None)
-    detect.add_argument("--budget", type=int, default=64)
-    detect.add_argument("--out", default=None)
-
-    repl = sub.add_parser("repl", help="interactive detect-and-refine loop")
-    repl.add_argument("dataset")
-    repl.add_argument("--features", nargs="+", required=True)
-    repl.add_argument("--bias-type", dest="bias_type", default=None,
-                      choices=["distribution", "correlation", "implication"])
-    repl.add_argument("--question", default=None)
-    repl.add_argument("--budget", type=int, default=64)
-    repl.add_argument("--out", default=None)
+    session = argparse.ArgumentParser(add_help=False)
+    session.add_argument("dataset")
+    session.add_argument("--features", nargs="+", required=True)
+    session.add_argument("--bias-type", dest="bias_type", default=None,
+                         choices=list(benchmod._BIAS_TYPE_IN))
+    session.add_argument("--question", default=None)
+    session.add_argument("--budget", type=int, default=64)
+    session.add_argument("--out", default=None)
+    sub.add_parser("detect", parents=[session],
+                   help="run one detection session")
+    sub.add_parser("repl", parents=[session],
+                   help="interactive detect-and-refine loop")
 
     bench = sub.add_parser("bench", help="run a benchmark taskset")
     bench.add_argument("taskset")
@@ -244,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="fit severity thresholds on synthetic suites")
     calibrate.add_argument("--scenario", default=None,
                            choices=[s.value for s in Scenario])
+    calibrate.add_argument("--seed", type=int, default=7)
     calibrate.add_argument("--out", default=None)
 
     methods = sub.add_parser("methods", help="browse the method library")
@@ -263,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--n", type=int, default=1000)
     synth.add_argument("--strength", type=float, default=0.5)
     synth.add_argument("--k", type=int, default=4)
+    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", default=None)
     return parser
 

@@ -2,8 +2,7 @@
 
 Retrieval is deterministic and offline: a scenario tag filter followed by
 IDF-weighted token overlap between the query text and each entry's
-intention. An embedding endpoint can optionally re-rank, but nothing in
-the pipeline requires one.
+intention.
 """
 
 from __future__ import annotations

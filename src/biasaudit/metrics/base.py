@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,7 +33,6 @@ class MetricOptions:
     kde_grid: int = 64
     mediator: Column | None = None
     covariate: Column | None = None
-    seed: int = 0
     min_cell_support: int = 5
     # HSIC Gram matrices are O(n^2); larger inputs are deterministically
     # subsampled down to this many rows.

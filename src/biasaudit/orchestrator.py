@@ -15,7 +15,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import methodlib
@@ -46,7 +46,6 @@ from .severity import DEFAULT_TABLE, ThresholdTable, map_to_level
 from .tabular import (
     AggregateFn,
     CleaningMode,
-    CleaningPolicy,
     Kind,
     NormalizeMode,
     clean_missing,
@@ -129,7 +128,6 @@ class TaskContext:
     bias_type: BiasType = BiasType.UNSTATED
     followups: tuple = ()
     interactive: bool = False
-    task_id: str = "adhoc"
 
 
 @dataclass
@@ -266,10 +264,8 @@ class SessionState:
     attempted_metrics: list = field(default_factory=list)
     charts: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    recovered_errors: int = 0
     consulted: set = field(default_factory=set)
     followup_index: int = 0
-    last_planner_error: str | None = None
     last_failed_call: str | None = None
     log: SessionLog = field(default_factory=SessionLog)
 
@@ -323,8 +319,8 @@ def _tool_clean_missing_values(state: SessionState, columns=None, mode="drop_row
     table = state.artifacts.get("subset") or state.artifacts.get("table")
     if table is None:
         raise ToolError("nothing to clean: no table loaded")
-    policy = CleaningPolicy(mode=CleaningMode(mode))
-    result = clean_missing(table, columns or table.column_names, policy)
+    result = clean_missing(table, columns or table.column_names,
+                           CleaningMode(mode))
     state.artifacts["clean"] = result.table
     return {"rows": result.table.row_count,
             "cells_changed": result.cells_changed,
@@ -469,10 +465,10 @@ def build_registry() -> ToolRegistry:
         entries[name] = ToolEntry(name, signature, description, executor)
 
     add("get_csv_features", "(path)",
-        "Reads a delimited file and returns all feature names.",
+        "Reads a CSV file and returns all feature names.",
         _tool_get_csv_features)
     add("load_csv_file", "(path)",
-        "Loads a delimited file into the session as a typed table.",
+        "Loads a CSV file into the session as a typed table.",
         _tool_load_csv_file)
     add("extract_single_column", "(column)",
         "Extracts a single column into the working subset.",
@@ -719,8 +715,10 @@ def chat_complete(messages, tool_descriptions, config: ChatConfig,
         headers["Authorization"] = f"Bearer {key}"
     payload = {"model": config.model, "messages": messages,
                "tools": [{"type": "function",
-                          "function": {"name": t["name"],
-                                       "description": t["description"]}}
+                          "function": {
+                              "name": t["name"],
+                              "description": f"{t['name']}{t['signature']}: "
+                                             f"{t['description']}"}}
                          for t in tool_descriptions],
                "temperature": 0}
     last = None
@@ -886,14 +884,11 @@ def _next_action(planner, state: SessionState, log: SessionLog, clock) -> Action
     action = planner.next(state)
     problem = _illegal(action, state)
     if problem is None:
-        state.last_planner_error = None
         return action
     log.append(state.stage, "system", "planner_error", {"error": problem}, clock())
-    state.last_planner_error = problem
     action = planner.next(state)  # one retry
     problem = _illegal(action, state)
     if problem is None:
-        state.last_planner_error = None
         return action
     raise PlannerError(problem)
 

@@ -9,7 +9,7 @@ can inspect them structurally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import ArityMismatchError, EmptyDataError
@@ -37,8 +37,6 @@ class ChartSpec:
     kind: ChartKind
     data: dict
     title: str = ""
-    x_label: str = ""
-    y_label: str = ""
 
     # data shapes per kind:
     #   bar / pie / horizontal_bar / treemap / heatmap:

@@ -175,8 +175,7 @@ class CalibrationReport:
 MIN_CALIBRATION_ACCURACY = 0.9
 
 
-def calibrate(samples: dict, initial: ThresholdTable,
-              version: str = "calibrated-v1"):
+def calibrate(samples: dict, initial: ThresholdTable):
     """Fit cut-points from per-level raw samples.
 
     ``samples`` maps metric_id -> {level: [transformed values]}. Each metric
@@ -212,7 +211,7 @@ def calibrate(samples: dict, initial: ThresholdTable,
         cases = sum(len(v) for v in by_level.values())
         per_metric[metric_id] = MetricCalibration(
             metric_id, before, after, separable, cases, note)
-    return (ThresholdTable(bands=new_bands, version=version),
+    return (ThresholdTable(bands=new_bands, version="calibrated-v1"),
             CalibrationReport(per_metric=per_metric))
 
 

@@ -2,8 +2,8 @@
 
 Each scenario interpolates from its null (balanced / independent) at
 strength 0 to a strongly biased construction at strength 1. Generation
-uses numpy's PCG64 generator; the algorithm name and spec are recorded in
-the table metadata so a table is reproducible from spec + seed alone.
+uses numpy's default (PCG64) generator seeded from the spec, and the table
+name spells out the spec, so a table is reproducible from its name alone.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ class SynthSpec:
             raise InvalidSpecError(
                 f"strength must be in [0, 1], got {self.strength}")
 
-    def to_record(self) -> dict:
-        return {"scenario": self.scenario.value, "n": self.n,
-                "strength": self.strength, "k": self.k, "seed": self.seed,
-                "rng": "pcg64"}
-
 
 def generate(spec: SynthSpec) -> Table:
     rng = np.random.default_rng(spec.seed)
@@ -64,7 +59,7 @@ def generate(spec: SynthSpec) -> Table:
     cols = builder(spec, rng)
     name = (f"synth-{spec.scenario.value}-s{spec.strength}"
             f"-n{spec.n}-k{spec.k}-seed{spec.seed}")
-    return from_columns(name, cols, meta=spec.to_record())
+    return from_columns(name, cols)
 
 
 def _largest_remainder_counts(probs, n):
@@ -147,21 +142,21 @@ def _gen_num_num(spec, rng):
     ]
 
 
-def grade_suite(scenario: Scenario, levels, k: int = 4, base_seed: int = 7):
-    """(spec, intended level) pairs: one spec per level per suite size."""
+def grade_suite(scenario: Scenario, levels, base_seed: int = 7):
+    """(spec, intended level) pairs: one spec per level per suite size,
+    each with four categories per categorical column."""
     suite = []
     for level in levels:
         strength = LEVEL_STRENGTHS[level]
         for i, n in enumerate(GRADE_SIZES):
             seed = base_seed + 1000 * level + i
             suite.append((SynthSpec(scenario=scenario, n=n, strength=strength,
-                                    k=k, seed=seed), level))
+                                    k=4, seed=seed), level))
     return suite
 
 
 def collect_calibration_samples(suite, initial: ThresholdTable,
-                                opts: MetricOptions = MetricOptions(),
-                                metric_ids=None) -> dict:
+                                opts: MetricOptions = MetricOptions()) -> dict:
     """Evaluate the scenario metrics over a graded suite.
 
     Returns metric_id -> {level: [transformed raw values]} suitable for
@@ -172,8 +167,7 @@ def collect_calibration_samples(suite, initial: ThresholdTable,
     for spec, level in suite:
         table = generate(spec)
         cols = table.columns
-        ids = metric_ids or SCENARIO_METRICS[spec.scenario]
-        for metric_id in ids:
+        for metric_id in SCENARIO_METRICS[spec.scenario]:
             try:
                 result = run_metric(metric_id, cols, opts)
             except MetricError:
@@ -184,13 +178,10 @@ def collect_calibration_samples(suite, initial: ThresholdTable,
     return samples
 
 
-def calibrate_scenarios(scenarios, initial: ThresholdTable,
-                        opts: MetricOptions = MetricOptions(),
-                        k: int = 4, base_seed: int = 7,
-                        version: str = "calibrated-v1"):
+def calibrate_scenarios(scenarios, initial: ThresholdTable, base_seed: int = 7):
     """End-to-end calibration across graded suites for the given scenarios."""
     samples: dict = {}
     for scenario in scenarios:
-        suite = grade_suite(scenario, levels=range(1, 6), k=k, base_seed=base_seed)
-        samples.update(collect_calibration_samples(suite, initial, opts))
-    return calibrate(samples, initial, version=version)
+        suite = grade_suite(scenario, levels=range(1, 6), base_seed=base_seed)
+        samples.update(collect_calibration_samples(suite, initial))
+    return calibrate(samples, initial)

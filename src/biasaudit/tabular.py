@@ -14,7 +14,7 @@ import io
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import compress, islice
@@ -49,12 +49,6 @@ class CleaningMode(str, Enum):
     DROP_ROW = "drop_row"
     FILL_MODE = "fill_mode"
     FILL_MEDIAN = "fill_median"
-
-
-@dataclass(frozen=True)
-class CleaningPolicy:
-    mode: CleaningMode = CleaningMode.DROP_ROW
-    invalid_tokens: frozenset = DEFAULT_NA_TOKENS
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +107,6 @@ class Column:
 class Table:
     name: str
     columns: tuple
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         names = [c.name for c in self.columns]
@@ -236,10 +229,10 @@ def split_by_code(codes: np.ndarray, values: np.ndarray, k: int = 0) -> list:
                     np.cumsum(sizes)[:-1])
 
 
-def list_features(path, delimiter: str = ",") -> list:
-    """Return the header names of a delimited file, in file order."""
+def list_features(path) -> list:
+    """Return the header names of a CSV file, in file order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -251,19 +244,17 @@ def list_features(path, delimiter: str = ",") -> list:
     return header
 
 
-def load_table(path, delimiter: str = ",",
-               na_tokens: Iterable[str] = DEFAULT_NA_TOKENS,
-               name: str | None = None) -> Table:
-    """Load a delimited text file into a typed :class:`Table`.
+def load_table(path, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -> Table:
+    """Load a CSV file into a typed :class:`Table`.
 
     Column kinds are inferred with :func:`infer_kind`; cells of a numerical
     column that do not parse are marked missing, as are na tokens anywhere.
     """
-    header = list_features(path, delimiter=delimiter)
+    header = list_features(path)
     na = frozenset(na_tokens)
     raw = [[] for _ in header]
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         next(reader)  # header
         rownum = 2
         # Blocks of rows move into the columns at once, so at most one block
@@ -281,24 +272,24 @@ def load_table(path, delimiter: str = ",",
     for cname in header:
         kind, cells = _parse_column(raw.pop(0), na)
         columns.append(Column(cname, kind, tuple(cells)))
-    return Table(name=name or str(path), columns=tuple(columns))
+    return Table(name=str(path), columns=tuple(columns))
 
 
-def from_columns(name: str, cols: Sequence[tuple], meta: dict | None = None) -> Table:
+def from_columns(name: str, cols: Sequence[tuple]) -> Table:
     """Build a table from ``(name, kind, values)`` triples."""
     columns = tuple(Column(n, Kind(k), tuple(v)) for n, k, v in cols)
-    return Table(name=name, columns=columns, meta=dict(meta or {}))
+    return Table(name=name, columns=columns)
 
 
-def save_table(table: Table, path, delimiter: str = ",") -> None:
-    """Serialize a table back to delimited text (missing cells as empty)."""
+def save_table(table: Table, path) -> None:
+    """Serialize a table back to CSV (missing cells as empty)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize_table(table, delimiter=delimiter))
+        fh.write(serialize_table(table))
 
 
-def serialize_table(table: Table, delimiter: str = ",") -> str:
+def serialize_table(table: Table) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.column_names)
     for i in range(table.row_count):
         writer.writerow([_format_cell(c.values[i]) for c in table.columns])
@@ -316,14 +307,14 @@ def _format_cell(v):
 def extract_columns(table: Table, names: Sequence[str]) -> Table:
     """Project the table onto 1 or 2 named columns, preserving order and kinds."""
     cols = tuple(table.column(n) for n in names)
-    return Table(name=table.name, columns=cols, meta=dict(table.meta))
+    return Table(name=table.name, columns=cols)
 
 
 def clean_missing(table: Table, columns: Sequence[str],
-                  policy: CleaningPolicy = CleaningPolicy()) -> CleaningResult:
+                  mode: CleaningMode = CleaningMode.DROP_ROW) -> CleaningResult:
     """Remove or fill missing values in the named columns."""
     targets = [table.column(n) for n in columns]
-    if policy.mode is CleaningMode.DROP_ROW:
+    if mode is CleaningMode.DROP_ROW:
         keep = present_rows(targets, table.row_count)
         if table.row_count > 0 and not keep.any():
             raise AllRowsDroppedError(
@@ -332,8 +323,7 @@ def clean_missing(table: Table, columns: Sequence[str],
         new_cols = table.columns if not dropped else tuple(
             replace(c, values=tuple(compress(c.values, keep.tolist())))
             for c in table.columns)
-        return CleaningResult(
-            Table(table.name, new_cols, dict(table.meta)), 0, dropped)
+        return CleaningResult(Table(table.name, new_cols), 0, dropped)
 
     changed = 0
     new_cols = []
@@ -345,7 +335,7 @@ def clean_missing(table: Table, columns: Sequence[str],
         present = c.non_missing()
         if not present:
             raise AllRowsDroppedError(f"column {c.name!r} has no non-missing values")
-        if policy.mode is CleaningMode.FILL_MEDIAN:
+        if mode is CleaningMode.FILL_MEDIAN:
             if c.kind is not Kind.NUMERICAL:
                 raise NonNumericalTargetError(
                     f"fill_median requires a numerical column, got {c.name!r}")
@@ -356,8 +346,7 @@ def clean_missing(table: Table, columns: Sequence[str],
         filled = tuple(fill if v is None else v for v in c.values)
         changed += c.missing_count()
         new_cols.append(replace(c, values=filled))
-    return CleaningResult(Table(table.name, tuple(new_cols), dict(table.meta)),
-                          changed, 0)
+    return CleaningResult(Table(table.name, tuple(new_cols)), changed, 0)
 
 
 class NormalizeMode(str, Enum):
@@ -392,7 +381,7 @@ def normalize_or_standardize(table: Table, column: str,
         new = tuple(None if v is None else (v - mean) / sd for v in col.values)
     new_cols = tuple(replace(c, values=new) if c.name == column else c
                      for c in table.columns)
-    return Table(table.name, new_cols, dict(table.meta))
+    return Table(table.name, new_cols)
 
 
 class AggregateFn(str, Enum):
@@ -434,5 +423,4 @@ def group_and_aggregate(table: Table, by: str, target: str,
             replace(by_col, values=tuple(keys)),
             Column(name=f"{fn.value}_{target}", kind=Kind.NUMERICAL,
                    values=tuple(out)),
-        ),
-        meta=dict(table.meta))
+        ))

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from biasaudit import synthgen
 from biasaudit.cli import main
+from biasaudit.severity import DEFAULT_TABLE, CalibrationReport
 
 
 @pytest.fixture
@@ -63,6 +65,13 @@ class TestDetect:
             main(["detect", cat_csv, "--features", "group", *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_global_seed_is_a_usage_error(self, cat_csv):
+        # Only synth and calibrate draw random numbers, so only they take
+        # --seed; elsewhere it is rejected rather than parsed and ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "5", "detect", cat_csv, "--features", "group"])
+        assert exc.value.code == 2
 
     def test_repeated_runs_byte_identical(self, cat_csv, tmp_path):
         out1 = tmp_path / "one"
@@ -128,6 +137,16 @@ class TestBench:
         assert "| Overall | 2 |" in stdout
         assert (out / "benchmark.md").exists()
 
+    def test_global_seed_is_a_usage_error(self, cat_csv, tmp_path):
+        taskset = tmp_path / "tasks.json"
+        taskset.write_text(json.dumps([
+            {"id": "T-1", "dataset": os.path.basename(cat_csv),
+             "question": "q", "bias_type": "distribution",
+             "features": ["group"]}]), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "5", "bench", str(taskset)])
+        assert exc.value.code == 2
+
     def test_missing_taskset_exit_one(self, tmp_path, capsys):
         code = main(["bench", str(tmp_path / "absent.json")])
         assert code == 1
@@ -137,12 +156,25 @@ class TestBench:
 class TestCalibrate:
     def test_single_scenario_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "cal"
-        code = main(["--seed", "7", "calibrate", "--scenario", "cat_dist",
+        code = main(["calibrate", "--seed", "7", "--scenario", "cat_dist",
                      "--out", str(out)])
         assert code == 0
         assert (out / "thresholds.json").exists()
         assert (out / "calibration.md").exists()
         assert "# Calibration report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,base_seed",
+                             [(["--seed", "0"], 0), ([], 7)])
+    def test_seed_passed_as_given(self, monkeypatch, argv, base_seed):
+        seen = {}
+
+        def fake_calibrate(scenarios, initial, base_seed):
+            seen["base_seed"] = base_seed
+            return DEFAULT_TABLE, CalibrationReport(per_metric={})
+
+        monkeypatch.setattr(synthgen, "calibrate_scenarios", fake_calibrate)
+        assert main(["calibrate", "--scenario", "cat_dist", *argv]) == 0
+        assert seen == {"base_seed": base_seed}
 
 
 class TestMethods:

@@ -363,6 +363,22 @@ class TestChatPlanner:
         ChatPlanner(self.config, transport=transport).next(self.state(registry))
         assert seen.get("Authorization") == "Bearer sk-test"
 
+    def test_tool_descriptions_carry_signatures(self, registry):
+        sent = []
+
+        def transport(url, headers, payload, t):
+            sent.extend(payload["tools"])
+            return reply_with_text("FINISH")
+
+        ChatPlanner(self.config, transport=transport).next(self.state(registry))
+        described = {t["function"]["name"]: t["function"]["description"]
+                     for t in sent}
+        assert described["extract_two_columns"].startswith(
+            "extract_two_columns(column_a, column_b): ")
+        assert described["clean_missing_values"].startswith(
+            "clean_missing_values(columns, mode): ")
+        assert len(described) == len(registry.names())
+
 
 class TestSessionLog:
     def test_jsonl_round_trip(self, registry, cat_csv):

@@ -26,10 +26,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             SynthSpec(Scenario.CAT_DIST, n=5, strength=0.5)
 
-    def test_record_names_generator(self):
-        spec = SynthSpec(Scenario.NUM_NUM, n=100, strength=0.5, seed=3)
-        assert spec.to_record()["rng"] == "pcg64"
-
 
 class TestNullBehavior:
     def test_cat_dist_null_balance(self):

@@ -16,7 +16,6 @@ from biasaudit.errors import (
 from biasaudit.tabular import (
     AggregateFn,
     CleaningMode,
-    CleaningPolicy,
     Kind,
     NormalizeMode,
     clean_missing,
@@ -123,8 +122,7 @@ class TestCleanMissing:
 
     def test_fill_median(self):
         t = from_columns("t", [("x", "numerical", (1.0, 2.0, None, 4.0))])
-        res = clean_missing(t, ["x"],
-                            CleaningPolicy(mode=CleaningMode.FILL_MEDIAN))
+        res = clean_missing(t, ["x"], CleaningMode.FILL_MEDIAN)
         assert res.table.column("x").values == (1.0, 2.0, 2.0, 4.0)
         assert res.cells_changed == 1
 
@@ -143,7 +141,7 @@ class TestCleanMissing:
     def test_fill_median_on_categorical(self):
         t = from_columns("t", [("g", "categorical", ("a", None))])
         with pytest.raises(NonNumericalTargetError):
-            clean_missing(t, ["g"], CleaningPolicy(mode=CleaningMode.FILL_MEDIAN))
+            clean_missing(t, ["g"], CleaningMode.FILL_MEDIAN)
 
 
 class TestNormalize:
