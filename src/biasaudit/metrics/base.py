@@ -29,14 +29,9 @@ class BiasType(str, Enum):
 @dataclass(frozen=True)
 class MetricOptions:
     bins: int = 10
-    z_cutoff: float = 3.0
     kde_grid: int = 64
     mediator: Column | None = None
     covariate: Column | None = None
-    min_cell_support: int = 5
-    # HSIC Gram matrices are O(n^2); larger inputs are deterministically
-    # subsampled down to this many rows.
-    hsic_max_n: int = 2048
 
     def __post_init__(self):
         if self.bins < 2:

@@ -13,6 +13,9 @@ from ..errors import DegenerateTableError
 from ..tabular import Column
 from .base import MetricOptions, MetricResult, Scenario, paired
 
+# elift skips cells with a joint count below this, to avoid ratio blow-ups.
+MIN_CELL_SUPPORT = 5
+
 
 def _result(metric_id, raw, n, details=""):
     return MetricResult(metric_id, Scenario.CAT_CAT, raw, n, details)
@@ -55,21 +58,21 @@ def cramers_v(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> Me
 def elift(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
     """Worst-case lift max(P(y|x)/P(y), P(y)/P(y|x)) over supported cells.
 
-    Cells with joint count below ``min_cell_support`` are skipped to avoid
+    Cells with joint count below ``MIN_CELL_SUPPORT`` are skipped to avoid
     ratio blow-ups on rare cells; if no cell qualifies, all non-empty cells
     are used instead (noted in the diagnostics).
     """
     o, rows, cols = _checked(a, b, "elift")
     n = o.sum()
     lift = (o / o.sum(axis=1, keepdims=True)) / (o.sum(axis=0) / n)
-    support = opts.min_cell_support
-    cells = o >= support
+    cells = o >= MIN_CELL_SUPPORT
     fallback = not cells.any()
     if fallback:
         cells = o > 0
     lift = lift[cells]
     worst = max(1.0, lift.max(initial=1.0), (1.0 / lift[lift > 0]).max(initial=1.0))
-    details = "fallback: no cell met support" if fallback else f"support>={support}"
+    details = ("fallback: no cell met support" if fallback
+               else f"support>={MIN_CELL_SUPPORT}")
     return _result("elift", {"max_elift": float(worst)}, int(n), details)
 
 

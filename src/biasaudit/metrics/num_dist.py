@@ -12,6 +12,9 @@ from ..errors import ConstantColumnError, DegenerateIQRError, InsufficientSample
 from ..tabular import Column
 from .base import MetricOptions, MetricResult, Scenario, column_values
 
+# Points farther than this many population sd from the mean are outliers.
+Z_CUTOFF = 3.0
+
 
 def _result(metric_id, raw, n, details=""):
     return MetricResult(metric_id, Scenario.NUM_DIST, raw, n, details)
@@ -46,14 +49,14 @@ def kurtosis(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult
 
 
 def outlier(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
-    """Fraction of points farther than ``z_cutoff`` population sd from the mean."""
+    """Fraction of points farther than ``Z_CUTOFF`` population sd from the mean."""
     x = _values(col, "outlier")
     sd = x.std()
     if sd == 0:
         raise ConstantColumnError("outlier fraction undefined for a constant column")
-    frac = float(np.mean(np.abs(x - x.mean()) / sd > opts.z_cutoff))
+    frac = float(np.mean(np.abs(x - x.mean()) / sd > Z_CUTOFF))
     return _result("outlier", {"fraction": frac}, x.size,
-                   f"z_cutoff={opts.z_cutoff}")
+                   f"z_cutoff={Z_CUTOFF}")
 
 
 def cohens_d_mad(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:

@@ -15,6 +15,15 @@ from ..errors import ConstantColumnError, InsufficientSamplesError
 from ..tabular import Column
 from .base import MetricOptions, MetricResult, Scenario, paired
 
+# HSIC Gram matrices are O(n^2); larger inputs are deterministically
+# subsampled down to this many rows.
+HSIC_MAX_N = 2048
+# The KDE lattice sums the weights of this many points at a time, so its
+# buffers are O(kde_grid * block) rather than O(kde_grid * n).
+_KDE_BLOCK = 4096
+# Gaussian KDE weights with an exponent at or below this are exactly 0.
+_EXP_FLOOR = -300.0
+
 
 def _result(metric_id, raw, n, details=""):
     return MetricResult(metric_id, Scenario.NUM_NUM, raw, n, details)
@@ -84,7 +93,11 @@ def hgr_approximation(x: Column, y: Column,
     aggregated into equal-probability bins, and normalized cell-wise as
     Q_ij = p_ij / sqrt(p_i. * p_.j); the estimate is the second-largest
     singular value of Q. The chi-square divergence sum(Q^2) - 1 is reported
-    alongside.
+    alongside. The lattice sums the Gaussian weights of blocks of points,
+    so memory is O(kde_grid * block) at any n, and a weight whose exponent
+    is at or below -300 counts as exactly 0 (it is at most 5e-131 of its
+    point's peak and would otherwise put exp and the matrix product on the
+    slow subnormal path).
     """
     xs, ys = _checked(x, y, opts, "hgr_approximation")
     density = _kde_lattice(xs, ys, opts.kde_grid)
@@ -110,10 +123,29 @@ def _kde_lattice(xs: np.ndarray, ys: np.ndarray, grid: int) -> np.ndarray:
     h = xs.size ** (-1.0 / 6.0)  # Scott's rule for d=2 on unit-sd data
     gx = np.linspace(xs.min() - 3 * h, xs.max() + 3 * h, grid)
     gy = np.linspace(ys.min() - 3 * h, ys.max() + 3 * h, grid)
-    ax = np.exp(-0.5 * ((gx[:, None] - xs[None, :]) / h) ** 2)
-    ay = np.exp(-0.5 * ((gy[:, None] - ys[None, :]) / h) ** 2)
-    density = ax @ ay.T
+    density = np.zeros((grid, grid))
+    for start in range(0, xs.size, _KDE_BLOCK):
+        block = slice(start, start + _KDE_BLOCK)
+        ax = _gauss_weights(gx, xs[block], h)
+        ay = _gauss_weights(gy, ys[block], h)
+        density += ax @ ay.T
     return density / density.sum()
+
+
+def _gauss_weights(lattice: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """exp(-0.5 * ((lattice - v) / h) ** 2), exactly 0 where the exponent is
+    at or below _EXP_FLOOR. The exponent is clipped and the result masked
+    because exp(where=...) runs its masked loop per run of kept weights and
+    is no faster than exp on subnormals."""
+    z = np.subtract.outer(lattice, v)
+    z /= h
+    np.square(z, out=z)
+    z *= -0.5
+    keep = z > _EXP_FLOOR
+    np.maximum(z, _EXP_FLOOR, out=z)
+    np.exp(z, out=z)
+    z *= keep
+    return z
 
 
 def _aggregate_lattice(density: np.ndarray, bins: int) -> np.ndarray:
@@ -145,21 +177,22 @@ def hsic(x: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricR
     """Normalized HSIC with RBF kernels and median-heuristic bandwidths.
 
     nHSIC = HSIC(x, y) / sqrt(HSIC(x, x) * HSIC(y, y)). Inputs longer than
-    ``hsic_max_n`` are deterministically subsampled (evenly spaced rows)
-    before the O(n^2) Gram matrices are formed.
+    ``HSIC_MAX_N`` are deterministically subsampled (evenly spaced rows)
+    before the O(n^2) Gram matrices are formed. Each centered Gram matrix
+    is built in place in one n x n buffer, and one more buffer holds the
+    three elementwise products in turn, so the peak is three n x n arrays.
     """
     xs, ys = _checked(x, y, opts, "hsic", min_n=4)
     n_full = xs.size
-    if n_full > opts.hsic_max_n:
-        idx = np.linspace(0, n_full - 1, opts.hsic_max_n).astype(int)
+    if n_full > HSIC_MAX_N:
+        idx = np.linspace(0, n_full - 1, HSIC_MAX_N).astype(int)
         xs, ys = xs[idx], ys[idx]
-    k = _rbf_gram(xs)
-    l = _rbf_gram(ys)
-    kc = _center(k)
-    lc = _center(l)
-    hxy = float((kc * lc).sum())
-    hxx = float((kc * kc).sum())
-    hyy = float((lc * lc).sum())
+    kc = _centered_rbf_gram(xs)
+    lc = _centered_rbf_gram(ys)
+    prod = np.multiply(kc, lc)
+    hxy = float(prod.sum())
+    hxx = float(np.multiply(kc, kc, out=prod).sum())
+    hyy = float(np.multiply(lc, lc, out=prod).sum())
     n = xs.size
     norm = math.sqrt(hxx * hyy)
     nh = max(0.0, min(1.0, hxy / norm)) if norm > 0 else 0.0
@@ -169,18 +202,24 @@ def hsic(x: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricR
                    f"gram_n={n}" + (" (subsampled)" if n < n_full else ""))
 
 
-def _rbf_gram(v: np.ndarray) -> np.ndarray:
-    d2 = (v[:, None] - v[None, :]) ** 2
-    upper = d2[np.triu_indices_from(d2, k=1)]
-    positive = upper[upper > 0]
-    sigma2 = float(np.median(positive)) if positive.size else 1.0
-    return np.exp(-d2 / (2.0 * sigma2))
-
-
-def _center(k: np.ndarray) -> np.ndarray:
-    row = k.mean(axis=0, keepdims=True)
-    col = k.mean(axis=1, keepdims=True)
-    return k - row - col + k.mean()
+def _centered_rbf_gram(v: np.ndarray) -> np.ndarray:
+    """Double-centered RBF Gram matrix, bandwidth the median positive
+    squared distance over pairs i < j."""
+    g = np.subtract.outer(v, v)
+    np.square(g, out=g)
+    positive = g[np.triu(g > 0, k=1)]
+    sigma2 = (float(np.median(positive, overwrite_input=True))
+              if positive.size else 1.0)
+    np.negative(g, out=g)
+    g /= 2.0 * sigma2
+    np.exp(g, out=g)
+    row = g.mean(axis=0, keepdims=True)
+    col = g.mean(axis=1, keepdims=True)
+    grand = g.mean()
+    g -= row
+    g -= col
+    g += grand
+    return g
 
 
 METRICS = {

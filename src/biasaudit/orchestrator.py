@@ -684,13 +684,16 @@ class ScriptedPlanner:
         return action
 
 
+# chat_complete tries the endpoint this many times on network errors.
+MAX_RETRIES = 3
+
+
 @dataclass(frozen=True)
 class ChatConfig:
     base_url: str
     model: str
     key_env: str = "BIASAUDIT_API_KEY"
     timeout_s: float = 30.0
-    max_retries: int = 3
 
 
 def _default_transport(url, headers, payload, timeout_s):
@@ -722,15 +725,15 @@ def chat_complete(messages, tool_descriptions, config: ChatConfig,
                          for t in tool_descriptions],
                "temperature": 0}
     last = None
-    for attempt in range(config.max_retries):
+    for attempt in range(MAX_RETRIES):
         try:
             return transport(config.base_url, headers, payload, config.timeout_s)
         except NetworkError as exc:
             last = exc
-            if attempt + 1 < config.max_retries:
+            if attempt + 1 < MAX_RETRIES:
                 sleep(0.2 * 2 ** attempt)
     raise NetworkError(f"chat endpoint failed after "
-                       f"{config.max_retries} attempts: {last}")
+                       f"{MAX_RETRIES} attempts: {last}")
 
 
 _PRIMARY_FRAME = (

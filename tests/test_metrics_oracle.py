@@ -2,12 +2,13 @@
 
 import math
 import random
+import statistics
 
 import pytest
 
 import oracles
 from biasaudit.errors import MetricError
-from biasaudit.metrics import ALL_METRIC_IDS, MetricOptions, run_metric
+from biasaudit.metrics import ALL_METRIC_IDS, MetricOptions, num_num, run_metric
 from biasaudit.tabular import Column, Kind
 
 TOL = 1e-9
@@ -169,3 +170,35 @@ def test_metric_matches_oracle_with_missing_cells(metric_id):
             else:
                 assert got == pytest.approx(want, abs=TOL), f"{metric_id}.{key}"
         checked += 1
+
+
+def test_hgr_multi_block_lattice_matches_oracle(monkeypatch):
+    # Blocks of 3 points split every small instance into several blocks,
+    # the last one ragged.
+    monkeypatch.setattr(num_num, "_KDE_BLOCK", 3)
+    test_metric_matches_oracle("hgr_approximation")
+    test_metric_matches_oracle_with_missing_cells("hgr_approximation")
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("n", [200, 500])
+def test_hgr_weights_below_floor_match_oracle(monkeypatch, n, block):
+    # One point 100 sd out of an otherwise normal sample: after
+    # standardizing, the lattice spans more than sqrt(600) bandwidths, so
+    # the weights of the far end fall below exp(-300) and count as 0; at
+    # n=500 whole lattice rows in the gap hold only such weights.
+    if block is not None:
+        monkeypatch.setattr(num_num, "_KDE_BLOCK", block)
+    rng = random.Random(n)
+    x = [round(rng.gauss(0, 1), 6) for _ in range(n - 1)] + [100.0]
+    y = [round(v + rng.gauss(0, 1), 6) for v in x[:-1]] + [-100.0]
+    opts = MetricOptions(bins=4, kde_grid=16)
+    h = n ** (-1.0 / 6.0)
+    z_range = (max(x) - min(x)) / statistics.pstdev(x)
+    assert -0.5 * (z_range / h) ** 2 < num_num._EXP_FLOOR
+    got = run_metric("hgr_approximation", [num_col("x", x), num_col("y", y)],
+                     opts).raw
+    want = oracles.hgr_approximation(x, y, bins=opts.bins,
+                                     kde_grid=opts.kde_grid)
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, abs=TOL), key
