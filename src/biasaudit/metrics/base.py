@@ -85,12 +85,12 @@ def category_counts(col: Column) -> dict:
 
     A numerical column counts its distinct values, ordered by ``str``.
     """
-    view = col.category_view()
+    view = col.view.categories()
     counts = np.bincount(view.data[view.present], minlength=len(view.labels))
     return dict(zip(view.labels, counts.tolist()))
 
 
 def paired(*cols: Column) -> list:
     """The columns' view data on the rows where none of them is missing."""
-    keep = present_rows(cols, len(cols[0].values))
+    keep = present_rows(cols, len(cols[0].view.data))
     return [c.view.data[keep] for c in cols]

@@ -337,12 +337,10 @@ def _tool_normalize_or_standardize(state: SessionState, column=None, mode="stand
 def _tool_group_and_aggregate(state: SessionState, by=None, target=None, fn="mean"):
     table = state.working_table()
     out = group_and_aggregate(table, by, target, AggregateFn(fn))
+    by_col, agg_col = out.columns
     return {"groups": out.row_count,
-            "rows": [
-                {out.columns[0].name: out.columns[0].values[i],
-                 out.columns[1].name: out.columns[1].values[i]}
-                for i in range(out.row_count)
-            ]}
+            "rows": [{by_col.name: key, agg_col.name: value} for key, value in
+                     zip(by_col.view.cells(), agg_col.view.cells())]}
 
 
 def _make_detection_executor(metric_id):

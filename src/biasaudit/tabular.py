@@ -1,10 +1,11 @@
 """Column-oriented in-memory tables: loading, typing, and preprocessing.
 
 A :class:`Table` is immutable after construction; every operation returns a
-new table. Cells are ``str`` (categorical), ``float`` (numerical), or ``None``
-(missing). Each :class:`Column` also encodes its cells once, on first use,
-into a numpy :class:`ColumnView` that cleaning, the metrics and the charts
-share; :func:`load_table` parses each cell once.
+new table. Each :class:`Column` is stored only as a read-only numpy
+:class:`ColumnView`: float64 with NaN for missing (numerical), or int codes
+with -1 for missing into labels sorted by ``str`` (categorical). Cleaning,
+the metrics and the charts share it, and :func:`load_table` parses each
+block of CSV rows straight into it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ import csv
 import io
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
-from itertools import compress, islice
+from itertools import count, filterfalse, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +37,8 @@ DEFAULT_NA_TOKENS = frozenset({"", "NA", "N/A", "?", "null"})
 # unless it looks like an integer code with few distinct values.
 NUMERIC_PARSE_THRESHOLD = 0.95
 INTEGER_CODE_MAX_DISTINCT = 10
+# CSV rows are read, parsed and written this many at a time.
+_CSV_BLOCK = 4096
 
 
 class Kind(str, Enum):
@@ -54,53 +55,82 @@ class CleaningMode(str, Enum):
 @dataclass(frozen=True, eq=False)
 class ColumnView:
     """Numerical: ``data`` is float64, NaN for missing, and ``labels`` is
-    None. Categorical: ``data`` holds int codes into ``labels`` (the labels
-    present, sorted by ``str``), -1 for missing."""
+    None. Categorical: ``data`` holds intp codes into ``labels`` (the labels
+    present, sorted by ``str``), -1 for missing. ``data`` is read-only, so
+    tables can share views."""
 
     data: np.ndarray
     labels: tuple | None = None
+
+    def __post_init__(self):
+        self.data.flags.writeable = False
 
     @classmethod
     def encode(cls, kind: Kind, values: Sequence) -> ColumnView:
         """The view of a cell sequence of the given kind (``None`` missing)."""
         if kind is Kind.NUMERICAL:
             return cls(np.array(values, dtype=np.float64))
-        index = dict.fromkeys(values)
-        index.pop(None, None)
-        labels = tuple(sorted(index, key=str))
-        index = {label: code for code, label in enumerate(labels)}
-        index[None] = -1
-        return cls(np.fromiter(map(index.__getitem__, values), dtype=np.intp,
-                               count=len(values)), labels)
+        index = {label: code for code, label in enumerate(dict.fromkeys(values))}
+        return _recoded(np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                                    count=len(values)), list(index))
 
     @property
     def present(self) -> np.ndarray:
         return ~np.isnan(self.data) if self.labels is None else self.data >= 0
 
+    def cells(self) -> list:
+        """The cells as Python values, ``None`` for missing."""
+        if self.labels is None:
+            return [None if math.isnan(v) else v for v in self.data.tolist()]
+        return list(map((self.labels + (None,)).__getitem__, self.data.tolist()))
+
+    def categories(self) -> ColumnView:
+        """This view as categories: a numerical view's labels are its
+        distinct values, each as first seen."""
+        if self.labels is not None:
+            return self
+        return ColumnView.encode(Kind.CATEGORICAL, self.cells())
+
+    def subset(self, rows: np.ndarray) -> ColumnView:
+        """The rows picked by a boolean mask; a categorical view keeps the
+        labels still present."""
+        data = self.data[rows]
+        if self.labels is None:
+            return ColumnView(data)
+        used = np.bincount(data[data >= 0], minlength=len(self.labels)) > 0
+        return _recoded(data, [label if u else None
+                               for label, u in zip(self.labels, used.tolist())])
+
+
+def _recoded(codes: np.ndarray, labels: Sequence) -> ColumnView:
+    """The categorical view of ``codes`` into ``labels``, re-coded to the
+    labels sorted by ``str``; code -1 and a ``None`` label are missing."""
+    order = sorted((i for i, label in enumerate(labels) if label is not None),
+                   key=lambda i: str(labels[i]))
+    rank = np.full(len(labels) + 1, -1, dtype=np.intp)
+    rank[np.array(order, dtype=np.intp)] = np.arange(len(order))
+    return ColumnView(rank[codes], tuple(labels[i] for i in order))
+
 
 @dataclass(frozen=True)
 class Column:
+    """A named, typed column, stored only as its :class:`ColumnView`."""
+
     name: str
     kind: Kind
-    values: tuple
+    view: ColumnView
 
-    @cached_property
-    def view(self) -> ColumnView:
-        """The cells encoded once, on first use (copies start without it)."""
-        return ColumnView.encode(self.kind, self.values)
+    @classmethod
+    def of(cls, name: str, kind: Kind | str, values: Sequence) -> Column:
+        """The column of a cell sequence (``None`` missing)."""
+        kind = Kind(kind)
+        return cls(name, kind, ColumnView.encode(kind, values))
 
-    def category_view(self) -> ColumnView:
-        """The cells as categories: a numerical column's labels are its
-        distinct values."""
-        if self.kind is Kind.CATEGORICAL:
-            return self.view
-        return ColumnView.encode(Kind.CATEGORICAL, self.values)
-
-    def non_missing(self) -> list:
-        return [v for v in self.values if v is not None]
-
-    def missing_count(self) -> int:
-        return sum(1 for v in self.values if v is None)
+    @property
+    def values(self) -> tuple:
+        """The cells, ``None`` for missing, decoded from the view for
+        inspection; the library itself reads only the view."""
+        return tuple(self.view.cells())
 
 
 @dataclass(frozen=True)
@@ -112,7 +142,7 @@ class Table:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise DuplicateHeaderError(f"duplicate column names in {names}")
-        lengths = {len(c.values) for c in self.columns}
+        lengths = {len(c.view.data) for c in self.columns}
         if len(lengths) > 1:
             raise RaggedRowError(f"columns have unequal lengths: {sorted(lengths)}")
 
@@ -120,7 +150,7 @@ class Table:
     def row_count(self) -> int:
         if not self.columns:
             return 0
-        return len(self.columns[0].values)
+        return len(self.columns[0].view.data)
 
     @property
     def column_names(self) -> list:
@@ -140,64 +170,107 @@ class CleaningResult:
     rows_dropped: int
 
 
-def _try_parse_float(token: str):
+def _parse(text: str) -> float:
+    """The value of a text, NaN if it does not parse."""
     try:
-        v = float(token)
-    except (TypeError, ValueError):
-        return None
-    return v if math.isfinite(v) else None
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def _parses(token: str) -> bool:
     try:
         float(token)
-    except (TypeError, ValueError):
+    except ValueError:
         return False
     return True
 
 
-def _kind_of(present: int, numeric: int, numbers: list) -> Kind:
-    """The :func:`infer_kind` rule from the counts of present and of numeric
-    cells and the finite values parsed (duplicates allowed)."""
-    if not present or numeric / present < NUMERIC_PARSE_THRESHOLD:
-        return Kind.CATEGORICAL
-    if all(map(float.is_integer, numbers)) and \
-            len(set(numbers)) <= INTEGER_CODE_MAX_DISTINCT:
-        return Kind.CATEGORICAL
-    return Kind.NUMERICAL
-
-
-def _parse_column(cells: list, na: frozenset):
-    """The kind and the cells of one column of raw text, each parsed once.
+class _ColumnParser:
+    """One column of raw text, added a block at a time.
 
     A cell is missing if its stripped text is an na token; a present cell
-    is numeric if it parses as a finite real. When no na token parses as a
-    number and every cell parses, one vectorized parse decides. Otherwise
-    each distinct text is checked against the na tokens and parsed once.
+    is numeric if it parses as a finite real. A block whose cells all parse
+    is kept as float64 (non-finite values missing), unless every value so
+    far is one of a few integers: a possible integer code, whose labels
+    are its texts. Every other block is kept as codes into one dict of the
+    column's distinct texts, each checked and parsed once, by :meth:`kind`.
     """
-    if not any(map(_parses, na)):
+
+    def __init__(self, na: frozenset):
+        self.na = na
+        # A cell equal to an na token that parses would read as a number.
+        self.parse_floats = not any(map(_parses, na))
+        self.texts: dict = {}
+        self.parts: list = []
+        self.present = self.numeric = 0  # cells of the float blocks
+        # The float blocks' distinct values, None once not a small code.
+        self.small_ints: set | None = set()
+
+    def add(self, cells: Sequence[str]) -> None:
         try:
-            numbers = np.array(cells, dtype=np.float64).tolist()
+            block = np.array(cells, dtype=np.float64) if self.parse_floats else None
         except ValueError:
-            numbers = None
-        if numbers is not None:
-            # A finite sum means every value is finite.
-            finite = numbers if math.isfinite(sum(numbers)) else [
-                v for v in numbers if math.isfinite(v)]
-            if _kind_of(len(cells), len(finite), finite) is Kind.NUMERICAL:
-                if len(finite) < len(numbers):
-                    numbers = [v if math.isfinite(v) else None for v in numbers]
-                return Kind.NUMERICAL, numbers
-    counts = Counter(cells)
-    parsed = {text: _try_parse_float(text) for text in counts
-              if text.strip() not in na}
-    numeric = [text for text, v in parsed.items() if v is not None]
-    kind = _kind_of(sum(map(counts.__getitem__, parsed)),
-                    sum(map(counts.__getitem__, numeric)),
-                    list(map(parsed.__getitem__, numeric)))
-    # Present texts map to one shared object per distinct text.
-    cell_of = parsed if kind is Kind.NUMERICAL else {t: t for t in parsed}
-    return kind, list(map(cell_of.get, cells))
+            block = None
+        if block is not None:
+            finite = np.isfinite(block)
+            if self.small_ints is not None:
+                numbers = set(block[finite].tolist()) | self.small_ints
+                self.small_ints = numbers if len(numbers) <= INTEGER_CODE_MAX_DISTINCT \
+                    and all(map(float.is_integer, numbers)) else None
+            if self.small_ints is None:
+                block[~finite] = np.nan
+                self.parts.append(block)
+                self.present += block.size
+                self.numeric += int(np.count_nonzero(finite))
+                return
+        texts = self.texts
+        fresh = list(filterfalse(texts.__contains__, dict.fromkeys(cells)))
+        texts.update(zip(fresh, count(len(texts))))
+        self.parts.append(np.fromiter(map(texts.__getitem__, cells), dtype=np.intp,
+                                      count=len(cells)))
+
+    def kind(self) -> Kind:
+        """The :func:`infer_kind` rule over every cell added."""
+        self.missing = [text.strip() in self.na for text in self.texts]
+        cells = ["nan" if m else text for text, m in zip(self.texts, self.missing)]
+        try:
+            self.value = np.array(cells, dtype=np.float64)
+        except ValueError:
+            self.value = np.array(list(map(_parse, cells)), dtype=np.float64)
+        finite = np.isfinite(self.value)
+        self.value[~finite] = np.nan  # per distinct text, NaN unless numeric
+        counts = sum((np.bincount(part, minlength=len(cells))
+                      for part in self.parts if part.dtype == np.intp),
+                     np.zeros(len(cells), dtype=np.intp))
+        present = self.present + int(counts[~np.array(self.missing, dtype=bool)].sum())
+        numeric = self.numeric + int(counts[finite].sum())
+        if not present or numeric / present < NUMERIC_PARSE_THRESHOLD:
+            return Kind.CATEGORICAL
+        numbers = set(self.value[finite].tolist())
+        if self.small_ints is not None and len(numbers) <= INTEGER_CODE_MAX_DISTINCT \
+                and all(map(float.is_integer, numbers)):
+            return Kind.CATEGORICAL
+        return Kind.NUMERICAL
+
+    def column(self, name: str, reread) -> Column:
+        """The finished column. A categorical column some of whose blocks
+        were kept as floats is built again from the blocks of text that
+        ``reread()`` yields."""
+        kind = self.kind()
+        if kind is Kind.NUMERICAL:
+            return Column(name, kind, ColumnView(np.concatenate([np.empty(0), *(
+                part if part.dtype == np.float64 else self.value[part]
+                for part in self.parts)])))
+        if any(part.dtype == np.float64 for part in self.parts):
+            again = _ColumnParser(self.na)
+            again.parse_floats = False
+            for cells in reread():
+                again.add(cells)
+            return again.column(name, reread)
+        labels = [None if m else text for text, m in zip(self.texts, self.missing)]
+        codes = np.concatenate([np.empty(0, dtype=np.intp), *self.parts])
+        return Column(name, kind, _recoded(codes, labels))
 
 
 def infer_kind(values: Sequence, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -> Kind:
@@ -207,16 +280,17 @@ def infer_kind(values: Sequence, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -
     parsed values are not a small integer code (<= 10 distinct all-integer
     values), so demographic codes like ``sex in {0, 1}`` stay categorical.
     """
-    cells = [str(v) for v in values if v is not None]
-    return _parse_column(cells, frozenset(na_tokens))[0]
+    parser = _ColumnParser(frozenset(na_tokens))
+    parser.add([str(v) for v in values if v is not None])
+    return parser.kind()
 
 
 def present_rows(cols: Sequence[Column], n: int) -> np.ndarray:
     """Mask of the ``n`` rows where none of ``cols`` is missing."""
     keep = np.ones(n, dtype=bool)
     for c in cols:
-        if len(c.values) != n:
-            raise RaggedRowError(f"column {c.name!r} has {len(c.values)} rows, not {n}")
+        if len(c.view.data) != n:
+            raise RaggedRowError(f"column {c.name!r} has {len(c.view.data)} rows, not {n}")
         keep &= c.view.present
     return keep
 
@@ -244,62 +318,78 @@ def list_features(path) -> list:
     return header
 
 
+def _csv_blocks(path, width: int):
+    """The rows after the header in blocks of at most ``_CSV_BLOCK``; a row
+    of another width raises :class:`RaggedRowError`."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # header
+        rownum = 2
+        while block := list(islice(reader, _CSV_BLOCK)):
+            if set(map(len, block)) != {width}:
+                bad = next(i for i, row in enumerate(block) if len(row) != width)
+                raise RaggedRowError(
+                    f"{path}: row {rownum + bad} has {len(block[bad])} fields, "
+                    f"expected {width}", row=rownum + bad)
+            yield block
+            rownum += len(block)
+
+
 def load_table(path, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -> Table:
     """Load a CSV file into a typed :class:`Table`.
 
     Column kinds are inferred with :func:`infer_kind`; cells of a numerical
     column that do not parse are marked missing, as are na tokens anywhere.
+    Only one block of raw text is alive at a time.
     """
     header = list_features(path)
     na = frozenset(na_tokens)
-    raw = [[] for _ in header]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rownum = 2
-        # Blocks of rows move into the columns at once, so at most one block
-        # of per-row lists is alive at a time.
-        while block := list(islice(reader, 4096)):
-            if set(map(len, block)) != {len(header)}:
-                bad = next(i for i, row in enumerate(block) if len(row) != len(header))
-                raise RaggedRowError(
-                    f"{path}: row {rownum + bad} has {len(block[bad])} fields, "
-                    f"expected {len(header)}", row=rownum + bad)
-            for i, cells in enumerate(raw):
-                cells.extend([row[i] for row in block])
-            rownum += len(block)
+    parsers = [_ColumnParser(na) for _ in header]
+    for block in _csv_blocks(path, len(header)):
+        for parser, cells in zip(parsers, zip(*block)):
+            parser.add(cells)
     columns = []
-    for cname in header:
-        kind, cells = _parse_column(raw.pop(0), na)
-        columns.append(Column(cname, kind, tuple(cells)))
+    for i, name in enumerate(header):
+        columns.append(parsers[i].column(name, lambda i=i: (
+            [row[i] for row in block] for block in _csv_blocks(path, len(header)))))
+        parsers[i] = None
     return Table(name=str(path), columns=tuple(columns))
 
 
 def from_columns(name: str, cols: Sequence[tuple]) -> Table:
     """Build a table from ``(name, kind, values)`` triples."""
-    columns = tuple(Column(n, Kind(k), tuple(v)) for n, k, v in cols)
-    return Table(name=name, columns=columns)
+    return Table(name=name, columns=tuple(Column.of(n, k, v) for n, k, v in cols))
 
 
 def save_table(table: Table, path) -> None:
-    """Serialize a table back to CSV (missing cells as empty)."""
+    """Write a table as CSV (missing cells empty), a block of rows at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize_table(table))
+        csv.writer(fh, lineterminator="\n").writerows(_csv_rows(table))
 
 
 def serialize_table(table: Table) -> str:
+    """The CSV text that :func:`save_table` writes."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.column_names)
-    for i in range(table.row_count):
-        writer.writerow([_format_cell(c.values[i]) for c in table.columns])
+    csv.writer(buf, lineterminator="\n").writerows(_csv_rows(table))
     return buf.getvalue()
 
 
-def _format_cell(v):
-    if v is None:
-        return ""
+def _csv_rows(table: Table):
+    """The header, then each row's cells formatted for CSV."""
+    yield table.column_names
+    # A categorical column's texts by code; code -1 reads the trailing "".
+    texts = [None if c.view.labels is None else [*map(_format_cell, c.view.labels), ""]
+             for c in table.columns]
+    for start in range(0, table.row_count, _CSV_BLOCK):
+        parts = [c.view.data[start:start + _CSV_BLOCK].tolist() for c in table.columns]
+        yield from zip(*(map(_format_cell if t is None else t.__getitem__, part)
+                         for part, t in zip(parts, texts)))
+
+
+def _format_cell(v) -> str:
     if isinstance(v, float):
+        if math.isnan(v):
+            return ""
         return repr(v) if not v.is_integer() else str(int(v))
     return str(v)
 
@@ -321,8 +411,7 @@ def clean_missing(table: Table, columns: Sequence[str],
                 f"cleaning {list(columns)} with drop_row removed every row")
         dropped = table.row_count - int(keep.sum())
         new_cols = table.columns if not dropped else tuple(
-            replace(c, values=tuple(compress(c.values, keep.tolist())))
-            for c in table.columns)
+            replace(c, view=c.view.subset(keep)) for c in table.columns)
         return CleaningResult(Table(table.name, new_cols), 0, dropped)
 
     changed = 0
@@ -332,20 +421,23 @@ def clean_missing(table: Table, columns: Sequence[str],
         if c.name not in target_names:
             new_cols.append(c)
             continue
-        present = c.non_missing()
-        if not present:
+        view = c.view
+        present = view.present
+        if not present.any():
             raise AllRowsDroppedError(f"column {c.name!r} has no non-missing values")
         if mode is CleaningMode.FILL_MEDIAN:
             if c.kind is not Kind.NUMERICAL:
                 raise NonNumericalTargetError(
                     f"fill_median requires a numerical column, got {c.name!r}")
-            fill = statistics.median(present)
+            fill = statistics.median(view.data[present].tolist())
         else:  # FILL_MODE: the most frequent value, ties to the first label
-            view = c.category_view()
-            fill = view.labels[int(np.bincount(view.data[view.present]).argmax())]
-        filled = tuple(fill if v is None else v for v in c.values)
-        changed += c.missing_count()
-        new_cols.append(replace(c, values=filled))
+            cats = view.categories()
+            fill = int(np.bincount(cats.data[cats.present]).argmax())
+            if view.labels is None:
+                fill = cats.labels[fill]
+        changed += len(present) - int(present.sum())
+        new_cols.append(replace(c, view=ColumnView(np.where(present, view.data, fill),
+                                                   view.labels)))
     return CleaningResult(Table(table.name, tuple(new_cols)), changed, 0)
 
 
@@ -363,23 +455,28 @@ def normalize_or_standardize(table: Table, column: str,
     col = table.column(column)
     if col.kind is not Kind.NUMERICAL:
         raise NonNumericalTargetError(f"{column!r} is not numerical")
-    present = col.non_missing()
-    if len(set(present)) < 2:
+    data = col.view.data
+    present = data[col.view.present]
+    if np.unique(present).size < 2:
         raise ConstantColumnError(f"{column!r} has fewer than 2 distinct values")
     if mode is NormalizeMode.NORMALIZE:
-        lo, hi = min(present), max(present)
+        # Of tied extremes (-0.0 and 0.0) take the first in row order: the sign
+        # of lo can reach the result.
+        lo, hi = present[present.argmin()], present[present.argmax()]
         scale = hi - lo
         if scale == 0:
             raise ConstantColumnError(f"{column!r} is constant")
-        new = tuple(None if v is None else (v - lo) / scale for v in col.values)
+        new = (data - lo) / scale
     else:
-        mean = sum(present) / len(present)
-        var = sum((v - mean) ** 2 for v in present) / len(present)
+        # Python sums in row order, so the result does not depend on numpy's
+        # pairwise summation.
+        cells = present.tolist()
+        mean = sum(cells) / len(cells)
+        var = sum((v - mean) ** 2 for v in cells) / len(cells)
         if var == 0:
             raise ConstantColumnError(f"{column!r} has zero variance")
-        sd = math.sqrt(var)
-        new = tuple(None if v is None else (v - mean) / sd for v in col.values)
-    new_cols = tuple(replace(c, values=new) if c.name == column else c
+        new = (data - mean) / math.sqrt(var)
+    new_cols = tuple(replace(c, view=ColumnView(new)) if c.name == column else c
                      for c in table.columns)
     return Table(table.name, new_cols)
 
@@ -399,7 +496,7 @@ def group_and_aggregate(table: Table, by: str, target: str,
     if fn is not AggregateFn.COUNT and target_col.kind is not Kind.NUMERICAL:
         raise NonNumericalTargetError(
             f"{fn.value} requires a numerical target, got {target!r}")
-    view = by_col.category_view()
+    view = by_col.view.categories()
     keys = view.labels
     sizes = np.bincount(view.data[view.present], minlength=len(keys))
     keep = view.present & target_col.view.present
@@ -420,7 +517,6 @@ def group_and_aggregate(table: Table, by: str, target: str,
     return Table(
         name=f"{table.name}:{by}-{fn.value}({target})",
         columns=(
-            replace(by_col, values=tuple(keys)),
-            Column(name=f"{fn.value}_{target}", kind=Kind.NUMERICAL,
-                   values=tuple(out)),
+            Column.of(by, by_col.kind, keys),
+            Column.of(f"{fn.value}_{target}", Kind.NUMERICAL, out),
         ))

@@ -54,11 +54,11 @@ TOTAL_TRIALS = (len(ALL_METRIC_IDS) * PERM_TRIALS
 
 
 def cat_col(name, values):
-    return Column(name, Kind.CATEGORICAL, tuple(values))
+    return Column.of(name, Kind.CATEGORICAL, tuple(values))
 
 
 def num_col(name, values):
-    return Column(name, Kind.NUMERICAL, tuple(float(v) for v in values))
+    return Column.of(name, Kind.NUMERICAL, tuple(float(v) for v in values))
 
 
 def _grouped_cat_num(rng):
@@ -119,11 +119,11 @@ def _permute(cols, opts, rng):
     n = len(cols[0].values)
     order = list(range(n))
     rng.shuffle(order)
-    new_cols = [Column(c.name, c.kind, tuple(c.values[i] for i in order))
+    new_cols = [Column.of(c.name, c.kind, tuple(c.values[i] for i in order))
                 for c in cols]
     if opts.mediator is not None:
-        mediator = Column(opts.mediator.name, opts.mediator.kind,
-                          tuple(opts.mediator.values[i] for i in order))
+        mediator = Column.of(opts.mediator.name, opts.mediator.kind,
+                             tuple(opts.mediator.values[i] for i in order))
         return new_cols, MetricOptions(bins=opts.bins, kde_grid=opts.kde_grid,
                                        mediator=mediator)
     return new_cols, opts
@@ -139,8 +139,8 @@ def _relabel(cols, rng):
         shuffled = labels[:]
         rng.shuffle(shuffled)
         mapping = {old: f"r{ci}_{new}" for old, new in zip(labels, shuffled)}
-        new_cols.append(Column(c.name, c.kind,
-                               tuple(mapping[v] for v in c.values)))
+        new_cols.append(Column.of(c.name, c.kind,
+                                  tuple(mapping[v] for v in c.values)))
     return new_cols
 
 
@@ -150,8 +150,8 @@ def _affine(cols, rng):
     new_cols = []
     for c in cols:
         if c.kind is Kind.NUMERICAL:
-            new_cols.append(Column(c.name, c.kind,
-                                   tuple(a * v + b for v in c.values)))
+            new_cols.append(Column.of(c.name, c.kind,
+                                      tuple(a * v + b for v in c.values)))
         else:
             new_cols.append(c)
     return new_cols

@@ -45,11 +45,11 @@ from biasaudit.tabular import Column, Kind, save_table
 
 
 def cat(values, name="c"):
-    return Column(name, Kind.CATEGORICAL, tuple(values))
+    return Column.of(name, Kind.CATEGORICAL, tuple(values))
 
 
 def num(values, name="x"):
-    return Column(name, Kind.NUMERICAL, tuple(float(v) for v in values))
+    return Column.of(name, Kind.NUMERICAL, tuple(float(v) for v in values))
 
 
 class TestMetricReferenceAgreement:

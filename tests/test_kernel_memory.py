@@ -13,8 +13,8 @@ def _pair(n):
     rng = np.random.default_rng(0)
     x = rng.normal(size=n)
     y = 0.5 * x + rng.normal(size=n)
-    return (Column("x", Kind.NUMERICAL, tuple(x.tolist())),
-            Column("y", Kind.NUMERICAL, tuple(y.tolist())))
+    return (Column.of("x", Kind.NUMERICAL, tuple(x.tolist())),
+            Column.of("y", Kind.NUMERICAL, tuple(y.tolist())))
 
 
 # hgr's KDE lattice is built in blocks of points, so its peak does not grow

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from biasaudit import tabular
 from biasaudit.tabular import DEFAULT_NA_TOKENS, load_table
 
 PADDING = st.sampled_from(["", "", " ", "  ", "\t"])
@@ -64,6 +65,14 @@ def csv_table(draw):
                               [str(i % 11) for i in range(30)]]))
 # An na token that parses as a number, in a column that otherwise parses.
 @example((DEFAULT_NA_TOKENS | {"-999"}, [["1.5", " -999", "2.5"]]))
+# With 3-row blocks (see below): junk and a blank cell in later blocks of a
+# numeric column; "1" and "1.0" in different blocks of an integer code; a
+# column whose first blocks parse as floats but which is categorical.
+@example((DEFAULT_NA_TOKENS, [[f"{i}.5" if i not in (10, 20) else
+                               ("junk" if i == 10 else "") for i in range(24)]]))
+@example((DEFAULT_NA_TOKENS, [["1", "0", "1", "0", "1.0", "0", "2"]]))
+@example((DEFAULT_NA_TOKENS, [["1.5", "2.5", "3.5", "4.5", "5.5", "6.5", "a", "b"],
+                              ["0", "1", "0", "1", "0", "1", "0", "1"]]))
 def test_load_table_matches_reference(case):
     na_tokens, cols = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -77,6 +86,12 @@ def test_load_table_matches_reference(case):
     got = [(c.name, c.kind.value, c.values) for c in table.columns]
     # repr tells -0.0 from 0.0 and 1 from 1.0.
     assert repr(got) == repr(expected)
+
+
+def test_load_table_matches_reference_across_blocks(monkeypatch):
+    # Every case above, read three rows at a time, so cases span blocks.
+    monkeypatch.setattr(tabular, "_CSV_BLOCK", 3)
+    test_load_table_matches_reference()
 
 
 def test_long_numeric_column_with_odd_cells_matches_reference(tmp_path):

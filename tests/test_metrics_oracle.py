@@ -20,11 +20,11 @@ OPTS = MetricOptions(bins=3, kde_grid=8)
 
 
 def cat_col(name, values):
-    return Column(name, Kind.CATEGORICAL, tuple(values))
+    return Column.of(name, Kind.CATEGORICAL, tuple(values))
 
 
 def num_col(name, values):
-    return Column(name, Kind.NUMERICAL, tuple(float(v) for v in values))
+    return Column.of(name, Kind.NUMERICAL, tuple(float(v) for v in values))
 
 
 def random_cat(rng, n, k):
@@ -139,8 +139,8 @@ def gen_missing_instance(metric_id, rng):
 
     def blanked(col, vals):
         cast = float if col.kind is Kind.NUMERICAL else (lambda v: v)
-        return Column(col.name, col.kind,
-                      tuple(None if v is None else cast(v) for v in vals))
+        return Column.of(col.name, col.kind,
+                         tuple(None if v is None else cast(v) for v in vals))
 
     cols = [blanked(c, vals) for c, vals in zip(cols, args)]
     if "mediator" in extra:

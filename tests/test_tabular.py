@@ -1,9 +1,11 @@
 """Loading, type inference, and preprocessing of delimited tables."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from biasaudit import tabular
 from biasaudit.errors import (
     AllRowsDroppedError,
     ConstantColumnError,
@@ -16,6 +18,7 @@ from biasaudit.errors import (
 from biasaudit.tabular import (
     AggregateFn,
     CleaningMode,
+    Column,
     Kind,
     NormalizeMode,
     clean_missing,
@@ -27,6 +30,7 @@ from biasaudit.tabular import (
     load_table,
     normalize_or_standardize,
     save_table,
+    serialize_table,
 )
 
 
@@ -73,7 +77,7 @@ class TestLoadTable:
         t = load_table(write(tmp_path, "x\n" + rows))
         col = t.column("x")
         assert col.kind is Kind.NUMERICAL
-        assert col.missing_count() == 4
+        assert col.values.count(None) == 4
 
     def test_zero_data_rows(self, tmp_path):
         t = load_table(write(tmp_path, "a,b\n"))
@@ -87,7 +91,7 @@ class TestLoadTable:
 
     def test_na_tokens_become_missing(self, tmp_path):
         t = load_table(write(tmp_path, "g\nx\nNA\ny\n?\n"))
-        assert t.column("g").missing_count() == 2
+        assert t.column("g").values.count(None) == 2
 
     def test_roundtrip(self, tmp_path):
         t = from_columns("r", [("g", "categorical", ("a", None, "b")),
@@ -97,6 +101,16 @@ class TestLoadTable:
         back = load_table(p)
         assert back.column("g").values == ("a", None, "b")
         assert back.column("x").values == (1.5, 2.0, None)
+
+    def test_save_table_writes_the_serialized_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tabular, "_CSV_BLOCK", 2)  # rows span blocks
+        t = from_columns("s", [
+            ("g", "categorical", ("a,b", None, 'say "hi"', "two\nlines", "plain")),
+            ("x", "numerical", (-0.0, 2.0, None, 1.5, 1e20)),
+        ])
+        p = tmp_path / "s.csv"
+        save_table(t, p)
+        assert p.read_bytes() == serialize_table(t).encode("utf-8")
 
 
 class TestExtract:
@@ -200,7 +214,17 @@ class TestColumnView:
     def test_built_once_and_not_carried_to_copies(self):
         col = from_columns("t", [("g", "categorical", ("a", "b"))]).columns[0]
         assert col.view is col.view
-        assert replace(col, values=("c",)).view.labels == ("c",)
+        copy = replace(col, view=col.view.subset(np.array([False, True])))
+        assert copy.view.labels == ("b",) and col.view.labels == ("a", "b")
+
+    def test_view_is_the_only_storage(self):
+        assert [f.name for f in fields(Column)] == ["name", "kind", "view"]
+
+    def test_view_data_is_read_only(self, tmp_path):
+        t = load_table(write(tmp_path, "g,x\na,1.5\nb,2.5\n"))
+        for name in t.column_names:
+            with pytest.raises(ValueError):
+                t.column(name).view.data[0] = 0
 
     def test_drop_row_keeps_columns_without_missing_cells(self, tmp_path):
         t = load_table(write(tmp_path, "g,x\na,1.5\nb,2.5\n"))
