@@ -47,6 +47,21 @@ _BIAS_TYPE_IN = {
 }
 _BIAS_TYPE_OUT = {v: k.capitalize() for k, v in _BIAS_TYPE_IN.items()}
 TYPE_ROWS = ("Distribution", "Correlation", "Implication")
+# The feature counts each bias type takes, and their wording.
+_ARITY = {
+    BiasType.DISTRIBUTION: ((1,), "exactly 1 feature"),
+    BiasType.CORRELATION: ((2,), "exactly 2 features"),
+    BiasType.UNSTATED: ((1, 2), "1 or 2 features"),
+}
+
+
+def check_feature_count(where: str, bias_type: BiasType, features) -> None:
+    """Raise :class:`SchemaError` unless ``bias_type`` takes this many
+    features; ``where`` names the task or flag in the message."""
+    counts, wording = _ARITY[bias_type]
+    if len(features) not in counts:
+        raise SchemaError(f"{where}: {_BIAS_TYPE_OUT[bias_type].lower()} tasks "
+                          f"take {wording}, got {len(features)}")
 
 
 @dataclass(frozen=True)
@@ -59,16 +74,7 @@ class TaskSpec:
     significance: str = ""
 
     def __post_init__(self):
-        n = len(self.features)
-        if self.bias_type is BiasType.DISTRIBUTION and n != 1:
-            raise SchemaError(f"task {self.id}: distribution tasks take "
-                              f"exactly 1 feature, got {n}")
-        if self.bias_type is BiasType.CORRELATION and n != 2:
-            raise SchemaError(f"task {self.id}: correlation tasks take "
-                              f"exactly 2 features, got {n}")
-        if self.bias_type is BiasType.UNSTATED and n not in (1, 2):
-            raise SchemaError(f"task {self.id}: implication tasks take "
-                              f"1 or 2 features, got {n}")
+        check_feature_count(f"task {self.id}", self.bias_type, self.features)
 
     @property
     def type_label(self) -> str:
@@ -128,7 +134,7 @@ def ground_truth(task: TaskSpec, thresholds: ThresholdTable = DEFAULT_TABLE,
     subset = extract_columns(table, task.features)
     cleaned = clean_missing(subset, subset.column_names).table
     cols = [cleaned.column(n) for n in task.features]
-    scenario = classify_scenario(cols, task.bias_type)
+    scenario = classify_scenario(cols)
     levels = {}
     errors = []
     for metric_id in SCENARIO_METRICS[scenario]:
@@ -331,39 +337,10 @@ class HeuristicJudge:
         return None
 
 
-class ChatJudge:
-    """Optional judge that delegates rubric scoring to a chat endpoint."""
-
-    _FRAME = (
-        "Score the following bias-audit session log on six dimensions "
-        "(Communication, Planning, Tooling, Adaptivity, Summarization, "
-        "Integration), each 0-100. Reply with a JSON object mapping "
-        "dimension to score."
-    )
-
-    def __init__(self, config, transport=None):
-        self.config = config
-        self.transport = transport
-
-    def score(self, log: SessionLog) -> ProcessScores:
-        from .orchestrator import chat_complete
-        messages = [{"role": "system", "content": self._FRAME},
-                    {"role": "user", "content": log.to_jsonl()}]
-        reply = chat_complete(messages, [], self.config, transport=self.transport)
-        try:
-            content = reply["choices"][0]["message"]["content"]
-            raw = json.loads(content)
-            scores = {dim: float(raw[dim]) for dim in DIMENSIONS}
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise MalformedLogError(f"judge reply unusable: {exc}") from exc
-        return ProcessScores(scores=scores,
-                             evidence={dim: "chat judge" for dim in DIMENSIONS})
-
-
-def score_process(log: SessionLog, judge=None):
-    """Score one session log; returns (ProcessScores, markdown report)."""
-    judge = judge or HeuristicJudge()
-    scores = judge.score(log)
+def score_process(log: SessionLog):
+    """Score one session log with the heuristic judge; returns
+    (ProcessScores, markdown report)."""
+    scores = HeuristicJudge().score(log)
     return scores, scores.to_markdown()
 
 

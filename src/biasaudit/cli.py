@@ -83,6 +83,7 @@ def _planner(config: Config):
 
 def _task_from_args(args) -> TaskContext:
     bias_type = benchmod._BIAS_TYPE_IN.get(args.bias_type, BiasType.UNSTATED)
+    benchmod.check_feature_count("--features", bias_type, args.features)
     question = args.question or (
         f"Audit feature(s) {', '.join(args.features)} of {args.dataset} "
         f"for bias.")

@@ -54,12 +54,11 @@ class MetricResult:
                 "raw": raw, "n": self.n, "details": self.details}
 
 
-def classify_scenario(cols, stated_bias: BiasType = BiasType.UNSTATED) -> Scenario:
-    """Map 1-2 typed columns (plus the stated bias type) to a scenario.
+def classify_scenario(cols) -> Scenario:
+    """Map 1-2 typed columns to a scenario by their count and kinds.
 
-    An unstated ("implication") bias type resolves by column count: one
-    column means distribution, two mean correlation. Column order is
-    irrelevant for two-column scenarios.
+    One column is a distribution scenario, two are a correlation scenario;
+    column order is irrelevant for two-column scenarios.
     """
     if len(cols) == 1:
         col = cols[0]
@@ -76,8 +75,7 @@ def classify_scenario(cols, stated_bias: BiasType = BiasType.UNSTATED) -> Scenar
 
 def column_values(col: Column) -> np.ndarray:
     """Non-missing values of a numerical column as a float array."""
-    view = col.view
-    return view.data[view.present]
+    return col.data[col.present]
 
 
 def category_counts(col: Column) -> dict:
@@ -85,12 +83,12 @@ def category_counts(col: Column) -> dict:
 
     A numerical column counts its distinct values, ordered by ``str``.
     """
-    view = col.view.categories()
-    counts = np.bincount(view.data[view.present], minlength=len(view.labels))
-    return dict(zip(view.labels, counts.tolist()))
+    cats = col.categories()
+    counts = np.bincount(cats.data[cats.present], minlength=len(cats.labels))
+    return dict(zip(cats.labels, counts.tolist()))
 
 
 def paired(*cols: Column) -> list:
-    """The columns' view data on the rows where none of them is missing."""
-    keep = present_rows(cols, len(cols[0].view.data))
-    return [c.view.data[keep] for c in cols]
+    """The columns' data on the rows where none of them is missing."""
+    keep = present_rows(cols, len(cols[0].data))
+    return [c.data[keep] for c in cols]

@@ -24,7 +24,7 @@ def _result(metric_id, raw, n, details=""):
 def contingency(a: Column, b: Column):
     """Contingency counts with rows/columns ordered by label."""
     ca, cb = paired(a, b)
-    la, lb = a.view.labels, b.view.labels
+    la, lb = a.labels, b.labels
     counts = np.bincount(ca * len(lb) + cb, minlength=len(la) * len(lb))
     table = counts.reshape(len(la), len(lb)).astype(float)
     used_r = table.sum(axis=1) > 0

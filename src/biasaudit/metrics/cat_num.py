@@ -14,7 +14,7 @@ from ..errors import (
     SingletonGroupError,
     ZeroVarianceError,
 )
-from ..tabular import Column, ColumnView, Kind, split_by_code
+from ..tabular import Column, Kind, split_by_code
 from .base import MetricOptions, MetricResult, Scenario, paired
 
 
@@ -25,7 +25,7 @@ def _result(metric_id, raw, n, details=""):
 def group_values(g: Column, y: Column):
     """Per-group value arrays for paired non-missing rows."""
     codes, ys = paired(g, y)
-    labels = g.view.labels
+    labels = g.labels
     parts = split_by_code(codes, ys, len(labels))
     ordered = sorted((i for i, part in enumerate(parts) if part.size),
                      key=lambda i: (-parts[i].size, i))  # labels are str-sorted
@@ -113,9 +113,9 @@ def causal_effect(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -
 
 def _stratified_ace(g: Column, y: Column, cov: Column, keys):
     codes, ys, strata = paired(g, y, cov)
-    treated, control = (g.view.labels.index(k) for k in keys)
+    treated, control = (g.labels.index(k) for k in keys)
     if cov.kind is Kind.NUMERICAL:  # strata are the distinct values, by str
-        strata = ColumnView.encode(Kind.CATEGORICAL, strata.tolist()).data
+        strata = Column.of(cov.name, Kind.CATEGORICAL, strata.tolist()).data
     arm = (codes == treated) | (codes == control)
     parts = split_by_code(strata[arm] * 2 + (codes[arm] == control), ys[arm])
     total = 0
@@ -150,7 +150,7 @@ def pse(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricRe
     groups = _checked_groups(g, y, "pse")
     keys = list(groups)[:2]
     codes, yv, m = paired(g, y, med)
-    treated, control = (g.view.labels.index(k) for k in keys)
+    treated, control = (g.labels.index(k) for k in keys)
     arm = (codes == treated) | (codes == control)
     t = (codes[arm] == treated).astype(float)
     m = m[arm]

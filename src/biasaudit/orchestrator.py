@@ -4,9 +4,8 @@ One session is a single-threaded event loop: the planner proposes an
 action, the loop executes it against the tool registry, and every action,
 tool result, critique, and stage transition lands in the session log.
 The Primary/Advisor split is a role protocol within the loop, not two
-processes; the rule planner and rule advisor are deterministic so offline
-runs replay byte-identically (event times default to a normalized zero
-clock).
+processes; the rule planner and rule advisor are deterministic and every
+event's ``wall_ms`` is 0, so offline runs replay byte-identically.
 """
 
 from __future__ import annotations
@@ -149,10 +148,9 @@ class LogEvent:
 class SessionLog:
     events: list = field(default_factory=list)
 
-    def append(self, stage: Stage, actor: str, action: str, payload: dict,
-               wall_ms: int) -> None:
+    def append(self, stage: Stage, actor: str, action: str, payload: dict) -> None:
         self.events.append(LogEvent(len(self.events), stage.value, actor,
-                                    action, _jsonable(payload), wall_ms))
+                                    action, _jsonable(payload), 0))
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(e.to_record(), sort_keys=True) + "\n"
@@ -277,11 +275,7 @@ class SessionState:
 
     def scenario(self) -> Scenario:
         table = self.working_table()
-        cols = [table.column(n) for n in self.task.features]
-        stated = {BiasType.DISTRIBUTION: BiasType.DISTRIBUTION,
-                  BiasType.CORRELATION: BiasType.CORRELATION}.get(
-                      self.task.bias_type, BiasType.UNSTATED)
-        return classify_scenario(cols, stated)
+        return classify_scenario([table.column(n) for n in self.task.features])
 
 
 def _tool_get_csv_features(state: SessionState, path=None):
@@ -340,7 +334,7 @@ def _tool_group_and_aggregate(state: SessionState, by=None, target=None, fn="mea
     by_col, agg_col = out.columns
     return {"groups": out.row_count,
             "rows": [{by_col.name: key, agg_col.name: value} for key, value in
-                     zip(by_col.view.cells(), agg_col.view.cells())]}
+                     zip(by_col.cells(), agg_col.cells())]}
 
 
 def _make_detection_executor(metric_id):
@@ -395,7 +389,7 @@ def _chart_data(state: SessionState, kind: ChartKind) -> ChartSpec:
     return ChartSpec(kind, {"labels": labels, "matrix": matrix}, title=title)
 
 
-def _make_chart_executor(tool_name, kind):
+def _make_chart_executor(kind):
     def executor(state: SessionState, **_args):
         spec = _chart_data(state, kind)
         filename = f"chart_{len(state.charts):02d}_{kind.value}.svg"
@@ -491,7 +485,7 @@ def build_registry() -> ToolRegistry:
     for tool_name, kind in CHART_TOOLS.items():
         add(tool_name, "()",
             f"Renders a {kind.value} chart of the task features to SVG.",
-            _make_chart_executor(tool_name, kind))
+            _make_chart_executor(kind))
     add("get_user_input_tool", "(prompt)",
         "Captures user input during an interaction.",
         _tool_get_user_input)
@@ -842,15 +836,10 @@ def _incomplete_report(state: SessionState) -> ReportDocument:
 def run_session(task: TaskContext, planner, registry: ToolRegistry,
                 budget: int = 64, thresholds: ThresholdTable = DEFAULT_TABLE,
                 opts: MetricOptions = MetricOptions(), out_dir=None,
-                library=None, clock=None):
-    """Drive one workflow session to a report and a structured log.
-
-    ``clock`` supplies event timestamps in ms; the default always returns 0
-    so offline runs are byte-identical.
-    """
+                library=None):
+    """Drive one workflow session to a report and a structured log."""
     if library is None:
         library = methodlib.builtin_library()
-    clock = clock or (lambda: 0)
     state = SessionState(task=task, registry=registry, thresholds=thresholds,
                          opts=opts, out_dir=out_dir, library=library,
                          budget=budget)
@@ -858,35 +847,34 @@ def run_session(task: TaskContext, planner, registry: ToolRegistry,
     log.append(Stage.USER_INPUT, "user", "task",
                {"question": task.question, "dataset": task.dataset,
                 "features": list(task.features),
-                "bias_type": task.bias_type.value}, clock())
+                "bias_type": task.bias_type.value})
 
     while state.budget > 0:
-        action = _next_action(planner, state, log, clock)
+        action = _next_action(planner, state, log)
         state.budget -= 1
-        log.append(state.stage, "primary", "action", action.to_record(), clock())
+        log.append(state.stage, "primary", "action", action.to_record())
         if action.kind is ActionKind.FINISH:
             report = state.artifacts.get("report")
             if report is None:
                 report = _incomplete_report(state)
             log.append(state.stage, "primary", "finish",
                        {"complete": report.complete,
-                        "headline": report.headline.value if report.findings else None},
-                       clock())
+                        "headline": report.headline.value if report.findings else None})
             return report, log
-        _execute(action, state, log, clock)
+        _execute(action, state, log)
 
     report = _incomplete_report(state)
     log.append(state.stage, "system", "budget_exhausted",
-               {"findings": len(state.findings)}, clock())
+               {"findings": len(state.findings)})
     return report, log
 
 
-def _next_action(planner, state: SessionState, log: SessionLog, clock) -> Action:
+def _next_action(planner, state: SessionState, log: SessionLog) -> Action:
     action = planner.next(state)
     problem = _illegal(action, state)
     if problem is None:
         return action
-    log.append(state.stage, "system", "planner_error", {"error": problem}, clock())
+    log.append(state.stage, "system", "planner_error", {"error": problem})
     action = planner.next(state)  # one retry
     problem = _illegal(action, state)
     if problem is None:
@@ -905,25 +893,24 @@ def _illegal(action: Action, state: SessionState):
     return None
 
 
-def _execute(action: Action, state: SessionState, log: SessionLog, clock):
+def _execute(action: Action, state: SessionState, log: SessionLog):
     if action.kind is ActionKind.TRANSITION:
         previous = state.stage
         state.stage = action.stage
         log.append(state.stage, "system", "stage",
-                   {"from": previous.value, "to": action.stage.value}, clock())
+                   {"from": previous.value, "to": action.stage.value})
         return
     if action.kind is ActionKind.CONSULT_ADVISOR:
         critique = advisor_review(action.payload, state)
         state.consulted.add(action.payload.get("kind"))
-        log.append(state.stage, "advisor", "critique", critique.to_record(),
-                   clock())
+        log.append(state.stage, "advisor", "critique", critique.to_record())
         return
     if action.kind is ActionKind.ASK_USER:
         try:
             message = get_user_input(state)
-            log.append(state.stage, "user", "message", {"text": message}, clock())
+            log.append(state.stage, "user", "message", {"text": message})
         except EndOfInputError:
-            log.append(state.stage, "user", "end_of_input", {}, clock())
+            log.append(state.stage, "user", "end_of_input", {})
         return
     # InvokeTool
     entry = state.registry.get(action.tool)
@@ -932,12 +919,11 @@ def _execute(action: Action, state: SessionState, log: SessionLog, clock):
         result = entry.executor(state, **action.args)
         state.last_failed_call = None
         log.append(state.stage, "tool", "result",
-                   {"tool": action.tool, "ok": True, "result": result}, clock())
+                   {"tool": action.tool, "ok": True, "result": result})
     except (MetricError, TableError, ToolError, BiasAuditError) as exc:
         state.errors.append(f"{action.tool}: {exc}")
         log.append(state.stage, "tool", "result",
-                   {"tool": action.tool, "ok": False, "error": str(exc)},
-                   clock())
+                   {"tool": action.tool, "ok": False, "error": str(exc)})
         # The same call failing twice in a row means the planner cannot make
         # progress (e.g. an unknown column); surface the error to the caller.
         if state.last_failed_call == call_key:

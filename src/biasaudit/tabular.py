@@ -1,11 +1,11 @@
 """Column-oriented in-memory tables: loading, typing, and preprocessing.
 
 A :class:`Table` is immutable after construction; every operation returns a
-new table. Each :class:`Column` is stored only as a read-only numpy
-:class:`ColumnView`: float64 with NaN for missing (numerical), or int codes
-with -1 for missing into labels sorted by ``str`` (categorical). Cleaning,
-the metrics and the charts share it, and :func:`load_table` parses each
-block of CSV rows straight into it.
+new table. Each :class:`Column` is one read-only numpy array: float64
+with NaN for missing, or int codes with -1 for missing into labels sorted
+by ``str``. Its kind follows from its labels: it is categorical iff it has
+them. Cleaning, the metrics and the charts share the array, and
+:func:`load_table` parses each block of CSV rows straight into it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import count, filterfalse, islice
 from typing import Iterable, Sequence
@@ -53,12 +53,16 @@ class CleaningMode(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class ColumnView:
-    """Numerical: ``data`` is float64, NaN for missing, and ``labels`` is
-    None. Categorical: ``data`` holds intp codes into ``labels`` (the labels
-    present, sorted by ``str``), -1 for missing. ``data`` is read-only, so
-    tables can share views."""
+class Column:
+    """A named column stored as one read-only array.
 
+    Numerical: ``data`` is float64, NaN for missing, and ``labels`` is None.
+    Categorical: ``data`` holds intp codes into ``labels`` (the labels
+    present, sorted by ``str``), -1 for missing. The kind follows from the
+    labels, and since ``data`` is read-only, tables can share columns.
+    """
+
+    name: str
     data: np.ndarray
     labels: tuple | None = None
 
@@ -66,71 +70,54 @@ class ColumnView:
         self.data.flags.writeable = False
 
     @classmethod
-    def encode(cls, kind: Kind, values: Sequence) -> ColumnView:
-        """The view of a cell sequence of the given kind (``None`` missing)."""
-        if kind is Kind.NUMERICAL:
-            return cls(np.array(values, dtype=np.float64))
-        index = {label: code for code, label in enumerate(dict.fromkeys(values))}
-        return _recoded(np.fromiter(map(index.__getitem__, values), dtype=np.intp,
-                                    count=len(values)), list(index))
+    def of(cls, name: str, kind: Kind | str, cells: Sequence) -> Column:
+        """The column of a cell sequence of the given kind (``None`` missing)."""
+        if Kind(kind) is Kind.NUMERICAL:
+            return cls(name, np.array(cells, dtype=np.float64))
+        index = {label: code for code, label in enumerate(dict.fromkeys(cells))}
+        return _recoded(name, np.fromiter(map(index.__getitem__, cells), dtype=np.intp,
+                                          count=len(cells)), list(index))
+
+    @property
+    def kind(self) -> Kind:
+        return Kind.NUMERICAL if self.labels is None else Kind.CATEGORICAL
 
     @property
     def present(self) -> np.ndarray:
         return ~np.isnan(self.data) if self.labels is None else self.data >= 0
 
-    def cells(self) -> list:
+    def cells(self) -> tuple:
         """The cells as Python values, ``None`` for missing."""
         if self.labels is None:
-            return [None if math.isnan(v) else v for v in self.data.tolist()]
-        return list(map((self.labels + (None,)).__getitem__, self.data.tolist()))
+            return tuple(None if math.isnan(v) else v for v in self.data.tolist())
+        return tuple(map((self.labels + (None,)).__getitem__, self.data.tolist()))
 
-    def categories(self) -> ColumnView:
-        """This view as categories: a numerical view's labels are its
+    def categories(self) -> Column:
+        """This column as categories: a numerical column's labels are its
         distinct values, each as first seen."""
         if self.labels is not None:
             return self
-        return ColumnView.encode(Kind.CATEGORICAL, self.cells())
+        return Column.of(self.name, Kind.CATEGORICAL, self.cells())
 
-    def subset(self, rows: np.ndarray) -> ColumnView:
-        """The rows picked by a boolean mask; a categorical view keeps the
+    def subset(self, rows: np.ndarray) -> Column:
+        """The rows picked by a boolean mask; a categorical column keeps the
         labels still present."""
         data = self.data[rows]
         if self.labels is None:
-            return ColumnView(data)
+            return Column(self.name, data)
         used = np.bincount(data[data >= 0], minlength=len(self.labels)) > 0
-        return _recoded(data, [label if u else None
-                               for label, u in zip(self.labels, used.tolist())])
+        return _recoded(self.name, data, [
+            label if u else None for label, u in zip(self.labels, used.tolist())])
 
 
-def _recoded(codes: np.ndarray, labels: Sequence) -> ColumnView:
-    """The categorical view of ``codes`` into ``labels``, re-coded to the
+def _recoded(name: str, codes: np.ndarray, labels: Sequence) -> Column:
+    """The categorical column of ``codes`` into ``labels``, re-coded to the
     labels sorted by ``str``; code -1 and a ``None`` label are missing."""
     order = sorted((i for i, label in enumerate(labels) if label is not None),
                    key=lambda i: str(labels[i]))
     rank = np.full(len(labels) + 1, -1, dtype=np.intp)
     rank[np.array(order, dtype=np.intp)] = np.arange(len(order))
-    return ColumnView(rank[codes], tuple(labels[i] for i in order))
-
-
-@dataclass(frozen=True)
-class Column:
-    """A named, typed column, stored only as its :class:`ColumnView`."""
-
-    name: str
-    kind: Kind
-    view: ColumnView
-
-    @classmethod
-    def of(cls, name: str, kind: Kind | str, values: Sequence) -> Column:
-        """The column of a cell sequence (``None`` missing)."""
-        kind = Kind(kind)
-        return cls(name, kind, ColumnView.encode(kind, values))
-
-    @property
-    def values(self) -> tuple:
-        """The cells, ``None`` for missing, decoded from the view for
-        inspection; the library itself reads only the view."""
-        return tuple(self.view.cells())
+    return Column(name, rank[codes], tuple(labels[i] for i in order))
 
 
 @dataclass(frozen=True)
@@ -142,7 +129,7 @@ class Table:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise DuplicateHeaderError(f"duplicate column names in {names}")
-        lengths = {len(c.view.data) for c in self.columns}
+        lengths = {len(c.data) for c in self.columns}
         if len(lengths) > 1:
             raise RaggedRowError(f"columns have unequal lengths: {sorted(lengths)}")
 
@@ -150,7 +137,7 @@ class Table:
     def row_count(self) -> int:
         if not self.columns:
             return 0
-        return len(self.columns[0].view.data)
+        return len(self.columns[0].data)
 
     @property
     def column_names(self) -> list:
@@ -257,11 +244,10 @@ class _ColumnParser:
         """The finished column. A categorical column some of whose blocks
         were kept as floats is built again from the blocks of text that
         ``reread()`` yields."""
-        kind = self.kind()
-        if kind is Kind.NUMERICAL:
-            return Column(name, kind, ColumnView(np.concatenate([np.empty(0), *(
+        if self.kind() is Kind.NUMERICAL:
+            return Column(name, np.concatenate([np.empty(0), *(
                 part if part.dtype == np.float64 else self.value[part]
-                for part in self.parts)])))
+                for part in self.parts)]))
         if any(part.dtype == np.float64 for part in self.parts):
             again = _ColumnParser(self.na)
             again.parse_floats = False
@@ -270,7 +256,7 @@ class _ColumnParser:
             return again.column(name, reread)
         labels = [None if m else text for text, m in zip(self.texts, self.missing)]
         codes = np.concatenate([np.empty(0, dtype=np.intp), *self.parts])
-        return Column(name, kind, _recoded(codes, labels))
+        return _recoded(name, codes, labels)
 
 
 def infer_kind(values: Sequence, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -> Kind:
@@ -289,9 +275,9 @@ def present_rows(cols: Sequence[Column], n: int) -> np.ndarray:
     """Mask of the ``n`` rows where none of ``cols`` is missing."""
     keep = np.ones(n, dtype=bool)
     for c in cols:
-        if len(c.view.data) != n:
-            raise RaggedRowError(f"column {c.name!r} has {len(c.view.data)} rows, not {n}")
-        keep &= c.view.present
+        if len(c.data) != n:
+            raise RaggedRowError(f"column {c.name!r} has {len(c.data)} rows, not {n}")
+        keep &= c.present
     return keep
 
 
@@ -378,10 +364,10 @@ def _csv_rows(table: Table):
     """The header, then each row's cells formatted for CSV."""
     yield table.column_names
     # A categorical column's texts by code; code -1 reads the trailing "".
-    texts = [None if c.view.labels is None else [*map(_format_cell, c.view.labels), ""]
+    texts = [None if c.labels is None else [*map(_format_cell, c.labels), ""]
              for c in table.columns]
     for start in range(0, table.row_count, _CSV_BLOCK):
-        parts = [c.view.data[start:start + _CSV_BLOCK].tolist() for c in table.columns]
+        parts = [c.data[start:start + _CSV_BLOCK].tolist() for c in table.columns]
         yield from zip(*(map(_format_cell if t is None else t.__getitem__, part)
                          for part, t in zip(parts, texts)))
 
@@ -411,7 +397,7 @@ def clean_missing(table: Table, columns: Sequence[str],
                 f"cleaning {list(columns)} with drop_row removed every row")
         dropped = table.row_count - int(keep.sum())
         new_cols = table.columns if not dropped else tuple(
-            replace(c, view=c.view.subset(keep)) for c in table.columns)
+            c.subset(keep) for c in table.columns)
         return CleaningResult(Table(table.name, new_cols), 0, dropped)
 
     changed = 0
@@ -421,23 +407,21 @@ def clean_missing(table: Table, columns: Sequence[str],
         if c.name not in target_names:
             new_cols.append(c)
             continue
-        view = c.view
-        present = view.present
+        present = c.present
         if not present.any():
             raise AllRowsDroppedError(f"column {c.name!r} has no non-missing values")
         if mode is CleaningMode.FILL_MEDIAN:
             if c.kind is not Kind.NUMERICAL:
                 raise NonNumericalTargetError(
                     f"fill_median requires a numerical column, got {c.name!r}")
-            fill = statistics.median(view.data[present].tolist())
+            fill = statistics.median(c.data[present].tolist())
         else:  # FILL_MODE: the most frequent value, ties to the first label
-            cats = view.categories()
+            cats = c.categories()
             fill = int(np.bincount(cats.data[cats.present]).argmax())
-            if view.labels is None:
+            if c.labels is None:
                 fill = cats.labels[fill]
         changed += len(present) - int(present.sum())
-        new_cols.append(replace(c, view=ColumnView(np.where(present, view.data, fill),
-                                                   view.labels)))
+        new_cols.append(Column(c.name, np.where(present, c.data, fill), c.labels))
     return CleaningResult(Table(table.name, tuple(new_cols)), changed, 0)
 
 
@@ -455,8 +439,8 @@ def normalize_or_standardize(table: Table, column: str,
     col = table.column(column)
     if col.kind is not Kind.NUMERICAL:
         raise NonNumericalTargetError(f"{column!r} is not numerical")
-    data = col.view.data
-    present = data[col.view.present]
+    data = col.data
+    present = data[col.present]
     if np.unique(present).size < 2:
         raise ConstantColumnError(f"{column!r} has fewer than 2 distinct values")
     if mode is NormalizeMode.NORMALIZE:
@@ -476,7 +460,7 @@ def normalize_or_standardize(table: Table, column: str,
         if var == 0:
             raise ConstantColumnError(f"{column!r} has zero variance")
         new = (data - mean) / math.sqrt(var)
-    new_cols = tuple(replace(c, view=ColumnView(new)) if c.name == column else c
+    new_cols = tuple(Column(column, new) if c.name == column else c
                      for c in table.columns)
     return Table(table.name, new_cols)
 
@@ -496,11 +480,11 @@ def group_and_aggregate(table: Table, by: str, target: str,
     if fn is not AggregateFn.COUNT and target_col.kind is not Kind.NUMERICAL:
         raise NonNumericalTargetError(
             f"{fn.value} requires a numerical target, got {target!r}")
-    view = by_col.view.categories()
-    keys = view.labels
-    sizes = np.bincount(view.data[view.present], minlength=len(keys))
-    keep = view.present & target_col.view.present
-    parts = split_by_code(view.data[keep], target_col.view.data[keep], len(keys))
+    groups = by_col.categories()
+    keys = groups.labels
+    sizes = np.bincount(groups.data[groups.present], minlength=len(keys))
+    keep = groups.present & target_col.present
+    parts = split_by_code(groups.data[keep], target_col.data[keep], len(keys))
     out = []
     for size, part in zip(sizes.tolist(), parts):
         vals = part.tolist()

@@ -116,14 +116,14 @@ def _compare(metric_id, prop, before, after, keys, tol, violations):
 
 
 def _permute(cols, opts, rng):
-    n = len(cols[0].values)
+    n = len(cols[0].cells())
     order = list(range(n))
     rng.shuffle(order)
-    new_cols = [Column.of(c.name, c.kind, tuple(c.values[i] for i in order))
+    new_cols = [Column.of(c.name, c.kind, tuple(c.cells()[i] for i in order))
                 for c in cols]
     if opts.mediator is not None:
         mediator = Column.of(opts.mediator.name, opts.mediator.kind,
-                             tuple(opts.mediator.values[i] for i in order))
+                             tuple(opts.mediator.cells()[i] for i in order))
         return new_cols, MetricOptions(bins=opts.bins, kde_grid=opts.kde_grid,
                                        mediator=mediator)
     return new_cols, opts
@@ -135,12 +135,12 @@ def _relabel(cols, rng):
         if c.kind is not Kind.CATEGORICAL:
             new_cols.append(c)
             continue
-        labels = sorted(set(c.values))
+        labels = sorted(set(c.cells()))
         shuffled = labels[:]
         rng.shuffle(shuffled)
         mapping = {old: f"r{ci}_{new}" for old, new in zip(labels, shuffled)}
         new_cols.append(Column.of(c.name, c.kind,
-                                  tuple(mapping[v] for v in c.values)))
+                                  tuple(mapping[v] for v in c.cells())))
     return new_cols
 
 
@@ -151,7 +151,7 @@ def _affine(cols, rng):
     for c in cols:
         if c.kind is Kind.NUMERICAL:
             new_cols.append(Column.of(c.name, c.kind,
-                                      tuple(a * v + b for v in c.values)))
+                                      tuple(a * v + b for v in c.cells())))
         else:
             new_cols.append(c)
     return new_cols

@@ -82,6 +82,25 @@ class TestDetect:
                          "--out", str(out)]) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
 
+    @pytest.mark.parametrize("command", ["detect", "repl"])
+    def test_three_features_exit_one(self, tmp_path, command, capsys):
+        # Every feature is a column; the third one is not silently dropped.
+        path = tmp_path / "three.csv"
+        path.write_text("g,h,x\na,c,1\nb,d,2\n", encoding="utf-8")
+        code = main([command, str(path), "--features", "g", "h", "x"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "implication tasks take 1 or 2 features, got 3" in captured.err
+
+    @pytest.mark.parametrize("command", ["detect", "repl"])
+    def test_bias_type_feature_count_mismatch_exit_one(self, cat_csv, command,
+                                                       capsys):
+        code = main([command, cat_csv, "--features", "group",
+                     "--bias-type", "correlation"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "correlation tasks take exactly 2 features, got 1" in captured.err
+
 
 class TestRepl:
     def run_repl(self, cat_csv, monkeypatch, replies):

@@ -1,12 +1,20 @@
-"""Source hygiene: no module under ``biasaudit`` imports a name it never uses."""
+"""Source hygiene: no module under ``biasaudit`` imports a name it never
+uses, or defines a function or class that no code names."""
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "biasaudit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "biasaudit"
 MODULES = sorted(SRC.rglob("*.py"))
+# Every word of the Python sources that may name a library function or class.
+WORDS = Counter(word for top in ("src", "tests", "perfbench", "scripts", "demos")
+                for path in (ROOT / top).rglob("*.py")
+                for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -45,3 +53,26 @@ def test_detects_unused_import():
                      "import os\nfrom a import b, c as d\nprint(os.sep, d)\n")
     assert unused_imports(tree) == [(3, "b")]
     assert unused_imports(ast.parse("import os\n__all__ = []\n")) == []
+
+
+def unreferenced(tree: ast.Module, words: Counter) -> list:
+    """Module-level functions and classes of ``tree`` whose name occurs as a
+    whole word only once in ``words``: in their own definition."""
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and words[node.name] < 2)
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_unreferenced_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unreferenced(tree, WORDS) == []
+
+
+def test_detects_unreferenced_definition():
+    source = ("def used():\n    def nested():\n        pass\n\n"
+              "def lone():\n    used()\n\nclass Lone:\n    pass\n")
+    words = Counter(re.findall(r"\w+", source + "# lone_call(x)\n"))
+    assert unreferenced(ast.parse(source), words) == ["Lone", "lone"]

@@ -25,7 +25,6 @@ def _pair(n):
 ])
 def test_peak_allocation(metric, n, limit_mb):
     x, y = _pair(n)
-    x.view, y.view  # encode the columns outside the measured call
     tracemalloc.start()
     try:
         metric(x, y)

@@ -83,7 +83,7 @@ def test_load_table_matches_reference(case):
             writer.writerows(zip(*cols))
         table = load_table(path, na_tokens=na_tokens)
         expected = oracles.load_columns(path, na_tokens)
-    got = [(c.name, c.kind.value, c.values) for c in table.columns]
+    got = [(c.name, c.kind.value, c.cells()) for c in table.columns]
     # repr tells -0.0 from 0.0 and 1 from 1.0.
     assert repr(got) == repr(expected)
 
@@ -102,5 +102,5 @@ def test_long_numeric_column_with_odd_cells_matches_reference(tmp_path):
     path.write_text("x\n" + "\n".join(cells) + "\n", encoding="utf-8")
     col = load_table(path).column("x")
     ((_, kind, expected),) = oracles.load_columns(path, DEFAULT_NA_TOKENS)
-    assert (col.kind.value, repr(col.values)) == (kind, repr(expected))
-    assert kind == "numerical" and col.values.count(None) == 3
+    assert (col.kind.value, repr(col.cells())) == (kind, repr(expected))
+    assert kind == "numerical" and col.cells().count(None) == 3

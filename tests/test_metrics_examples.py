@@ -6,7 +6,6 @@ import pytest
 
 from biasaudit.errors import RaggedRowError, UnknownMetricError, UnsupportedArityError
 from biasaudit.metrics import (
-    BiasType,
     MetricOptions,
     Scenario,
     classify_scenario,
@@ -255,10 +254,6 @@ class TestScenarioClassification:
     def test_arity(self):
         with pytest.raises(UnsupportedArityError):
             classify_scenario([cat(["a"]), cat(["b"], "b2"), cat(["c"], "c2")])
-
-    def test_stated_bias_passthrough(self):
-        assert classify_scenario([cat(["a", "b"])],
-                                 BiasType.DISTRIBUTION) is Scenario.CAT_DIST
 
 
 def test_run_metric_swaps_cat_num_order():

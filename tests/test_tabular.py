@@ -1,6 +1,6 @@
 """Loading, type inference, and preprocessing of delimited tables."""
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -77,7 +77,7 @@ class TestLoadTable:
         t = load_table(write(tmp_path, "x\n" + rows))
         col = t.column("x")
         assert col.kind is Kind.NUMERICAL
-        assert col.values.count(None) == 4
+        assert col.cells().count(None) == 4
 
     def test_zero_data_rows(self, tmp_path):
         t = load_table(write(tmp_path, "a,b\n"))
@@ -91,7 +91,7 @@ class TestLoadTable:
 
     def test_na_tokens_become_missing(self, tmp_path):
         t = load_table(write(tmp_path, "g\nx\nNA\ny\n?\n"))
-        assert t.column("g").values.count(None) == 2
+        assert t.column("g").cells().count(None) == 2
 
     def test_roundtrip(self, tmp_path):
         t = from_columns("r", [("g", "categorical", ("a", None, "b")),
@@ -99,8 +99,8 @@ class TestLoadTable:
         p = tmp_path / "rt.csv"
         save_table(t, p)
         back = load_table(p)
-        assert back.column("g").values == ("a", None, "b")
-        assert back.column("x").values == (1.5, 2.0, None)
+        assert back.column("g").cells() == ("a", None, "b")
+        assert back.column("x").cells() == (1.5, 2.0, None)
 
     def test_save_table_writes_the_serialized_text(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tabular, "_CSV_BLOCK", 2)  # rows span blocks
@@ -132,12 +132,12 @@ class TestCleanMissing:
         t = from_columns("t", [("x", "numerical", (1.0, 2.0))])
         res = clean_missing(t, ["x"])
         assert res.cells_changed == 0 and res.rows_dropped == 0
-        assert res.table.column("x").values == (1.0, 2.0)
+        assert res.table.column("x").cells() == (1.0, 2.0)
 
     def test_fill_median(self):
         t = from_columns("t", [("x", "numerical", (1.0, 2.0, None, 4.0))])
         res = clean_missing(t, ["x"], CleaningMode.FILL_MEDIAN)
-        assert res.table.column("x").values == (1.0, 2.0, 2.0, 4.0)
+        assert res.table.column("x").cells() == (1.0, 2.0, 2.0, 4.0)
         assert res.cells_changed == 1
 
     def test_drop_row(self):
@@ -145,7 +145,7 @@ class TestCleanMissing:
                                ("g", "categorical", ("a", "b", "c"))])
         res = clean_missing(t, ["x"])
         assert res.rows_dropped == 1
-        assert res.table.column("g").values == ("a", "c")
+        assert res.table.column("g").cells() == ("a", "c")
 
     def test_all_rows_dropped(self):
         t = from_columns("t", [("x", "numerical", (None, None))])
@@ -162,12 +162,12 @@ class TestNormalize:
     def test_normalize_unit_range(self):
         t = from_columns("t", [("x", "numerical", (0.0, 5.0, 10.0))])
         out = normalize_or_standardize(t, "x", NormalizeMode.NORMALIZE)
-        assert out.column("x").values == (0.0, 0.5, 1.0)
+        assert out.column("x").cells() == (0.0, 0.5, 1.0)
 
     def test_standardize_population_sd(self):
         t = from_columns("t", [("x", "numerical", (2.0, 4.0, 6.0))])
         out = normalize_or_standardize(t, "x", NormalizeMode.STANDARDIZE)
-        got = out.column("x").values
+        got = out.column("x").cells()
         assert got[1] == 0.0
         assert got[0] == pytest.approx(-1.224744871391589, abs=1e-12)
         assert got[2] == pytest.approx(1.224744871391589, abs=1e-12)
@@ -183,14 +183,14 @@ class TestGroupAggregate:
         t = from_columns("t", [("g", "categorical", ("a", "a", "b")),
                                ("x", "numerical", (1.0, 3.0, 5.0))])
         out = group_and_aggregate(t, "g", "x", AggregateFn.MEAN)
-        assert out.columns[0].values == ("a", "b")
-        assert out.columns[1].values == (2.0, 5.0)
+        assert out.columns[0].cells() == ("a", "b")
+        assert out.columns[1].cells() == (2.0, 5.0)
 
     def test_count_ignores_target_kind(self):
         t = from_columns("t", [("g", "categorical", ("a", "a", "b")),
                                ("o", "categorical", ("x", "y", "z"))])
         out = group_and_aggregate(t, "g", "o", AggregateFn.COUNT)
-        assert out.columns[1].values == (2.0, 1.0)
+        assert out.columns[1].cells() == (2.0, 1.0)
 
     def test_single_group(self):
         t = from_columns("t", [("g", "categorical", ("a", "a")),
@@ -202,29 +202,29 @@ class TestGroupAggregate:
 class TestColumnView:
     def test_categorical_codes_in_label_order(self):
         col = from_columns("t", [("g", "categorical", ("b", None, "a", "b"))]).columns[0]
-        assert col.view.labels == ("a", "b")
-        assert col.view.data.tolist() == [1, -1, 0, 1]
-        assert col.view.present.tolist() == [True, False, True, True]
+        assert col.labels == ("a", "b")
+        assert col.data.tolist() == [1, -1, 0, 1]
+        assert col.present.tolist() == [True, False, True, True]
 
     def test_numerical_missing_is_nan(self):
         col = from_columns("t", [("x", "numerical", (1.5, None))]).columns[0]
-        assert col.view.data[0] == 1.5
-        assert col.view.present.tolist() == [True, False]
+        assert col.data[0] == 1.5
+        assert col.present.tolist() == [True, False]
 
     def test_built_once_and_not_carried_to_copies(self):
         col = from_columns("t", [("g", "categorical", ("a", "b"))]).columns[0]
-        assert col.view is col.view
-        copy = replace(col, view=col.view.subset(np.array([False, True])))
-        assert copy.view.labels == ("b",) and col.view.labels == ("a", "b")
+        assert col.data is col.data
+        copy = col.subset(np.array([False, True]))
+        assert copy.labels == ("b",) and col.labels == ("a", "b")
 
     def test_view_is_the_only_storage(self):
-        assert [f.name for f in fields(Column)] == ["name", "kind", "view"]
+        assert [f.name for f in fields(Column)] == ["name", "data", "labels"]
 
     def test_view_data_is_read_only(self, tmp_path):
         t = load_table(write(tmp_path, "g,x\na,1.5\nb,2.5\n"))
         for name in t.column_names:
             with pytest.raises(ValueError):
-                t.column(name).view.data[0] = 0
+                t.column(name).data[0] = 0
 
     def test_drop_row_keeps_columns_without_missing_cells(self, tmp_path):
         t = load_table(write(tmp_path, "g,x\na,1.5\nb,2.5\n"))
