@@ -1,0 +1,279 @@
+"""The CLI's outputs on the shipped sample data, pinned by sha256.
+
+A change that alters an output on purpose re-pins the digests named in the
+failure message in one edit, and says so in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+
+import pytest
+
+from biasaudit import bench
+from biasaudit.cli import main
+
+DATA = os.path.join(os.path.dirname(bench.__file__), "data")
+# Stands in for the temporary directory in files that name it.
+TMP_TOKEN = b"<tmp>"
+
+DETECT = {
+    "age hours": {
+        "<stdout>":
+            "4225bddbd429914a5d8b08e72b5f5fc9d6e16c8e71c0e951d1f68aa1337494e4",
+        "chart_00_correlation_heatmap.svg":
+            "983faa644ba6122145928879cd0a30677912863cb3b5111229d86a80327bb2ff",
+        "findings.json":
+            "10e451a31c8b9a7a7a7c9096778c9759e288ed9bb0e1bda6cb81a97f3f63f5bc",
+        "report.md":
+            "77ebca5e58f9315e62ac1cdda79d77ef5cb103dc0521e703ffb7251e64df74e0",
+        "session.log.jsonl":
+            "c4d314e4d2ddcd261a34684f2d7867a0270304a2469c1a996d8f063fbfe5413d",
+    },
+    "gender": {
+        "<stdout>":
+            "e0df027001348f0f8c41b7a68c8dd6ae549448f882a10771ea9cba62234de26e",
+        "chart_00_bar.svg":
+            "9df311634defbe4e2cf144d3828386d6a26a78dabf5221c9c24f60ab9a869a8d",
+        "findings.json":
+            "8ce14d140741c6bacd2b74b19a24cd017a15dc9d553563f95b06386ae56b1946",
+        "report.md":
+            "20b2f6578af5449813adb14bb7641e5d167a73fca1f0a7b6d4aeb7e7c97efce2",
+        "session.log.jsonl":
+            "35d8c3364a665e654f97392eb906736c4057a94a4d4c99c1b9bebed4b46dd844",
+    },
+    "gender income_level": {
+        "<stdout>":
+            "e07bbeb28aa576348a8e74028810850172800f5354ee86bff52d05d14419583c",
+        "chart_00_stacked_bar.svg":
+            "aec9a6aa2c382e694dbbea00a29b1cb10a89936689366919038df62daaec6ddf",
+        "findings.json":
+            "8fa1471409304aac06ca8c9f82475181610407f878fd3d7019d9cbea5bdc6538",
+        "report.md":
+            "7eca1e57e5071c82051fd177f827a86f8eba3eeaba0c805719cf1ff751deab8f",
+        "session.log.jsonl":
+            "2bc85a8c6f8277528d27adf5f1a437cfa4a68f3e312638415ef711a2437a1024",
+    },
+    "gender score": {
+        "<stdout>":
+            "dc841194a229c118291150d8d899c3cc2cfbe60980fe1e2a2c00ba322de4ac79",
+        "chart_00_box.svg":
+            "269ec38ca4a8a6bfd88fd499a2d5011345e9a7973d6b439df2f42881f57d260e",
+        "findings.json":
+            "369682526210bf0ec786570a459062abdd4fbd2271aeb7f6604ade1f5534787c",
+        "report.md":
+            "2342376a771ee092c2d1c5d7219f0b188847f06d00f7e57e4f7d33f27d9a25a9",
+        "session.log.jsonl":
+            "6888327966d62bf845640801c80c26fde2d20fa7a3129a9c9e5262d1ccff9e8b",
+    },
+    "score": {
+        "<stdout>":
+            "d62933534221f5e3e8fd2cc255726f820eed37bd8dfc5ff49d5d8d39b4a0ac77",
+        "chart_00_box.svg":
+            "042ef1659679ad3021fe2912ac1723d1457f8af3c8bb9eee184bcd46e270f20a",
+        "findings.json":
+            "c14b412317df620d9ec4861a7379488e67f49efb7ae8c71155b894b1efb849fe",
+        "report.md":
+            "666ecfbe6530664183644e9f819c359d524475c57258a0147dbf6da3c17633b3",
+        "session.log.jsonl":
+            "ed0c059052d2ac3c09f5a7b15e5455b845b70e9dd2cff525a319a4a31b27332a",
+    },
+}
+
+BENCH = {
+    "<stdout>":
+        "f4a306fddd06e648619eb6500fdab388514e880705eb350ba8ddbb65f5419874",
+    "T-01.log.jsonl":
+        "5796118e180ac7e2099836777fa957836da5ffbf2508bc31d17533071f877244",
+    "T-01/chart_00_bar.svg":
+        "9df311634defbe4e2cf144d3828386d6a26a78dabf5221c9c24f60ab9a869a8d",
+    "T-01/findings.json":
+        "ff2d467bdb91842894ce43eb6ba7720474a420274b6ddf79d80c2dc7c585a80f",
+    "T-01/report.md":
+        "84a18b9e5f2724efa786a16584a04c3dae04fd4cee26f79d0967a56fdab9d023",
+    "T-02.log.jsonl":
+        "43c31761a78afe780ed20cd9f744a5175c55b077480788161e34d7acfc2fe5a1",
+    "T-02/chart_00_bar.svg":
+        "eaf044154c858c4e924d03b9a574b5fee192d72d43eeee6556dd9cf2d314bd94",
+    "T-02/findings.json":
+        "5e8581074f24466e0d8d9fb0f2bb6a4b7598ad93536fb2fc879666e48215d5c2",
+    "T-02/report.md":
+        "8a9ab27b835471935adee98d6d0c737df6e88aa602d55e5331babc94c2dca455",
+    "T-03.log.jsonl":
+        "aae144aa0c8069383c9255d28740f4e8d970eda623c4b19cd58f41395b2c63bd",
+    "T-03/chart_00_bar.svg":
+        "de9b65bb8a094f41ec9ec2a0df2366c753557ce90230422c08dbdd3646bebe43",
+    "T-03/findings.json":
+        "5ab226fea4eb7316060e2d8bf45b28885eb5a07c954b72f3bb5b25b982952b01",
+    "T-03/report.md":
+        "3df9ee6100efb7a3d79b40f13231f80027aa34a50d3d1615618d5cc3c9969b15",
+    "T-04.log.jsonl":
+        "22222dad61af1c447d243ac2d74e70c46a82538a4fba8b55ad979270b4577190",
+    "T-04/chart_00_box.svg":
+        "69cfc046eb706391274b72872d994e80ca072a71d57daa8d7ae37124e6032b71",
+    "T-04/findings.json":
+        "7c124da64e09ca860b65637a829e19fbfbeb6571760bd42e8b5537362d57dfde",
+    "T-04/report.md":
+        "af6d997d256041682214e6c26ff602fd9e921795455474375bb084005aee376e",
+    "T-05.log.jsonl":
+        "b208064d947a9c582a54cca116e08bc07d4d31d3d50c5e05560bdae353a9a3f3",
+    "T-05/chart_00_box.svg":
+        "8cfd6a58502ba05561743780d042da157cb82efc0b36bc4ff4d3206bebc63c07",
+    "T-05/findings.json":
+        "5ed3d212ac59bb50f253dfd624179ccec72fdffdf067efbabfb34fb3ebc55dfb",
+    "T-05/report.md":
+        "25cc7d5b89d14326fc2b83227443e3ddad674d0a6c6c4f3444fa9269701f9a4e",
+    "T-06.log.jsonl":
+        "d6613b1a9c6009c81bfe88d805f60dae109c3565aafac4c43b5f1cabbdc0558a",
+    "T-06/chart_00_box.svg":
+        "042ef1659679ad3021fe2912ac1723d1457f8af3c8bb9eee184bcd46e270f20a",
+    "T-06/findings.json":
+        "1d088a581e78d8dcdd00f4d495eadec52561a03f26488d27774b0e47f49ea09a",
+    "T-06/report.md":
+        "0e84708a50a4d6c5e8788d5a85828cee325d4cc4644995b157e4cae7312eaffd",
+    "T-07.log.jsonl":
+        "3004c7c030fb721666c44f5201883b639f8bf92c60e12369f975f2b918688412",
+    "T-07/chart_00_stacked_bar.svg":
+        "aec9a6aa2c382e694dbbea00a29b1cb10a89936689366919038df62daaec6ddf",
+    "T-07/findings.json":
+        "e3c42afbc24bef63b3c5e6f20e5644857189fa3735c01f5cf6be5fa107bd4af7",
+    "T-07/report.md":
+        "437adfabcc073105ade2b9de7ff2d0e56cfdfe3bfe55a7f9aaeecdbd9aa5a467",
+    "T-08.log.jsonl":
+        "3a0357783ef4b08311ca464688e7de75f60ef2d19ef22fc97a62cb89ceb7471d",
+    "T-08/chart_00_box.svg":
+        "269ec38ca4a8a6bfd88fd499a2d5011345e9a7973d6b439df2f42881f57d260e",
+    "T-08/findings.json":
+        "3ba4178ee4503482e39de04c2bbd400d8f0df2cd6efcea23094fd5f18cd1a24c",
+    "T-08/report.md":
+        "37501a6493ef3da7dfc447c2b0c15486427a3948aaa959948194d3b1131442f0",
+    "T-09.log.jsonl":
+        "36ecad69574bf373356018b91033c82fa5cd8e6dde183cd5c6de45d4d3948087",
+    "T-09/chart_00_correlation_heatmap.svg":
+        "fb41786429f189db7d27f52791296c7d1de067ee2f63b97b7ea5a5b468eea8d2",
+    "T-09/findings.json":
+        "24778619cbd7404b4cd78ca95b860695b5e1db573393cc28ae31d1ec16c60557",
+    "T-09/report.md":
+        "15419944a1345e615822895a784874d9c164112311cccc822b597dc6c342b031",
+    "T-10.log.jsonl":
+        "75eb1f7ddaaf98b92189ad4cf7ccfee3896a31ee8dc4d9207576217926c13ad6",
+    "T-10/chart_00_stacked_bar.svg":
+        "ed9d6829bbea4c88263e38ccfc8872391b4802f009f08fa52bbf3201e3ce5dcb",
+    "T-10/findings.json":
+        "1d296b503159329d41a1d5728d0969b71b2e7565ec1392308d3fdd3404ef5aa5",
+    "T-10/report.md":
+        "1f1a0ffeb928e58b0ad5a45aecf4dd4aaf446da4b8697b750c50a7cd6ad1b75c",
+    "T-11.log.jsonl":
+        "93bbd443e10188b77e1a652df0bb753b99433cc01051c6ba8223b44187b9f2af",
+    "T-11/chart_00_box.svg":
+        "780cdc91d96de7640c493e58a9dc6cb90aeb9a010d0d6cd64085a25528e98f26",
+    "T-11/findings.json":
+        "79b2304506182834ddca5c4df34dca08c4481df66cc36cb730d3689ecedb6318",
+    "T-11/report.md":
+        "043568e19fc13ab24cc8360ceab5de0bac5356c2d09baaf028cb4687cc581b11",
+    "T-12.log.jsonl":
+        "9b7e6618caffed7d4bee43a89cf0900ce4f652e3f82ea2c4ad4d29c7fa38c501",
+    "T-12/chart_00_correlation_heatmap.svg":
+        "983faa644ba6122145928879cd0a30677912863cb3b5111229d86a80327bb2ff",
+    "T-12/findings.json":
+        "95e11470ad75a2cf5f56c4dc48a981ce31cd2c27f212022925a93a5e77a8bba4",
+    "T-12/report.md":
+        "2d54787e4c591e69da66c0679b6e14a48dc806e2f96471d67e172494566cf7a0",
+    "T-13.log.jsonl":
+        "f9166eb6ea2ca1ef6b556b54b1a8485200ce3ad4bab0666c832d874df8dd784f",
+    "T-13/chart_00_bar.svg":
+        "9df311634defbe4e2cf144d3828386d6a26a78dabf5221c9c24f60ab9a869a8d",
+    "T-13/findings.json":
+        "f75b1c99810a7251e69502499f721a4a8ee6b9385737610c5c09bec23bf30ada",
+    "T-13/report.md":
+        "8ceedd7e81f66a9e09c34ec0de4958db5ae6a9f67c110cfdf8a15a6d3caf4f0f",
+    "T-14.log.jsonl":
+        "3c94a45903287027552f985eb5a49c841665f30ad5d7dc0b284df1f1436e28d2",
+    "T-14/chart_00_correlation_heatmap.svg":
+        "fb41786429f189db7d27f52791296c7d1de067ee2f63b97b7ea5a5b468eea8d2",
+    "T-14/findings.json":
+        "47a41ceff06bd34a441f35afe901c7624ee55b0d6293b4d13cb940f3a5f8fc2a",
+    "T-14/report.md":
+        "430d0287688be264b9a83ab3ea490e60e407c450ff08b4f167d2bbab3a941dfc",
+    "T-15.log.jsonl":
+        "a2e9a110a540325575935beea75c25e090593396e839c40a8a342b86b9788737",
+    "T-15/chart_00_bar.svg":
+        "de9b65bb8a094f41ec9ec2a0df2366c753557ce90230422c08dbdd3646bebe43",
+    "T-15/findings.json":
+        "b56fa1ee336613bbec9c4dd0f21abf29bf0f71cda281859e4f6db17cd2fc9c75",
+    "T-15/report.md":
+        "817da082e6c1200808afb1348bdea551ea69f2470d9a9c147ab320d7238e3ea4",
+    "benchmark.md":
+        "193c5eba8377c3e738f06f16eb511baba9a7de2b0916eae3d3c6236d34718d13",
+    "results.json":
+        "7ea8984a0d75f97a718ccdf88428ceb445a8a537bc3cad1a643ca4a5fc54132d",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def tree_digests(root, tmp_dir) -> dict:
+    """Digest of every file under ``root`` by relative path, with
+    ``tmp_dir`` replaced by a fixed token."""
+    out = {}
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read().replace(os.fsencode(tmp_dir), TMP_TOKEN)
+            out[os.path.relpath(path, root).replace(os.sep, "/")] = sha256(data)
+    return out
+
+
+def run_digests(argv, tmp_dir) -> dict:
+    """Run the CLI from ``tmp_dir`` with ``--out out``; digests of its
+    stdout and of every file it wrote."""
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_dir)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main([*argv, "--out", "out"])
+    finally:
+        os.chdir(cwd)
+    assert code == 0
+    got = tree_digests(os.path.join(tmp_dir, "out"), tmp_dir)
+    got["<stdout>"] = sha256(stdout.getvalue().encode("utf-8"))
+    return got
+
+
+def detect_digests(features: str, tmp_dir) -> dict:
+    """``detect`` on a copy of the sample data named ``sample.csv``."""
+    shutil.copy(os.path.join(DATA, "sample.csv"), tmp_dir)
+    return run_digests(["detect", "sample.csv", "--features",
+                        *features.split()], tmp_dir)
+
+
+def bench_digests(tmp_dir) -> dict:
+    """``bench`` on a copy of the shipped taskset; its session logs name
+    the dataset by absolute path."""
+    for name in ("sample.csv", "sample_taskset.json"):
+        shutil.copy(os.path.join(DATA, name), tmp_dir)
+    return run_digests(["bench", os.path.join(tmp_dir, "sample_taskset.json")],
+                       tmp_dir)
+
+
+def check(got: dict, want: dict) -> None:
+    moved = {name: digest for name, digest in sorted(got.items())
+             if want.get(name) != digest}
+    gone = sorted(set(want) - set(got))
+    assert not moved and not gone, (
+        f"outputs moved (file: new digest): {moved}; files gone: {gone}")
+
+
+@pytest.mark.parametrize("features", sorted(DETECT))
+def test_detect_outputs_pinned(features, tmp_path):
+    check(detect_digests(features, str(tmp_path)), DETECT[features])
+
+
+def test_bench_outputs_pinned(tmp_path):
+    check(bench_digests(str(tmp_path)), BENCH)
