@@ -23,7 +23,6 @@ from .errors import (
 from .metrics import (
     SCENARIO_METRICS,
     BiasType,
-    MetricOptions,
     classify_scenario,
     run_metric,
 )
@@ -127,8 +126,8 @@ class GroundTruth:
     errors: tuple = ()
 
 
-def ground_truth(task: TaskSpec, thresholds: ThresholdTable = DEFAULT_TABLE,
-                 opts: MetricOptions = MetricOptions()) -> GroundTruth:
+def ground_truth(task: TaskSpec,
+                 thresholds: ThresholdTable = DEFAULT_TABLE) -> GroundTruth:
     """Oracle reference: run all five scenario metrics, take the max level."""
     table = load_table(task.dataset)
     subset = extract_columns(table, task.features)
@@ -139,7 +138,7 @@ def ground_truth(task: TaskSpec, thresholds: ThresholdTable = DEFAULT_TABLE,
     errors = []
     for metric_id in SCENARIO_METRICS[scenario]:
         try:
-            result = run_metric(metric_id, cols, opts)
+            result = run_metric(metric_id, cols)
             levels[metric_id] = map_to_level(metric_id, result, thresholds).value
         except BiasAuditError as exc:
             errors.append(f"{metric_id}: {exc}")
@@ -239,7 +238,7 @@ class HeuristicJudge:
                              if t in DETECTION_TOOLS}
         critiques = [e for e in events if e.actor == "advisor"]
         user_events = [e for e in events
-                       if e.actor == "user" and e.action in ("task", "message")]
+                       if e.actor == "user" and e.action == "task"]
         finish = next((e for e in events if e.action == "finish"), None)
         finished_complete = bool(finish and finish.payload.get("complete"))
         exhausted = any(e.action == "budget_exhausted" for e in events)
@@ -380,8 +379,7 @@ class BenchmarkReport:
                 "failures": [list(f) for f in self.failures]}
 
 
-def _run_one(task: TaskSpec, planner_factory, registry, thresholds, opts,
-             out_dir):
+def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir):
     context = TaskContext(question=task.question, dataset=task.dataset,
                           features=task.features, bias_type=task.bias_type)
     task_dir = None
@@ -389,15 +387,14 @@ def _run_one(task: TaskSpec, planner_factory, registry, thresholds, opts,
         task_dir = os.path.join(out_dir, task.id)
         os.makedirs(task_dir, exist_ok=True)
     report, log = run_session(context, planner_factory(), registry,
-                              thresholds=thresholds, opts=opts,
-                              out_dir=task_dir)
+                              thresholds=thresholds, out_dir=task_dir)
     if out_dir is not None:
         with open(os.path.join(out_dir, f"{task.id}.log.jsonl"), "w",
                   encoding="utf-8") as fh:
             fh.write(log.to_jsonl())
     if not report.complete or not report.findings:
         raise BiasAuditError("session produced no complete report")
-    truth = ground_truth(task, thresholds, opts)
+    truth = ground_truth(task, thresholds)
     return EndResultRecord(task_id=task.id,
                            predicted=report.headline.value,
                            truth=truth.y,
@@ -405,8 +402,7 @@ def _run_one(task: TaskSpec, planner_factory, registry, thresholds, opts,
 
 
 def run_benchmark(taskset, planner_factory, registry: ToolRegistry,
-                  thresholds: ThresholdTable = DEFAULT_TABLE,
-                  opts: MetricOptions = MetricOptions(), out_dir=None,
+                  thresholds: ThresholdTable = DEFAULT_TABLE, out_dir=None,
                   jobs: int = 1) -> BenchmarkReport:
     """Run every task through a session and score against the oracle.
 
@@ -422,7 +418,7 @@ def run_benchmark(taskset, planner_factory, registry: ToolRegistry,
     def attempt(task):
         try:
             return task, _run_one(task, planner_factory, registry, thresholds,
-                                  opts, out_dir), None
+                                  out_dir), None
         except BiasAuditError as exc:
             return task, None, f"{type(exc).__name__}: {exc}"
 

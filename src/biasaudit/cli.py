@@ -88,7 +88,8 @@ def _task_from_args(args) -> TaskContext:
         f"Audit feature(s) {', '.join(args.features)} of {args.dataset} "
         f"for bias.")
     return TaskContext(question=question, dataset=args.dataset,
-                       features=tuple(args.features), bias_type=bias_type)
+                       features=tuple(args.features), bias_type=bias_type,
+                       interactive=args.command == "repl")
 
 
 def _run_detect_session(args, config, out_dir):

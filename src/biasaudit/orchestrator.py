@@ -11,6 +11,7 @@ event's ``wall_ms`` is 0, so offline runs replay byte-identically.
 from __future__ import annotations
 
 import json
+import os
 import time
 import urllib.error
 import urllib.request
@@ -21,16 +22,13 @@ from . import methodlib
 from .errors import (
     BiasAuditError,
     EndOfInputError,
-    MetricError,
     NetworkError,
     PlannerError,
-    TableError,
     ToolError,
 )
 from .metrics import (
     SCENARIO_METRICS,
     BiasType,
-    MetricOptions,
     Scenario,
     base,
     cat_cat,
@@ -69,7 +67,6 @@ STAGE_ORDER = tuple(Stage)
 
 class ActionKind(str, Enum):
     INVOKE_TOOL = "invoke_tool"
-    ASK_USER = "ask_user"
     CONSULT_ADVISOR = "consult_advisor"
     TRANSITION = "transition"
     FINISH = "finish"
@@ -80,7 +77,6 @@ class Action:
     kind: ActionKind
     tool: str | None = None
     args: dict = field(default_factory=dict)
-    prompt: str = ""
     payload: dict = field(default_factory=dict)
     stage: Stage | None = None
     rationale: str = ""
@@ -90,8 +86,6 @@ class Action:
         if self.tool:
             rec["tool"] = self.tool
             rec["args"] = self.args
-        if self.prompt:
-            rec["prompt"] = self.prompt
         if self.payload:
             rec["payload"] = self.payload
         if self.stage:
@@ -125,7 +119,6 @@ class TaskContext:
     dataset: str
     features: tuple
     bias_type: BiasType = BiasType.UNSTATED
-    followups: tuple = ()
     interactive: bool = False
 
 
@@ -252,7 +245,6 @@ class SessionState:
     task: TaskContext
     registry: "ToolRegistry"
     thresholds: ThresholdTable
-    opts: MetricOptions
     out_dir: str | None
     library: list
     stage: Stage = Stage.USER_INPUT
@@ -263,7 +255,6 @@ class SessionState:
     charts: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     consulted: set = field(default_factory=set)
-    followup_index: int = 0
     last_failed_call: str | None = None
     log: SessionLog = field(default_factory=SessionLog)
 
@@ -342,7 +333,7 @@ def _make_detection_executor(metric_id):
         table = state.working_table()
         cols = [table.column(n) for n in state.task.features]
         state.attempted_metrics.append(metric_id)
-        result = run_metric(metric_id, cols, state.opts)
+        result = run_metric(metric_id, cols)
         level = map_to_level(metric_id, result, state.thresholds)
         state.findings.append(Finding.from_result(result, level))
         record = result.to_record()
@@ -384,7 +375,7 @@ def _chart_data(state: SessionState, kind: ChartKind) -> ChartSpec:
         raise ToolError("correlation heatmap needs two numerical features")
     labels = [c.name for c in nums]
     matrix = [[1.0 if i == j else
-               num_num.pearson(nums[i], nums[j], state.opts).raw["r"]
+               num_num.pearson(nums[i], nums[j]).raw["r"]
                for j in range(len(nums))] for i in range(len(nums))]
     return ChartSpec(kind, {"labels": labels, "matrix": matrix}, title=title)
 
@@ -393,21 +384,15 @@ def _make_chart_executor(kind):
     def executor(state: SessionState, **_args):
         spec = _chart_data(state, kind)
         filename = f"chart_{len(state.charts):02d}_{kind.value}.svg"
-        if state.out_dir is not None:
-            import os
-            path = os.path.join(state.out_dir, filename)
-            render_chart(spec, path)
-        else:
-            state.artifacts.setdefault("chart_markup", {})[filename] = \
-                render_chart(spec)
+        render_chart(spec, None if state.out_dir is None
+                     else os.path.join(state.out_dir, filename))
         state.charts.append(filename)
         return {"file": filename, "kind": kind.value}
     return executor
 
 
-def _tool_get_user_input(state: SessionState, prompt=""):
-    message = get_user_input(state)
-    return {"message": message}
+def _tool_get_user_input(state: SessionState, prompt: str = ""):
+    return {"message": get_user_input(state, prompt)}
 
 
 def _tool_get_all_reference_intentions(state: SessionState):
@@ -438,7 +423,6 @@ def _tool_generate_bias_report(state: SessionState, **_args):
     )
     state.artifacts["report"] = report
     if state.out_dir is not None:
-        import os
         with open(os.path.join(state.out_dir, "report.md"), "w",
                   encoding="utf-8") as fh:
             fh.write(report.to_markdown())
@@ -506,24 +490,24 @@ def build_registry() -> ToolRegistry:
 # User input
 # --------------------------------------------------------------------------
 
-def get_user_input(state: SessionState, reader=None) -> str:
-    """Next user message: scripted follow-ups in batch mode, stdin otherwise."""
-    if state.task.interactive:
-        reader = reader or input
-        while True:
-            try:
-                message = reader("> ")
-            except EOFError:
-                raise EndOfInputError("stdin closed") from None
-            if message is None:
-                raise EndOfInputError("no more input")
-            if str(message).strip():
-                return str(message)
-    if state.followup_index < len(state.task.followups):
-        message = state.task.followups[state.followup_index]
-        state.followup_index += 1
-        return message
-    raise EndOfInputError("scripted follow-ups exhausted")
+def get_user_input(state: SessionState, prompt: str = "", reader=None) -> str:
+    """The user's next non-blank line, read after showing ``prompt``.
+
+    Only an interactive session (``repl``) has a user to ask; elsewhere this
+    raises :class:`EndOfInputError`.
+    """
+    if not state.task.interactive:
+        raise EndOfInputError("no user to ask: the session is not interactive")
+    reader = reader or input
+    while True:
+        try:
+            message = reader(f"{prompt} > " if prompt else "> ")
+        except EOFError:
+            raise EndOfInputError("stdin closed") from None
+        if message is None:
+            raise EndOfInputError("no more input")
+        if str(message).strip():
+            return str(message)
 
 
 # --------------------------------------------------------------------------
@@ -655,9 +639,6 @@ class RulePlanner:
             return Action(ActionKind.CONSULT_ADVISOR,
                           payload={"kind": "report"},
                           rationale="advisor check before finishing")
-        if task.interactive and state.followup_index < len(task.followups):
-            return Action(ActionKind.ASK_USER, prompt="Any further requests?",
-                          rationale="interactive feedback round")
         return Action(ActionKind.FINISH, rationale="task complete")
 
 
@@ -702,7 +683,6 @@ def _default_transport(url, headers, payload, timeout_s):
 def chat_complete(messages, tool_descriptions, config: ChatConfig,
                   transport=None, sleep=time.sleep) -> dict:
     """One chat-completion round trip with retry/backoff on network errors."""
-    import os
     transport = transport or _default_transport
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(config.key_env, "")
@@ -835,14 +815,12 @@ def _incomplete_report(state: SessionState) -> ReportDocument:
 
 def run_session(task: TaskContext, planner, registry: ToolRegistry,
                 budget: int = 64, thresholds: ThresholdTable = DEFAULT_TABLE,
-                opts: MetricOptions = MetricOptions(), out_dir=None,
-                library=None):
+                out_dir=None, library=None):
     """Drive one workflow session to a report and a structured log."""
     if library is None:
         library = methodlib.builtin_library()
     state = SessionState(task=task, registry=registry, thresholds=thresholds,
-                         opts=opts, out_dir=out_dir, library=library,
-                         budget=budget)
+                         out_dir=out_dir, library=library, budget=budget)
     log = state.log
     log.append(Stage.USER_INPUT, "user", "task",
                {"question": task.question, "dataset": task.dataset,
@@ -905,13 +883,6 @@ def _execute(action: Action, state: SessionState, log: SessionLog):
         state.consulted.add(action.payload.get("kind"))
         log.append(state.stage, "advisor", "critique", critique.to_record())
         return
-    if action.kind is ActionKind.ASK_USER:
-        try:
-            message = get_user_input(state)
-            log.append(state.stage, "user", "message", {"text": message})
-        except EndOfInputError:
-            log.append(state.stage, "user", "end_of_input", {})
-        return
     # InvokeTool
     entry = state.registry.get(action.tool)
     call_key = json.dumps([action.tool, action.args], sort_keys=True)
@@ -920,7 +891,7 @@ def _execute(action: Action, state: SessionState, log: SessionLog):
         state.last_failed_call = None
         log.append(state.stage, "tool", "result",
                    {"tool": action.tool, "ok": True, "result": result})
-    except (MetricError, TableError, ToolError, BiasAuditError) as exc:
+    except BiasAuditError as exc:
         state.errors.append(f"{action.tool}: {exc}")
         log.append(state.stage, "tool", "result",
                    {"tool": action.tool, "ok": False, "error": str(exc)})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, MetricError
-from .metrics import SCENARIO_METRICS, MetricOptions, Scenario, run_metric
+from .metrics import SCENARIO_METRICS, Scenario, run_metric
 from .severity import ThresholdTable, calibrate
 from .tabular import Kind, Table, from_columns
 
@@ -155,8 +155,7 @@ def grade_suite(scenario: Scenario, levels, base_seed: int = 7):
     return suite
 
 
-def collect_calibration_samples(suite, initial: ThresholdTable,
-                                opts: MetricOptions = MetricOptions()) -> dict:
+def collect_calibration_samples(suite, initial: ThresholdTable) -> dict:
     """Evaluate the scenario metrics over a graded suite.
 
     Returns metric_id -> {level: [transformed raw values]} suitable for
@@ -169,7 +168,7 @@ def collect_calibration_samples(suite, initial: ThresholdTable,
         cols = table.columns
         for metric_id in SCENARIO_METRICS[spec.scenario]:
             try:
-                result = run_metric(metric_id, cols, opts)
+                result = run_metric(metric_id, cols)
             except MetricError:
                 continue
             band = initial.band(metric_id)

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from biasaudit import synthgen
+from biasaudit import cli, synthgen
 from biasaudit.cli import main
+from biasaudit.orchestrator import Action, ActionKind, ScriptedPlanner, SessionLog
 from biasaudit.severity import DEFAULT_TABLE, CalibrationReport
 
 
@@ -133,6 +134,41 @@ class TestRepl:
         code = self.run_repl(cat_csv, monkeypatch, [])
         assert code == 0
         assert "1 report(s) produced" in capsys.readouterr().err
+
+
+class TestUserInputTool:
+    """Only ``repl`` has a user for a planner's ``get_user_input_tool``."""
+
+    def tool_result(self, command, cat_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_planner", lambda config: ScriptedPlanner([
+            Action(ActionKind.INVOKE_TOOL, tool="get_user_input_tool",
+                   args={"prompt": "Which group?"})]))
+        self.prompts = []
+        replies = iter(["", "only group b", "quit"])
+
+        def fake_input(prompt=""):
+            self.prompts.append(prompt)
+            return next(replies)
+
+        monkeypatch.setattr("builtins.input", fake_input)
+        out = tmp_path / "out"
+        main([command, cat_csv, "--features", "group", "--out", str(out)])
+        log = SessionLog.from_jsonl(
+            (out / "session.log.jsonl").read_text(encoding="utf-8"))
+        [result] = [e.payload for e in log.events if e.action == "result"]
+        return result
+
+    def test_repl_reads_the_next_line(self, cat_csv, tmp_path, monkeypatch):
+        result = self.tool_result("repl", cat_csv, tmp_path, monkeypatch)
+        assert result == {"tool": "get_user_input_tool", "ok": True,
+                          "result": {"message": "only group b"}}
+        assert self.prompts[:2] == ["Which group? > "] * 2
+
+    def test_detect_logs_a_failed_call(self, cat_csv, tmp_path, monkeypatch):
+        result = self.tool_result("detect", cat_csv, tmp_path, monkeypatch)
+        assert result["ok"] is False
+        assert "not interactive" in result["error"]
+        assert self.prompts == []
 
 
 class TestBench:

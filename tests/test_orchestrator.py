@@ -8,7 +8,7 @@ from biasaudit.errors import (
     NetworkError,
     PlannerError,
 )
-from biasaudit.metrics import BiasType, MetricOptions, Scenario
+from biasaudit.metrics import BiasType, Scenario
 from biasaudit.orchestrator import (
     CHART_TOOLS,
     DETECTION_TOOLS,
@@ -219,8 +219,7 @@ class TestRulePlanner:
 class TestAdvisor:
     def state(self, registry):
         return SessionState(task=cat_task("unused.csv"), registry=registry,
-                            thresholds=DEFAULT_TABLE, opts=MetricOptions(),
-                            out_dir=None, library=[])
+                            thresholds=DEFAULT_TABLE, out_dir=None, library=[])
 
     def test_plan_missing_metrics_revise(self, registry):
         payload = {"kind": "plan", "scenario": "cat_dist",
@@ -261,14 +260,7 @@ class TestGetUserInput:
     def state(self, registry, **kw):
         return SessionState(task=cat_task("unused.csv", **kw),
                             registry=registry, thresholds=DEFAULT_TABLE,
-                            opts=MetricOptions(), out_dir=None, library=[])
-
-    def test_scripted_followups_then_exhaustion(self, registry):
-        state = self.state(registry, followups=("first", "second"))
-        assert get_user_input(state) == "first"
-        assert get_user_input(state) == "second"
-        with pytest.raises(EndOfInputError):
-            get_user_input(state)
+                            out_dir=None, library=[])
 
     def test_interactive_echo(self, registry):
         state = self.state(registry, interactive=True)
@@ -301,8 +293,7 @@ class TestChatPlanner:
 
     def state(self, registry):
         return SessionState(task=cat_task("unused.csv"), registry=registry,
-                            thresholds=DEFAULT_TABLE, opts=MetricOptions(),
-                            out_dir=None, library=[])
+                            thresholds=DEFAULT_TABLE, out_dir=None, library=[])
 
     def test_tool_call_reply(self, registry):
         transport = lambda url, headers, payload, t: reply_with_tool(
