@@ -70,7 +70,6 @@ class TaskSpec:
     question: str
     bias_type: BiasType
     features: tuple
-    significance: str = ""
 
     def __post_init__(self):
         check_feature_count(f"task {self.id}", self.bias_type, self.features)
@@ -78,13 +77,6 @@ class TaskSpec:
     @property
     def type_label(self) -> str:
         return _BIAS_TYPE_OUT[self.bias_type]
-
-    def to_record(self) -> dict:
-        return {"id": self.id, "dataset": self.dataset,
-                "question": self.question,
-                "bias_type": self.type_label.lower(),
-                "features": list(self.features),
-                "significance": self.significance}
 
 
 def load_taskset(path) -> list:
@@ -109,8 +101,7 @@ def load_taskset(path) -> list:
             tasks.append(TaskSpec(
                 id=str(rec["id"]), dataset=dataset,
                 question=str(rec["question"]), bias_type=bias_type,
-                features=tuple(rec["features"]),
-                significance=str(rec.get("significance", ""))))
+                features=tuple(rec["features"])))
         except KeyError as exc:
             raise SchemaError(f"taskset entry {i}: missing field {exc}") from exc
     ids = [t.id for t in tasks]
