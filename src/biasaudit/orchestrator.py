@@ -10,6 +10,7 @@ event's ``wall_ms`` is 0, so offline runs replay byte-identically.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import time
@@ -181,9 +182,24 @@ def _jsonable(obj):
 @dataclass(frozen=True)
 class ToolEntry:
     name: str
-    signature: str
     description: str
     executor: object  # callable(SessionState, **args) -> json payload
+    params: tuple     # the keyword arguments the executor takes
+
+    @property
+    def signature(self) -> str:
+        return f"({', '.join(self.params)})"
+
+    def checked_args(self, args) -> dict:
+        """``args`` if the tool takes them, else a :class:`ToolError`."""
+        if not isinstance(args, dict):
+            raise ToolError(f"{self.name} takes keyword arguments, "
+                            f"got {args!r}")
+        unknown = [k for k in args if k not in self.params]
+        if unknown:
+            raise ToolError(f"{self.name}{self.signature} has no "
+                            f"parameter(s) {unknown}")
+        return args
 
 
 @dataclass(frozen=True)
@@ -300,12 +316,21 @@ def _tool_extract_two_columns(state: SessionState, column_a=None, column_b=None)
     return _extract(state, [column_a, column_b])
 
 
+def _choice(enum_cls, value):
+    """The member of ``enum_cls`` with ``value``, else a :class:`ToolError`."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise ToolError(f"{value!r} is not one of "
+                        f"{[m.value for m in enum_cls]}") from None
+
+
 def _tool_clean_missing_values(state: SessionState, columns=None, mode="drop_row"):
     table = state.artifacts.get("subset") or state.artifacts.get("table")
     if table is None:
         raise ToolError("nothing to clean: no table loaded")
     result = clean_missing(table, columns or table.column_names,
-                           CleaningMode(mode))
+                           _choice(CleaningMode, mode))
     state.artifacts["clean"] = result.table
     return {"rows": result.table.row_count,
             "cells_changed": result.cells_changed,
@@ -314,14 +339,15 @@ def _tool_clean_missing_values(state: SessionState, columns=None, mode="drop_row
 
 def _tool_normalize_or_standardize(state: SessionState, column=None, mode="standardize"):
     table = state.working_table()
-    out = normalize_or_standardize(table, column, NormalizeMode(mode))
+    out = normalize_or_standardize(table, column,
+                                   _choice(NormalizeMode, mode))
     state.artifacts["clean"] = out
     return {"column": column, "mode": mode}
 
 
 def _tool_group_and_aggregate(state: SessionState, by=None, target=None, fn="mean"):
     table = state.working_table()
-    out = group_and_aggregate(table, by, target, AggregateFn(fn))
+    out = group_and_aggregate(table, by, target, _choice(AggregateFn, fn))
     by_col, agg_col = out.columns
     return {"groups": out.row_count,
             "rows": [{by_col.name: key, agg_col.name: value} for key, value in
@@ -329,7 +355,7 @@ def _tool_group_and_aggregate(state: SessionState, by=None, target=None, fn="mea
 
 
 def _make_detection_executor(metric_id):
-    def executor(state: SessionState, **_args):
+    def executor(state: SessionState):
         table = state.working_table()
         cols = [table.column(n) for n in state.task.features]
         state.attempted_metrics.append(metric_id)
@@ -381,7 +407,7 @@ def _chart_data(state: SessionState, kind: ChartKind) -> ChartSpec:
 
 
 def _make_chart_executor(kind):
-    def executor(state: SessionState, **_args):
+    def executor(state: SessionState):
         spec = _chart_data(state, kind)
         filename = f"chart_{len(state.charts):02d}_{kind.value}.svg"
         render_chart(spec, None if state.out_dir is None
@@ -405,7 +431,7 @@ def _tool_get_reference_method_by_id(state: SessionState, method_id=None):
     return entry.to_record()
 
 
-def _tool_generate_bias_report(state: SessionState, **_args):
+def _tool_generate_bias_report(state: SessionState):
     citations = [
         e.id for e in methodlib.retrieve(
             state.library,
@@ -437,49 +463,50 @@ def build_registry() -> ToolRegistry:
     """The built-in offline toolset (no generated-code execution)."""
     entries = {}
 
-    def add(name, signature, description, executor):
-        entries[name] = ToolEntry(name, signature, description, executor)
+    def add(name, description, executor):
+        params = tuple(inspect.signature(executor).parameters)[1:]
+        entries[name] = ToolEntry(name, description, executor, params)
 
-    add("get_csv_features", "(path)",
+    add("get_csv_features",
         "Reads a CSV file and returns all feature names.",
         _tool_get_csv_features)
-    add("load_csv_file", "(path)",
+    add("load_csv_file",
         "Loads a CSV file into the session as a typed table.",
         _tool_load_csv_file)
-    add("extract_single_column", "(column)",
+    add("extract_single_column",
         "Extracts a single column into the working subset.",
         _tool_extract_single_column)
-    add("extract_two_columns", "(column_a, column_b)",
+    add("extract_two_columns",
         "Extracts two columns into the working subset.",
         _tool_extract_two_columns)
-    add("clean_missing_values", "(columns, mode)",
+    add("clean_missing_values",
         "Cleans missing or invalid values from the working subset.",
         _tool_clean_missing_values)
-    add("normalize_or_standardize_data", "(column, mode)",
+    add("normalize_or_standardize_data",
         "Normalizes or standardizes a numerical column.",
         _tool_normalize_or_standardize)
-    add("group_and_aggregate", "(by, target, fn)",
+    add("group_and_aggregate",
         "Groups by one column and aggregates another.",
         _tool_group_and_aggregate)
     for tool_name, metric_id in DETECTION_TOOLS.items():
-        add(tool_name, "()",
+        add(tool_name,
             f"Runs the {metric_id} bias metric on the task features and maps "
             f"the result to a severity level.",
             _make_detection_executor(metric_id))
     for tool_name, kind in CHART_TOOLS.items():
-        add(tool_name, "()",
+        add(tool_name,
             f"Renders a {kind.value} chart of the task features to SVG.",
             _make_chart_executor(kind))
-    add("get_user_input_tool", "(prompt)",
+    add("get_user_input_tool",
         "Captures user input during an interaction.",
         _tool_get_user_input)
-    add("get_all_reference_intentions", "()",
+    add("get_all_reference_intentions",
         "Lists all method-library entries as (id, intention) pairs.",
         _tool_get_all_reference_intentions)
-    add("get_reference_method_by_id", "(method_id)",
+    add("get_reference_method_by_id",
         "Fetches one method-library entry by its id.",
         _tool_get_reference_method_by_id)
-    add("generate_bias_report", "()",
+    add("generate_bias_report",
         "Assembles the findings, charts, and recommendations into the "
         "detection report (markdown + JSON).",
         _tool_generate_bias_report)
@@ -772,6 +799,8 @@ class ChatPlanner:
                 args = json.loads(fn.get("arguments") or "{}")
             except json.JSONDecodeError:
                 return None
+            if not isinstance(args, dict):
+                return None
             return Action(ActionKind.INVOKE_TOOL, tool=name, args=args,
                           rationale="chat planner tool call")
         content = (message.get("content") or "").strip()
@@ -887,7 +916,7 @@ def _execute(action: Action, state: SessionState, log: SessionLog):
     entry = state.registry.get(action.tool)
     call_key = json.dumps([action.tool, action.args], sort_keys=True)
     try:
-        result = entry.executor(state, **action.args)
+        result = entry.executor(state, **entry.checked_args(action.args))
         state.last_failed_call = None
         log.append(state.stage, "tool", "result",
                    {"tool": action.tool, "ok": True, "result": result})

@@ -7,6 +7,7 @@ from biasaudit.errors import (
     MalformedLogError,
     NetworkError,
     PlannerError,
+    ToolError,
 )
 from biasaudit.metrics import BiasType, Scenario
 from biasaudit.orchestrator import (
@@ -185,6 +186,47 @@ class TestRunSession:
         assert "skewness is a num_dist metric" in failed[0]["error"]
 
 
+# Calls a chat planner may make that name an unknown parameter, pass a
+# non-object as the arguments, or give an enum value outside the allowed set.
+MALFORMED_CALLS = [
+    ("load_csv_file", {"file": "data.csv"}, "has no parameter(s) ['file']"),
+    ("load_csv_file", [1], "takes keyword arguments, got [1]"),
+    ("clean_missing_values", {"mode": "drop"}, "'drop' is not one of"),
+    ("normalize_or_standardize_data", {"column": "group", "mode": "zscore"},
+     "'zscore' is not one of"),
+    ("group_and_aggregate", {"by": "group", "target": "group", "fn": "avg"},
+     "'avg' is not one of"),
+]
+MALFORMED_IDS = ["unknown-param", "array-args", "cleaning-mode",
+                 "normalize-mode", "aggregate-fn"]
+
+
+class TestMalformedToolCalls:
+    @pytest.mark.parametrize("tool,args,message", MALFORMED_CALLS,
+                             ids=MALFORMED_IDS)
+    def test_failed_result_not_a_crash(self, registry, cat_csv, tool, args,
+                                       message):
+        script = list(CANONICAL_DISTRIBUTION_SCRIPT)
+        script.insert(2, Action(ActionKind.INVOKE_TOOL, tool=tool, args=args))
+        report, log = run_session(cat_task(cat_csv), ScriptedPlanner(script),
+                                  registry)
+        assert report.complete
+        failed = [e.payload for e in log.events
+                  if e.action == "result" and not e.payload["ok"]]
+        assert [f["tool"] for f in failed] == [tool]
+        assert message in failed[0]["error"]
+
+    @pytest.mark.parametrize("tool,args,message", MALFORMED_CALLS,
+                             ids=MALFORMED_IDS)
+    def test_same_call_twice_raises(self, registry, cat_csv, tool, args,
+                                    message):
+        call = Action(ActionKind.INVOKE_TOOL, tool=tool, args=args)
+        script = CANONICAL_DISTRIBUTION_SCRIPT[:2] + [call, call]
+        with pytest.raises(ToolError) as info:
+            run_session(cat_task(cat_csv), ScriptedPlanner(script), registry)
+        assert message in str(info.value)
+
+
 class TestRulePlanner:
     def test_eighteen_action_policy(self, registry, cat_csv):
         report, log = run_session(cat_task(cat_csv), RulePlanner(), registry)
@@ -303,6 +345,12 @@ class TestChatPlanner:
         assert action.kind is ActionKind.INVOKE_TOOL
         assert action.tool == "load_csv_file"
         assert action.args == {"path": "d.csv"}
+
+    def test_non_object_arguments_unparseable(self, registry):
+        transport = lambda *a: reply_with_tool("load_csv_file", "[1]")
+        with pytest.raises(PlannerError):
+            ChatPlanner(self.config, transport=transport).next(
+                self.state(registry))
 
     def test_transition_reply(self, registry):
         transport = lambda *a: reply_with_text("TRANSITION: preprocessing")
