@@ -93,15 +93,27 @@ def load_taskset(path) -> list:
     base = os.path.dirname(os.path.abspath(path))
     tasks = []
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise SchemaError(f"taskset entry {i}: expected an object, "
+                              f"got {rec!r}")
         try:
-            bias_type = _BIAS_TYPE_IN[str(rec["bias_type"]).lower()]
+            bias_type = _BIAS_TYPE_IN.get(str(rec["bias_type"]).lower())
+            if bias_type is None:
+                raise SchemaError(f"taskset entry {i}: bias_type must be one "
+                                  f"of {list(_BIAS_TYPE_IN)}, got "
+                                  f"{rec['bias_type']!r}")
             dataset = str(rec["dataset"])
             if not os.path.isabs(dataset):
                 dataset = os.path.join(base, dataset)
+            features = rec["features"]
+            if (not isinstance(features, list)
+                    or not all(isinstance(f, str) for f in features)):
+                raise SchemaError(f"taskset entry {i}: features must be a "
+                                  f"list of column names, got {features!r}")
             tasks.append(TaskSpec(
                 id=str(rec["id"]), dataset=dataset,
                 question=str(rec["question"]), bias_type=bias_type,
-                features=tuple(rec["features"])))
+                features=tuple(features)))
         except KeyError as exc:
             raise SchemaError(f"taskset entry {i}: missing field {exc}") from exc
     ids = [t.id for t in tasks]

@@ -54,9 +54,16 @@ def load_config(path) -> Config:
     if path is None:
         return Config()
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return Config(**{k: raw[k] for k in raw
-                     if k in Config.__dataclass_fields__})
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise BiasAuditError(f"config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise BiasAuditError(f"config {path}: expected a JSON object")
+    unknown = sorted(set(raw) - set(Config.__dataclass_fields__))
+    if unknown:
+        raise BiasAuditError(f"config {path}: unknown key(s) {unknown}")
+    return Config(**raw)
 
 
 def _thresholds(config: Config) -> ThresholdTable:
@@ -176,9 +183,12 @@ def cmd_methods(args, config: Config) -> int:
         print(json.dumps(entry.to_record(), indent=2))
         return 0
     # search
-    query = methodlib.RetrievalQuery(scenario=Scenario(args.scenario),
-                                     free_text=args.query or "",
-                                     top_k=args.top_k)
+    try:
+        query = methodlib.RetrievalQuery(scenario=Scenario(args.scenario),
+                                         free_text=args.query or "",
+                                         top_k=args.top_k)
+    except ValueError as exc:
+        raise BiasAuditError(f"--top-k: {exc}") from exc
     for entry in methodlib.retrieve(library, query):
         print(f"{entry.id}\t{entry.intention}")
     return 0

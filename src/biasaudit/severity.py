@@ -12,8 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import CalibrationError, UnknownMetricError
-from .metrics import MetricResult
+from .errors import CalibrationError, SchemaError, UnknownMetricError
+from .metrics import ALL_METRIC_IDS, MetricResult
 
 LEVEL_LABELS = {
     1: "most balanced",
@@ -83,12 +83,24 @@ class ThresholdTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ThresholdTable":
-        payload = json.loads(text)
-        bands = {
-            mid: MetricBand(b["raw_key"], b["transform"], tuple(b["cuts"]))
-            for mid, b in payload["bands"].items()
-        }
-        return cls(bands=bands, version=payload.get("version", "unversioned"))
+        """Parse :meth:`to_json` output; a malformed table, or one without
+        a band for every metric, raises :class:`SchemaError`."""
+        try:
+            payload = json.loads(text)
+            bands = {
+                mid: MetricBand(b["raw_key"], b["transform"],
+                                tuple(map(float, b["cuts"])))
+                for mid, b in payload["bands"].items()
+            }
+            version = payload.get("version", "unversioned")
+        except KeyError as exc:
+            raise SchemaError(f"threshold table: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"threshold table: {exc}") from exc
+        missing = [m for m in ALL_METRIC_IDS if m not in bands]
+        if missing:
+            raise SchemaError(f"threshold table: no band for {missing}")
+        return cls(bands=bands, version=version)
 
 
 def map_to_level(metric_id: str, result: MetricResult,

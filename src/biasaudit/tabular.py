@@ -27,6 +27,7 @@ from .errors import (
     DuplicateHeaderError,
     EmptyFileError,
     NonNumericalTargetError,
+    ParseError,
     RaggedRowError,
     UnknownColumnError,
 )
@@ -289,6 +290,10 @@ def split_by_code(codes: np.ndarray, values: np.ndarray, k: int = 0) -> list:
                     np.cumsum(sizes)[:-1])
 
 
+def _unreadable(path, exc) -> ParseError:
+    return ParseError(f"{path}: cannot read as UTF-8 CSV: {exc}")
+
+
 def list_features(path) -> list:
     """Return the header names of a CSV file, in file order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -297,6 +302,8 @@ def list_features(path) -> list:
             header = next(reader)
         except StopIteration:
             raise EmptyFileError(f"{path}: no header row") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _unreadable(path, exc) from exc
     if not header or all(h.strip() == "" for h in header):
         raise EmptyFileError(f"{path}: empty header row")
     if len(set(header)) != len(header):
@@ -331,9 +338,12 @@ def load_table(path, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -> Table:
     header = list_features(path)
     na = frozenset(na_tokens)
     parsers = [_ColumnParser(na) for _ in header]
-    for block in _csv_blocks(path, len(header)):
-        for parser, cells in zip(parsers, zip(*block)):
-            parser.add(cells)
+    try:
+        for block in _csv_blocks(path, len(header)):
+            for parser, cells in zip(parsers, zip(*block)):
+                parser.add(cells)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _unreadable(path, exc) from exc
     columns = []
     for i, name in enumerate(header):
         columns.append(parsers[i].column(name, lambda i=i: (

@@ -291,3 +291,66 @@ class TestConfig:
         code = main(["--config", str(config), "detect", cat_csv,
                      "--features", "group", "--bias-type", "distribution"])
         assert code == 0
+
+
+def _band(**fields):
+    band = {"raw_key": "G_norm", "transform": "one_minus",
+            "cuts": [0.1, 0.25, 0.5, 0.75]}
+    band.update(fields)
+    return json.dumps({"bands": {"gini": band}})
+
+
+_DETECT = ["detect", "{tmp}/cat.csv", "--features", "group"]
+_WITH_THRESHOLDS = ["--config", "{tmp}/config.json", *_DETECT]
+_THRESHOLDS_CONFIG = {"config.json": '{"thresholds_path": "{tmp}/t.json"}'}
+
+# (id, files written to the temporary directory, argv, text the error names);
+# "{tmp}" stands for that directory in file texts and argv.
+BAD_INPUTS = [
+    ("top-k-zero", {},
+     ["methods", "search", "--scenario", "cat_dist", "--top-k", "0"],
+     "top_k must be >= 1"),
+    ("csv-not-utf8", {"data.csv": b"group\n\xe9t\xe9\n"},
+     ["detect", "{tmp}/data.csv", "--features", "group"], "utf-8"),
+    ("thresholds-not-json", {**_THRESHOLDS_CONFIG, "t.json": "{"},
+     _WITH_THRESHOLDS, "threshold table"),
+    ("thresholds-flat-cuts", {**_THRESHOLDS_CONFIG, "t.json": _band(
+        cuts=[1, 1, 1, 1])}, _WITH_THRESHOLDS, "strictly increasing"),
+    ("thresholds-bad-transform", {**_THRESHOLDS_CONFIG, "t.json": _band(
+        transform="cube")}, _WITH_THRESHOLDS, "unknown transform 'cube'"),
+    ("thresholds-no-bands", {**_THRESHOLDS_CONFIG, "t.json": '{"bands": {}}'},
+     _WITH_THRESHOLDS, "no band for"),
+    ("config-not-json", {"config.json": "{"}, _WITH_THRESHOLDS, "config"),
+    ("config-list", {"config.json": "[]"}, _WITH_THRESHOLDS,
+     "expected a JSON object"),
+    ("config-unknown-key", {"config.json": '{"threshold_path": "t.json"}'},
+     _WITH_THRESHOLDS, "unknown key(s) ['threshold_path']"),
+    ("taskset-entry-not-object", {"tasks.json": '["x"]'},
+     ["bench", "{tmp}/tasks.json"], "taskset entry 0"),
+    ("taskset-features-string", {"tasks.json": json.dumps([
+        {"id": "T-1", "dataset": "cat.csv", "question": "q",
+         "bias_type": "distribution", "features": "group"}])},
+     ["bench", "{tmp}/tasks.json"], "features must be a list"),
+    ("taskset-unknown-bias-type", {"tasks.json": json.dumps([
+        {"id": "T-1", "dataset": "cat.csv", "question": "q",
+         "bias_type": "distrib", "features": ["group"]}])},
+     ["bench", "{tmp}/tasks.json"], "bias_type must be one of"),
+]
+
+
+@pytest.mark.parametrize("files,argv,message",
+                         [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, files,
+                                                 argv, message):
+    tmp = str(tmp_path)
+    (tmp_path / "cat.csv").write_text("group\na\na\nb\n", encoding="utf-8")
+    for name, content in files.items():
+        if isinstance(content, str):
+            content = content.replace("{tmp}", tmp).encode("utf-8")
+        (tmp_path / name).write_bytes(content)
+    code = main([arg.replace("{tmp}", tmp) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
