@@ -6,6 +6,12 @@ tool result, critique, and stage transition lands in the session log.
 The Primary/Advisor split is a role protocol within the loop, not two
 processes; the rule planner and rule advisor are deterministic and every
 event's ``wall_ms`` is 0, so offline runs replay byte-identically.
+
+A planner asks the user through ``get_user_input_tool``. In an interactive
+session (``repl``) the tool reads the user's next line; in ``detect`` and
+``bench`` there is no user, and the call is a failed tool result. A tool
+call the tool cannot take (an unknown parameter, or a value outside an
+enum) is a failed tool result too.
 """
 
 from __future__ import annotations
