@@ -80,13 +80,11 @@ class TaskSpec:
 
 
 def load_taskset(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.strip():
-        return []
     try:
-        records = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        records = json.loads(text) if text.strip() else []
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"taskset {path}: {exc}") from exc
     if not isinstance(records, list):
         raise SchemaError(f"taskset {path}: expected a list of tasks")

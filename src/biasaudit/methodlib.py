@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -78,8 +76,11 @@ class RetrievalQuery:
 
 
 def load_library(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"library {path}: {exc}") from exc
     if not isinstance(payload, list):
         raise SchemaError(f"{path}: library file must hold a list of records")
     entries = []
@@ -91,22 +92,6 @@ def load_library(path) -> list:
         seen.add(entry.id)
         entries.append(entry)
     return entries
-
-
-def save_library(entries, path) -> None:
-    """Persist atomically: write to a temp file, then rename into place."""
-    payload = [e.to_record() for e in entries]
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, ensure_ascii=False)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def builtin_library() -> list:
@@ -125,17 +110,6 @@ def get_method_by_id(entries, method_id: str) -> MethodEntry:
         if e.id == method_id:
             return e
     raise UnknownIdError(f"no method with id {method_id!r} (lookup is case-sensitive)")
-
-
-def add_entry(entries, entry: MethodEntry, path=None) -> list:
-    """Return the extended library; persists when a path is given."""
-    if any(e.id == entry.id for e in entries):
-        raise DuplicateIdError(f"method id {entry.id!r} already present")
-    MethodEntry.from_record(entry.to_record())  # re-validate
-    extended = list(entries) + [entry]
-    if path is not None:
-        save_library(extended, path)
-    return extended
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")

@@ -7,7 +7,6 @@ from ..tabular import Column, Kind
 from . import cat_cat, cat_dist, cat_num, num_dist, num_num
 from .base import (
     BiasType,
-    MetricOptions,
     MetricResult,
     Scenario,
     classify_scenario,
@@ -32,12 +31,14 @@ def scenario_of_metric(metric_id: str) -> Scenario:
     raise UnknownMetricError(f"unknown metric {metric_id!r}")
 
 
-def run_metric(metric_id: str, cols, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def run_metric(metric_id: str, cols, **inputs) -> MetricResult:
     """Evaluate one metric on 1 or 2 columns, ordering them as needed.
 
     Two-column scenarios accept the columns in either order: the
     categorical column is passed as the group for cat/num metrics. The
-    column kinds must match the metric's scenario.
+    column kinds must match the metric's scenario. Keyword inputs are
+    passed on to the metric: ``covariate=`` for causal_effect and
+    ``mediator=`` for pse.
     """
     scenario = scenario_of_metric(metric_id)
     if len(cols) not in (1, 2) or classify_scenario(cols) is not scenario:
@@ -45,17 +46,16 @@ def run_metric(metric_id: str, cols, opts: MetricOptions = MetricOptions()) -> M
                                  f"got {[c.kind.value for c in cols]} columns")
     fn = SCENARIO_METRICS[scenario][metric_id]
     if len(cols) == 1:
-        return fn(cols[0], opts)
+        return fn(cols[0], **inputs)
     a, b = cols
     if scenario is Scenario.CAT_NUM and a.kind is not Kind.CATEGORICAL:
         a, b = b, a
-    return fn(a, b, opts)
+    return fn(a, b, **inputs)
 
 
 __all__ = [
     "ALL_METRIC_IDS",
     "BiasType",
-    "MetricOptions",
     "MetricResult",
     "SCENARIO_METRICS",
     "Scenario",

@@ -27,20 +27,6 @@ class BiasType(str, Enum):
 
 
 @dataclass(frozen=True)
-class MetricOptions:
-    bins: int = 10
-    kde_grid: int = 64
-    mediator: Column | None = None
-    covariate: Column | None = None
-
-    def __post_init__(self):
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
-        if self.kde_grid < 8:
-            raise ValueError("kde_grid must be >= 8")
-
-
-@dataclass(frozen=True)
 class MetricResult:
     metric_id: str
     scenario: Scenario

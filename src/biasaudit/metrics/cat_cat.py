@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import DegenerateTableError
 from ..tabular import Column
-from .base import MetricOptions, MetricResult, Scenario, paired
+from .base import MetricResult, Scenario, paired
 
 # elift skips cells with a joint count below this, to avoid ratio blow-ups.
 MIN_CELL_SUPPORT = 5
@@ -43,7 +43,7 @@ def _checked(a: Column, b: Column, metric_id: str):
     return table, rows, cols
 
 
-def cramers_v(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def cramers_v(a: Column, b: Column) -> MetricResult:
     """Cramer's V from the chi-square statistic of the contingency table."""
     o, rows, cols = _checked(a, b, "cramers_v")
     n = o.sum()
@@ -55,7 +55,7 @@ def cramers_v(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> Me
                    f"{len(rows)}x{len(cols)} table")
 
 
-def elift(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def elift(a: Column, b: Column) -> MetricResult:
     """Worst-case lift max(P(y|x)/P(y), P(y)/P(y|x)) over supported cells.
 
     Cells with joint count below ``MIN_CELL_SUPPORT`` are skipped to avoid
@@ -76,8 +76,7 @@ def elift(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> Metric
     return _result("elift", {"max_elift": float(worst)}, int(n), details)
 
 
-def statistical_parity(a: Column, b: Column,
-                       opts: MetricOptions = MetricOptions()) -> MetricResult:
+def statistical_parity(a: Column, b: Column) -> MetricResult:
     """Max outcome-rate gap between group pairs, with a pooled z-score."""
     o, rows, cols = _checked(a, b, "statistical_parity")
     n = o.sum(axis=1, keepdims=True)
@@ -99,7 +98,7 @@ def _tvd(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(p - q).sum(axis=-1)
 
 
-def lipschitz(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def lipschitz(a: Column, b: Column) -> MetricResult:
     """Largest pairwise TVD between group-conditional outcome distributions.
 
     This is the Lipschitz constant of the group -> conditional-distribution
@@ -111,8 +110,7 @@ def lipschitz(a: Column, b: Column, opts: MetricOptions = MetricOptions()) -> Me
     return _result("lipschitz", {"lipschitz": float(worst)}, int(o.sum()))
 
 
-def total_variation(a: Column, b: Column,
-                    opts: MetricOptions = MetricOptions()) -> MetricResult:
+def total_variation(a: Column, b: Column) -> MetricResult:
     """Largest TVD between a group's outcome distribution and the overall one."""
     o, rows, cols = _checked(a, b, "total_variation")
     n = o.sum()

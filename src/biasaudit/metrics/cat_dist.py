@@ -9,7 +9,7 @@ import math
 
 from ..errors import SingleCategoryError
 from ..tabular import Column
-from .base import MetricOptions, MetricResult, Scenario, category_counts
+from .base import MetricResult, Scenario, category_counts
 
 
 def _result(metric_id, raw, n, details=""):
@@ -34,19 +34,19 @@ def _entropy(col: Column, metric_id: str):
     return h, h / math.log(len(counts)), n, len(counts)
 
 
-def shannon_balance(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def shannon_balance(col: Column) -> MetricResult:
     """Shannon entropy H and balance = H / ln k."""
     h, balance, n, k = _entropy(col, "shannon_balance")
     return _result("shannon_balance", {"H": h, "balance": balance}, n, f"k={k}")
 
 
-def entropy(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def entropy(col: Column) -> MetricResult:
     """Shannon entropy with its normalized form H / ln k."""
     h, h_norm, n, k = _entropy(col, "entropy")
     return _result("entropy", {"H": h, "H_norm": h_norm}, n, f"k={k}")
 
 
-def max_min_ratio(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def max_min_ratio(col: Column) -> MetricResult:
     """Ratio of the largest to the smallest category count.
 
     A category observed zero times never appears in the counts, so the
@@ -61,7 +61,7 @@ def max_min_ratio(col: Column, opts: MetricOptions = MetricOptions()) -> MetricR
     return _result("max_min_ratio", {"ratio": ratio}, n, f"k={len(counts)}")
 
 
-def gini(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def gini(col: Column) -> MetricResult:
     """Gini index with Laplace smoothing, normalized by 1 - 1/k."""
     counts = _counts(col, True, "gini")
     n = sum(counts.values())
@@ -71,7 +71,7 @@ def gini(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
     return _result("gini", {"G": g, "G_norm": g / (1.0 - 1.0 / k)}, n, f"k={k}")
 
 
-def relative_risk(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def relative_risk(col: Column) -> MetricResult:
     """Observed/expected frequency ratios against the uniform expectation."""
     counts = _counts(col, True, "relative_risk")
     n = sum(counts.values())

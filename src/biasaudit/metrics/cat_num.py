@@ -15,7 +15,7 @@ from ..errors import (
     ZeroVarianceError,
 )
 from ..tabular import Column, Kind, split_by_code
-from .base import MetricOptions, MetricResult, Scenario, paired
+from .base import MetricResult, Scenario, paired
 
 
 def _result(metric_id, raw, n, details=""):
@@ -45,7 +45,7 @@ def _all_y(groups) -> np.ndarray:
     return np.concatenate(list(groups.values()))
 
 
-def max_abs_mean(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def max_abs_mean(g: Column, y: Column) -> MetricResult:
     """Largest |group mean| of the globally standardized outcome (N value)."""
     groups = _checked_groups(g, y, "max_abs_mean")
     allv = _all_y(groups)
@@ -57,7 +57,7 @@ def max_abs_mean(g: Column, y: Column, opts: MetricOptions = MetricOptions()) ->
     return _result("max_abs_mean", {"n_value": n_value}, allv.size)
 
 
-def cohens_d(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def cohens_d(g: Column, y: Column) -> MetricResult:
     """Largest pairwise Cohen's d with the pooled sample-variance sd."""
     groups = _checked_groups(g, y, "cohens_d").values()
     size = np.array([v.size for v in groups])
@@ -72,8 +72,7 @@ def cohens_d(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> Met
     return _result("cohens_d", {"d": float(worst)}, int(size.sum()))
 
 
-def standardized_difference(g: Column, y: Column,
-                            opts: MetricOptions = MetricOptions()) -> MetricResult:
+def standardized_difference(g: Column, y: Column) -> MetricResult:
     """Largest pairwise mean gap scaled by 1.4826 * MAD of all outcomes."""
     groups = _checked_groups(g, y, "standardized_difference")
     allv = _all_y(groups)
@@ -87,7 +86,8 @@ def standardized_difference(g: Column, y: Column,
                    allv.size)
 
 
-def causal_effect(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def causal_effect(g: Column, y: Column,
+                  covariate: Column | None = None) -> MetricResult:
     """Average causal effect of the two largest categories on the outcome.
 
     Without a covariate this is the raw mean difference (largest minus
@@ -100,13 +100,13 @@ def causal_effect(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -
     sd = allv.std()
     if sd == 0:
         raise ZeroVarianceError("causal_effect undefined: outcome is constant")
-    if opts.covariate is None:
+    if covariate is None:
         ace = float(groups[keys[0]].mean() - groups[keys[1]].mean())
         details = f"treatment={keys[0]!r} control={keys[1]!r}"
     else:
-        ace, strata = _stratified_ace(g, y, opts.covariate, keys)
+        ace, strata = _stratified_ace(g, y, covariate, keys)
         details = (f"treatment={keys[0]!r} control={keys[1]!r} "
-                   f"stratified on {opts.covariate.name!r} ({strata} strata)")
+                   f"stratified on {covariate.name!r} ({strata} strata)")
     return _result("causal_effect", {"ace": ace, "ace_std": ace / float(sd)},
                    allv.size, details)
 
@@ -134,7 +134,7 @@ def _stratified_ace(g: Column, y: Column, cov: Column, keys):
     return acc / total, used
 
 
-def pse(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def pse(g: Column, y: Column, mediator: Column | None = None) -> MetricResult:
     """Path-specific effect via linear mediation on a binary-coded treatment.
 
     Fits m = a0 + a1*t and y = b0 + b1*t + b2*m by least squares;
@@ -142,14 +142,13 @@ def pse(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricRe
     Treatments with more than two categories are binarized to the two
     largest groups.
     """
-    if opts.mediator is None:
-        raise MissingMediatorError("pse requires opts.mediator")
-    med = opts.mediator
-    if med.kind is not Kind.NUMERICAL:
+    if mediator is None:
+        raise MissingMediatorError("pse requires a mediator column")
+    if mediator.kind is not Kind.NUMERICAL:
         raise MissingMediatorError("pse mediator must be numerical")
     groups = _checked_groups(g, y, "pse")
     keys = list(groups)[:2]
-    codes, yv, m = paired(g, y, med)
+    codes, yv, m = paired(g, y, mediator)
     treated, control = (g.labels.index(k) for k in keys)
     arm = (codes == treated) | (codes == control)
     t = (codes[arm] == treated).astype(float)
@@ -176,7 +175,7 @@ def pse(g: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricRe
     raw = max(abs(ade), abs(aie)) / float(sd)
     return _result("pse",
                    {"ade": ade, "aie": aie, "total": ade + aie, "pse": raw},
-                   t.size, f"treatment={keys[0]!r} mediator={med.name!r}")
+                   t.size, f"treatment={keys[0]!r} mediator={mediator.name!r}")
 
 
 METRICS = {

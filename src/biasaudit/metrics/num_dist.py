@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import ConstantColumnError, DegenerateIQRError, InsufficientSamplesError
 from ..tabular import Column
-from .base import MetricOptions, MetricResult, Scenario, column_values
+from .base import MetricResult, Scenario, column_values
 
 # Points farther than this many population sd from the mean are outliers.
 Z_CUTOFF = 3.0
@@ -27,7 +27,7 @@ def _values(col: Column, metric_id: str) -> np.ndarray:
     return x
 
 
-def skewness(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def skewness(col: Column) -> MetricResult:
     x = _values(col, "skewness")
     d = x - x.mean()
     m2 = np.mean(d ** 2)
@@ -37,7 +37,7 @@ def skewness(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult
     return _result("skewness", {"g1": float(g1)}, x.size)
 
 
-def kurtosis(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def kurtosis(col: Column) -> MetricResult:
     """Excess kurtosis m4 / m2^2 - 3."""
     x = _values(col, "kurtosis")
     d = x - x.mean()
@@ -48,7 +48,7 @@ def kurtosis(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult
     return _result("kurtosis", {"g2": float(g2)}, x.size)
 
 
-def outlier(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def outlier(col: Column) -> MetricResult:
     """Fraction of points farther than ``Z_CUTOFF`` population sd from the mean."""
     x = _values(col, "outlier")
     sd = x.std()
@@ -59,7 +59,7 @@ def outlier(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
                    f"z_cutoff={Z_CUTOFF}")
 
 
-def cohens_d_mad(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def cohens_d_mad(col: Column) -> MetricResult:
     """Mean-median gap scaled by 1.4826 * MAD (robust asymmetry measure)."""
     x = _values(col, "cohens_d_mad")
     med = float(np.median(x))
@@ -70,7 +70,7 @@ def cohens_d_mad(col: Column, opts: MetricOptions = MetricOptions()) -> MetricRe
     return _result("cohens_d_mad", {"d": d}, x.size)
 
 
-def quantile_deviation(col: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def quantile_deviation(col: Column) -> MetricResult:
     """|QD - 0.5| where QD = (Q3 - Q2) / (Q3 - Q1)."""
     x = _values(col, "quantile_deviation")
     q1, q2, q3 = np.quantile(x, [0.25, 0.5, 0.75])

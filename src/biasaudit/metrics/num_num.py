@@ -13,13 +13,17 @@ import numpy as np
 
 from ..errors import ConstantColumnError, InsufficientSamplesError
 from ..tabular import Column
-from .base import MetricOptions, MetricResult, Scenario, paired
+from .base import MetricResult, Scenario, paired
 
+# Equal-frequency bins per axis for nmi and hgr_approximation, and the
+# side of hgr_approximation's KDE lattice.
+BINS = 10
+KDE_GRID = 64
 # HSIC Gram matrices are O(n^2); larger inputs are deterministically
 # subsampled down to this many rows.
 HSIC_MAX_N = 2048
 # The KDE lattice sums the weights of this many points at a time, so its
-# buffers are O(kde_grid * block) rather than O(kde_grid * n).
+# buffers are O(KDE_GRID * block) rather than O(KDE_GRID * n).
 _KDE_BLOCK = 4096
 # Gaussian KDE weights with an exponent at or below this are exactly 0.
 _EXP_FLOOR = -300.0
@@ -29,12 +33,12 @@ def _result(metric_id, raw, n, details=""):
     return MetricResult(metric_id, Scenario.NUM_NUM, raw, n, details)
 
 
-def _checked(x: Column, y: Column, opts: MetricOptions, metric_id: str,
+def _checked(x: Column, y: Column, metric_id: str,
              need_variance: bool = True, min_n: int | None = None):
     xs, ys = paired(x, y)
     # Binning metrics need enough points to fill their bins; the moment
     # and rank based metrics only need a handful.
-    need = max(8, opts.bins) if min_n is None else min_n
+    need = max(8, BINS) if min_n is None else min_n
     if xs.size < need:
         raise InsufficientSamplesError(
             f"{metric_id} needs n >= {need}, got {xs.size}")
@@ -43,8 +47,8 @@ def _checked(x: Column, y: Column, opts: MetricOptions, metric_id: str,
     return xs, ys
 
 
-def pearson(x: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
-    xs, ys = _checked(x, y, opts, "pearson", min_n=3)
+def pearson(x: Column, y: Column) -> MetricResult:
+    xs, ys = _checked(x, y, "pearson", min_n=3)
     dx = xs - xs.mean()
     dy = ys - ys.mean()
     r = float((dx * dy).sum() / math.sqrt((dx ** 2).sum() * (dy ** 2).sum()))
@@ -67,12 +71,12 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def nmi(x: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def nmi(x: Column, y: Column) -> MetricResult:
     """Normalized mutual information I / sqrt(H(X) H(Y)) over binned data."""
-    xs, ys = _checked(x, y, opts, "nmi", need_variance=False)
-    bx = _equal_frequency_bins(xs, opts.bins)
-    by = _equal_frequency_bins(ys, opts.bins)
-    joint = _joint_hist(bx, by, opts.bins)
+    xs, ys = _checked(x, y, "nmi", need_variance=False)
+    bx = _equal_frequency_bins(xs, BINS)
+    by = _equal_frequency_bins(ys, BINS)
+    joint = _joint_hist(bx, by, BINS)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     hx, hy = _entropy(px), _entropy(py)
@@ -82,26 +86,25 @@ def nmi(x: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricRe
     else:
         value = max(0.0, min(1.0, mi / math.sqrt(hx * hy)))
     return _result("nmi", {"nmi": value, "mi": max(0.0, mi)}, xs.size,
-                   f"bins={opts.bins}")
+                   f"bins={BINS}")
 
 
-def hgr_approximation(x: Column, y: Column,
-                      opts: MetricOptions = MetricOptions()) -> MetricResult:
+def hgr_approximation(x: Column, y: Column) -> MetricResult:
     """Maximal-correlation estimate from the normalized joint distribution.
 
-    The joint density is smoothed by a Gaussian KDE on a kde_grid lattice,
+    The joint density is smoothed by a Gaussian KDE on a KDE_GRID lattice,
     aggregated into equal-probability bins, and normalized cell-wise as
     Q_ij = p_ij / sqrt(p_i. * p_.j); the estimate is the second-largest
     singular value of Q. The chi-square divergence sum(Q^2) - 1 is reported
     alongside. The lattice sums the Gaussian weights of blocks of points,
-    so memory is O(kde_grid * block) at any n, and a weight whose exponent
+    so memory is O(KDE_GRID * block) at any n, and a weight whose exponent
     is at or below -300 counts as exactly 0 (it is at most 5e-131 of its
     point's peak and would otherwise put exp and the matrix product on the
     slow subnormal path).
     """
-    xs, ys = _checked(x, y, opts, "hgr_approximation")
-    density = _kde_lattice(xs, ys, opts.kde_grid)
-    joint = _aggregate_lattice(density, opts.bins)
+    xs, ys = _checked(x, y, "hgr_approximation")
+    density = _kde_lattice(xs, ys, KDE_GRID)
+    joint = _aggregate_lattice(density, BINS)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     keep_r = px > 0
@@ -113,7 +116,7 @@ def hgr_approximation(x: Column, y: Column,
     chi2 = float((q ** 2).sum() - 1.0)
     return _result("hgr_approximation",
                    {"hgr": max(0.0, min(1.0, hgr)), "chi2_divergence": max(0.0, chi2)},
-                   xs.size, f"bins={opts.bins} grid={opts.kde_grid}")
+                   xs.size, f"bins={BINS} grid={KDE_GRID}")
 
 
 def _kde_lattice(xs: np.ndarray, ys: np.ndarray, grid: int) -> np.ndarray:
@@ -164,16 +167,16 @@ def _aggregate_lattice(density: np.ndarray, bins: int) -> np.ndarray:
     return out
 
 
-def wasserstein(x: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def wasserstein(x: Column, y: Column) -> MetricResult:
     """W2 distance between the standardized marginal distributions."""
-    xs, ys = _checked(x, y, opts, "wasserstein", min_n=3)
+    xs, ys = _checked(x, y, "wasserstein", min_n=3)
     xs = np.sort((xs - xs.mean()) / xs.std())
     ys = np.sort((ys - ys.mean()) / ys.std())
     w2 = float(np.sqrt(np.mean((xs - ys) ** 2)))
     return _result("wasserstein", {"w2": w2}, xs.size)
 
 
-def hsic(x: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricResult:
+def hsic(x: Column, y: Column) -> MetricResult:
     """Normalized HSIC with RBF kernels and median-heuristic bandwidths.
 
     nHSIC = HSIC(x, y) / sqrt(HSIC(x, x) * HSIC(y, y)). Inputs longer than
@@ -182,7 +185,7 @@ def hsic(x: Column, y: Column, opts: MetricOptions = MetricOptions()) -> MetricR
     is built in place in one n x n buffer, and one more buffer holds the
     three elementwise products in turn, so the peak is three n x n arrays.
     """
-    xs, ys = _checked(x, y, opts, "hsic", min_n=4)
+    xs, ys = _checked(x, y, "hsic", min_n=4)
     n_full = xs.size
     if n_full > HSIC_MAX_N:
         idx = np.linspace(0, n_full - 1, HSIC_MAX_N).astype(int)

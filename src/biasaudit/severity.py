@@ -83,8 +83,9 @@ class ThresholdTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ThresholdTable":
-        """Parse :meth:`to_json` output; a malformed table, or one without
-        a band for every metric, raises :class:`SchemaError`."""
+        """Parse :meth:`to_json` output; a malformed table, one without a
+        band for every metric, or a band that grades another raw value
+        than the default band raises :class:`SchemaError`."""
         try:
             payload = json.loads(text)
             bands = {
@@ -97,6 +98,13 @@ class ThresholdTable:
             raise SchemaError(f"threshold table: missing field {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise SchemaError(f"threshold table: {exc}") from exc
+        for mid, band in bands.items():
+            default = DEFAULT_BANDS.get(mid, band)  # no metric reads it
+            if (band.raw_key, band.transform) != (default.raw_key, default.transform):
+                raise SchemaError(
+                    f"threshold table: {mid} band must grade {default.raw_key!r} "
+                    f"with {default.transform!r}, got {band.raw_key!r} with "
+                    f"{band.transform!r}")
         missing = [m for m in ALL_METRIC_IDS if m not in bands]
         if missing:
             raise SchemaError(f"threshold table: no band for {missing}")

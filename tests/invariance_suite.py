@@ -15,16 +15,19 @@ records any disagreement as a violation.
 
 import math
 import random
+from unittest import mock
 
 from biasaudit.errors import MetricError
-from biasaudit.metrics import ALL_METRIC_IDS, MetricOptions, run_metric
+from biasaudit.metrics import ALL_METRIC_IDS, num_num, run_metric
 from biasaudit.severity import DEFAULT_TABLE
 from biasaudit.tabular import Column, Kind
 
 PERM_TOL = 1e-9
 AFFINE_TOL = 1e-6
 
-OPTS = MetricOptions(bins=4, kde_grid=16)
+# Bins and KDE grid of the binning metrics during the battery.
+BINS = 4
+KDE_GRID = 16
 
 CAT_DIST = ("shannon_balance", "max_min_ratio", "entropy", "gini",
             "relative_risk")
@@ -76,34 +79,33 @@ def _grouped_cat_num(rng):
 
 
 def make_instance(metric_id, rng):
-    """(columns, options) for one random trial of the given metric."""
+    """(columns, extra inputs) for one random trial of the given metric."""
     n = rng.randint(30, 60)
     k = rng.randint(2, 4)
     if metric_id in CAT_DIST:
-        return [cat_col("c", [f"c{rng.randrange(k)}" for _ in range(n)])], OPTS
+        return [cat_col("c", [f"c{rng.randrange(k)}" for _ in range(n)])], {}
     if metric_id in NUM_DIST:
         return [num_col("x", [round(rng.gauss(0, 2), 3)
-                              for _ in range(n)])], OPTS
+                              for _ in range(n)])], {}
     if metric_id in CAT_CAT:
         a = [f"c{rng.randrange(k)}" for _ in range(n)]
         b = [f"o{rng.randrange(2)}" for _ in range(n)]
-        return [cat_col("a", a), cat_col("b", b)], OPTS
+        return [cat_col("a", a), cat_col("b", b)], {}
     if metric_id in CAT_NUM:
         groups, values = _grouped_cat_num(rng)
         cols = [cat_col("g", groups), num_col("y", values)]
         if metric_id == "pse":
             mediator = num_col("m", [round(rng.gauss(0, 1), 3)
                                      for _ in range(len(values))])
-            return cols, MetricOptions(bins=OPTS.bins, kde_grid=OPTS.kde_grid,
-                                       mediator=mediator)
-        return cols, OPTS
+            return cols, {"mediator": mediator}
+        return cols, {}
     x = [round(rng.gauss(0, 2), 3) for _ in range(n)]
     y = [round(0.5 * v + rng.gauss(0, 1), 3) for v in x]
-    return [num_col("x", x), num_col("y", y)], OPTS
+    return [num_col("x", x), num_col("y", y)], {}
 
 
-def _run(metric_id, cols, opts):
-    return run_metric(metric_id, cols, opts).raw
+def _run(metric_id, cols, extra):
+    return run_metric(metric_id, cols, **extra).raw
 
 
 def _compare(metric_id, prop, before, after, keys, tol, violations):
@@ -115,18 +117,16 @@ def _compare(metric_id, prop, before, after, keys, tol, violations):
             violations.append((metric_id, prop, key, want, got))
 
 
-def _permute(cols, opts, rng):
+def _permute(cols, extra, rng):
     n = len(cols[0].cells())
     order = list(range(n))
     rng.shuffle(order)
     new_cols = [Column.of(c.name, c.kind, tuple(c.cells()[i] for i in order))
                 for c in cols]
-    if opts.mediator is not None:
-        mediator = Column.of(opts.mediator.name, opts.mediator.kind,
-                             tuple(opts.mediator.cells()[i] for i in order))
-        return new_cols, MetricOptions(bins=opts.bins, kde_grid=opts.kde_grid,
-                                       mediator=mediator)
-    return new_cols, opts
+    new_extra = {key: Column.of(c.name, c.kind,
+                                tuple(c.cells()[i] for i in order))
+                 for key, c in extra.items()}
+    return new_cols, new_extra
 
 
 def _relabel(cols, rng):
@@ -162,10 +162,10 @@ def _trials(metric_id, count, rng, apply_fn, violations):
     while done < count:
         attempts += 1
         assert attempts < 50 * count, f"{metric_id}: too many degenerate draws"
-        cols, opts = make_instance(metric_id, rng)
+        cols, extra = make_instance(metric_id, rng)
         try:
-            before = _run(metric_id, cols, opts)
-            apply_fn(metric_id, cols, opts, before, rng, violations)
+            before = _run(metric_id, cols, extra)
+            apply_fn(metric_id, cols, extra, before, rng, violations)
         except MetricError:
             continue
         done += 1
@@ -177,19 +177,19 @@ def run_battery(seed=20260823):
     violations = []
     total = 0
 
-    def perm(metric_id, cols, opts, before, rng, out):
-        new_cols, new_opts = _permute(cols, opts, rng)
-        after = _run(metric_id, new_cols, new_opts)
+    def perm(metric_id, cols, extra, before, rng, out):
+        new_cols, new_extra = _permute(cols, extra, rng)
+        after = _run(metric_id, new_cols, new_extra)
         _compare(metric_id, "permutation", before, after,
                  sorted(set(before) & set(after)), PERM_TOL, out)
 
-    def relabel(metric_id, cols, opts, before, rng, out):
-        after = _run(metric_id, _relabel(cols, rng), opts)
+    def relabel(metric_id, cols, extra, before, rng, out):
+        after = _run(metric_id, _relabel(cols, rng), extra)
         _compare(metric_id, "relabeling", before, after,
                  sorted(set(before) & set(after)), PERM_TOL, out)
 
-    def affine(metric_id, cols, opts, before, rng, out):
-        after = _run(metric_id, _affine(cols, rng), opts)
+    def affine(metric_id, cols, extra, before, rng, out):
+        after = _run(metric_id, _affine(cols, rng), extra)
         _compare(metric_id, "affine", before, after,
                  [AFFINE_KEYS[metric_id]], AFFINE_TOL, out)
 
@@ -197,13 +197,14 @@ def run_battery(seed=20260823):
         import zlib
         return random.Random(zlib.crc32(f"{seed}/{metric_id}/{prop}".encode()))
 
-    for metric_id in ALL_METRIC_IDS:
-        total += _trials(metric_id, PERM_TRIALS, rng_for(metric_id, "perm"),
-                         perm, violations)
-    for metric_id in RELABEL_METRICS:
-        total += _trials(metric_id, RELABEL_TRIALS,
-                         rng_for(metric_id, "relabel"), relabel, violations)
-    for metric_id in AFFINE_METRICS:
-        total += _trials(metric_id, AFFINE_TRIALS[metric_id],
-                         rng_for(metric_id, "affine"), affine, violations)
+    with mock.patch.multiple(num_num, BINS=BINS, KDE_GRID=KDE_GRID):
+        for metric_id in ALL_METRIC_IDS:
+            total += _trials(metric_id, PERM_TRIALS,
+                             rng_for(metric_id, "perm"), perm, violations)
+        for metric_id in RELABEL_METRICS:
+            total += _trials(metric_id, RELABEL_TRIALS,
+                             rng_for(metric_id, "relabel"), relabel, violations)
+        for metric_id in AFFINE_METRICS:
+            total += _trials(metric_id, AFFINE_TRIALS[metric_id],
+                             rng_for(metric_id, "affine"), affine, violations)
     return total, violations

@@ -29,8 +29,8 @@ from biasaudit.errors import MetricError
 from biasaudit.metrics import (
     ALL_METRIC_IDS,
     BiasType,
-    MetricOptions,
     Scenario,
+    num_num,
     run_metric,
 )
 from biasaudit.orchestrator import RulePlanner, SessionLog, build_registry
@@ -55,7 +55,9 @@ def num(values, name="x"):
 class TestMetricReferenceAgreement:
     """1: all 25 metrics match brute-force references on random inputs."""
 
-    def test_twenty_instances_per_metric_within_1e9(self):
+    def test_twenty_instances_per_metric_within_1e9(self, monkeypatch):
+        monkeypatch.setattr(num_num, "BINS", oracle_suite.BINS)
+        monkeypatch.setattr(num_num, "KDE_GRID", oracle_suite.KDE_GRID)
         start = time.monotonic()
         import random
         for metric_id in ALL_METRIC_IDS:
@@ -65,11 +67,8 @@ class TestMetricReferenceAgreement:
                 attempts += 1
                 assert attempts < 500
                 cols, args, extra = oracle_suite.gen_instance(metric_id, rng)
-                opts = oracle_suite.OPTS if not extra else MetricOptions(
-                    bins=oracle_suite.OPTS.bins,
-                    kde_grid=oracle_suite.OPTS.kde_grid, **extra)
                 try:
-                    result = run_metric(metric_id, cols, opts)
+                    result = run_metric(metric_id, cols, **extra)
                 except MetricError:
                     continue
                 expected = oracle_suite.ORACLES[metric_id](*args)

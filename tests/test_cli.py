@@ -300,6 +300,13 @@ def _band(**fields):
     return json.dumps({"bands": {"gini": band}})
 
 
+def _table(metric_id, **fields):
+    """The default table with one band's fields replaced."""
+    payload = json.loads(DEFAULT_TABLE.to_json())
+    payload["bands"][metric_id].update(fields)
+    return json.dumps(payload)
+
+
 _DETECT = ["detect", "{tmp}/cat.csv", "--features", "group"]
 _WITH_THRESHOLDS = ["--config", "{tmp}/config.json", *_DETECT]
 _THRESHOLDS_CONFIG = {"config.json": '{"thresholds_path": "{tmp}/t.json"}'}
@@ -320,6 +327,18 @@ BAD_INPUTS = [
         transform="cube")}, _WITH_THRESHOLDS, "unknown transform 'cube'"),
     ("thresholds-no-bands", {**_THRESHOLDS_CONFIG, "t.json": '{"bands": {}}'},
      _WITH_THRESHOLDS, "no band for"),
+    ("thresholds-unknown-raw-key", {**_THRESHOLDS_CONFIG, "t.json": _table(
+        "gini", raw_key="nope")}, _WITH_THRESHOLDS,
+     "gini band must grade 'G_norm' with 'one_minus', got 'nope'"),
+    ("thresholds-other-raw-key", {**_THRESHOLDS_CONFIG, "t.json": _table(
+        "gini", raw_key="G")}, _WITH_THRESHOLDS,
+     "gini band must grade 'G_norm' with 'one_minus', got 'G'"),
+    ("thresholds-other-transform", {**_THRESHOLDS_CONFIG, "t.json": _table(
+        "pearson", transform="identity")}, _WITH_THRESHOLDS,
+     "pearson band must grade 'r' with 'abs', got 'r' with 'identity'"),
+    ("library-not-json", {"config.json": '{"library_path": "{tmp}/lib.json"}',
+                          "lib.json": "{"},
+     ["--config", "{tmp}/config.json", "methods", "list"], "library"),
     ("config-not-json", {"config.json": "{"}, _WITH_THRESHOLDS, "config"),
     ("config-list", {"config.json": "[]"}, _WITH_THRESHOLDS,
      "expected a JSON object"),
@@ -335,6 +354,8 @@ BAD_INPUTS = [
         {"id": "T-1", "dataset": "cat.csv", "question": "q",
          "bias_type": "distrib", "features": ["group"]}])},
      ["bench", "{tmp}/tasks.json"], "bias_type must be one of"),
+    ("taskset-not-utf8", {"tasks.json": b"\xe9"},
+     ["bench", "{tmp}/tasks.json"], "utf-8"),
 ]
 
 

@@ -58,15 +58,15 @@ DETECT = {
     },
     "gender score": {
         "<stdout>":
-            "dc841194a229c118291150d8d899c3cc2cfbe60980fe1e2a2c00ba322de4ac79",
+            "ae6d6702817fa4346ae9f7f4eeca09b17933914c783b0639ed4214ce521fd313",
         "chart_00_box.svg":
             "269ec38ca4a8a6bfd88fd499a2d5011345e9a7973d6b439df2f42881f57d260e",
         "findings.json":
-            "369682526210bf0ec786570a459062abdd4fbd2271aeb7f6604ade1f5534787c",
+            "fc58edaec2b27d665635fae3737c88ef255bea62d4c5e56deaf4baf11fe72ad6",
         "report.md":
-            "2342376a771ee092c2d1c5d7219f0b188847f06d00f7e57e4f7d33f27d9a25a9",
+            "1e892423e0e352e77642f930d05848be0c27648c3b8cbffed3f913573f0de249",
         "session.log.jsonl":
-            "6888327966d62bf845640801c80c26fde2d20fa7a3129a9c9e5262d1ccff9e8b",
+            "b8feab8915159b3c55b7fb3652a0bfb5a16d0c8529b587f46b2e4e9384bc8b3d",
     },
     "score": {
         "<stdout>":
@@ -142,13 +142,13 @@ BENCH = {
     "T-07/report.md":
         "437adfabcc073105ade2b9de7ff2d0e56cfdfe3bfe55a7f9aaeecdbd9aa5a467",
     "T-08.log.jsonl":
-        "3a0357783ef4b08311ca464688e7de75f60ef2d19ef22fc97a62cb89ceb7471d",
+        "9a707007e84b271f4b8b7e1676fee9aece1df38adfedc958679ab7ff82b51532",
     "T-08/chart_00_box.svg":
         "269ec38ca4a8a6bfd88fd499a2d5011345e9a7973d6b439df2f42881f57d260e",
     "T-08/findings.json":
-        "3ba4178ee4503482e39de04c2bbd400d8f0df2cd6efcea23094fd5f18cd1a24c",
+        "bc5dfe772a1f40a562cf6e7521dd5071e4e479f4346a03b4d5006f33295c1f6f",
     "T-08/report.md":
-        "37501a6493ef3da7dfc447c2b0c15486427a3948aaa959948194d3b1131442f0",
+        "38489a15d10862f878a0bc1aba1e8f748bcdd19f78b5ad7219be3c6cdac01716",
     "T-09.log.jsonl":
         "36ecad69574bf373356018b91033c82fa5cd8e6dde183cd5c6de45d4d3948087",
     "T-09/chart_00_correlation_heatmap.svg":
@@ -166,13 +166,13 @@ BENCH = {
     "T-10/report.md":
         "1f1a0ffeb928e58b0ad5a45aecf4dd4aaf446da4b8697b750c50a7cd6ad1b75c",
     "T-11.log.jsonl":
-        "93bbd443e10188b77e1a652df0bb753b99433cc01051c6ba8223b44187b9f2af",
+        "0f2a27d176f93ecdb2f904278e73def152b1f78441d72bcbed95a194cf6fbc6f",
     "T-11/chart_00_box.svg":
         "780cdc91d96de7640c493e58a9dc6cb90aeb9a010d0d6cd64085a25528e98f26",
     "T-11/findings.json":
-        "79b2304506182834ddca5c4df34dca08c4481df66cc36cb730d3689ecedb6318",
+        "d8cf1fef8af24c490c624c73662bd3fb23eca9ce1cfe31838f3b482c80db1801",
     "T-11/report.md":
-        "043568e19fc13ab24cc8360ceab5de0bac5356c2d09baaf028cb4687cc581b11",
+        "a83b83c85d4b31453a9065b5cadbff1183c40200b004993b32b6fbb99efdbc46",
     "T-12.log.jsonl":
         "9b7e6618caffed7d4bee43a89cf0900ce4f652e3f82ea2c4ad4d29c7fa38c501",
     "T-12/chart_00_correlation_heatmap.svg":

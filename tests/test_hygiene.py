@@ -1,5 +1,5 @@
 """Source hygiene: no module under ``biasaudit`` imports a name it never
-uses, or defines a function or class that no code names."""
+uses, or defines a function or class that no code, or only tests, name."""
 
 import ast
 import pathlib
@@ -11,10 +11,20 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "biasaudit"
 MODULES = sorted(SRC.rglob("*.py"))
-# Every word of the Python sources that may name a library function or class.
-WORDS = Counter(word for top in ("src", "tests", "perfbench", "scripts", "demos")
-                for path in (ROOT / top).rglob("*.py")
-                for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+
+
+def word_counts(*tops) -> Counter:
+    return Counter(word for top in tops for path in (ROOT / top).rglob("*.py")
+                   for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+
+
+# The words of the Python sources that may name a library function or
+# class: WORDS counts every source, LIBRARY_WORDS all but the tests.
+LIBRARY_WORDS = word_counts("src", "perfbench", "scripts", "demos")
+WORDS = LIBRARY_WORDS + word_counts("tests")
+# Definitions that only tests may name. ScriptedPlanner is the planner test
+# seam: it replays a fixed list of actions in place of a model.
+TEST_SEAMS = {"ScriptedPlanner"}
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -71,8 +81,23 @@ def test_no_unreferenced_definitions(path):
     assert unreferenced(tree, WORDS) == []
 
 
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_definitions_only_tests_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(set(unreferenced(tree, LIBRARY_WORDS)) - TEST_SEAMS) == []
+
+
 def test_detects_unreferenced_definition():
     source = ("def used():\n    def nested():\n        pass\n\n"
               "def lone():\n    used()\n\nclass Lone:\n    pass\n")
     words = Counter(re.findall(r"\w+", source + "# lone_call(x)\n"))
     assert unreferenced(ast.parse(source), words) == ["Lone", "lone"]
+
+
+def test_detects_definition_only_tests_name():
+    source = "def used():\n    pass\n\ndef seam():\n    pass\n\nused()\n"
+    library = Counter(re.findall(r"\w+", source))
+    tests = Counter(re.findall(r"\w+", "from lib import seam\nseam()\n"))
+    assert unreferenced(ast.parse(source), library + tests) == []
+    assert unreferenced(ast.parse(source), library) == ["seam"]

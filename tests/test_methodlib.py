@@ -9,13 +9,11 @@ from biasaudit.metrics import Scenario
 from biasaudit.methodlib import (
     MethodEntry,
     RetrievalQuery,
-    add_entry,
     builtin_library,
     get_method_by_id,
     list_intentions,
     load_library,
     retrieve,
-    save_library,
 )
 
 
@@ -59,7 +57,8 @@ class TestLoadSave:
         path = tmp_path / "lib.json"
         entries = [entry("X-1"), entry("X-2", data_type="num_num",
                                        bias_type="correlation")]
-        save_library(entries, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([e.to_record() for e in entries], fh)
         back = load_library(path)
         assert back == entries
 
@@ -88,24 +87,6 @@ class TestLoadSave:
         rec["tags"]["data_type"] = "images"
         with pytest.raises(SchemaError):
             MethodEntry.from_record(rec)
-
-
-class TestAddEntry:
-    def test_add_then_lookup(self):
-        lib = [entry("X-1")]
-        lib2 = add_entry(lib, entry("X-2"))
-        assert get_method_by_id(lib2, "X-2").id == "X-2"
-
-    def test_add_duplicate(self):
-        lib = [entry("X-1")]
-        with pytest.raises(DuplicateIdError):
-            add_entry(lib, entry("X-1"))
-
-    def test_add_persists(self, tmp_path):
-        path = tmp_path / "lib.json"
-        save_library([entry("X-1")], path)
-        add_entry(load_library(path), entry("X-2"), path=path)
-        assert len(load_library(path)) == 2
 
 
 class TestRetrieve:

@@ -6,7 +6,6 @@ import pytest
 
 from biasaudit.errors import RaggedRowError, UnknownMetricError, UnsupportedArityError
 from biasaudit.metrics import (
-    MetricOptions,
     Scenario,
     classify_scenario,
     run_metric,
@@ -32,6 +31,7 @@ from biasaudit.metrics.num_dist import (
     quantile_deviation,
     skewness,
 )
+from biasaudit.metrics import num_num
 from biasaudit.metrics.num_num import hsic, nmi, pearson, wasserstein
 from biasaudit.tabular import Column, Kind
 
@@ -188,8 +188,7 @@ class TestCatNum:
         t_vals = ["t", "c"] * 10 + ["t"]
         m_vals = [1.0 if v == "t" else 0.0 for v in t_vals]
         y_vals = m_vals[:]
-        opts = MetricOptions(mediator=num(m_vals, "m"))
-        r = pse(cat(t_vals, "g"), num(y_vals, "y"), opts)
+        r = pse(cat(t_vals, "g"), num(y_vals, "y"), mediator=num(m_vals, "m"))
         assert r.raw["ade"] == pytest.approx(0.0, abs=1e-9)
         assert r.raw["aie"] == pytest.approx(1.0, abs=1e-9)
 
@@ -204,9 +203,10 @@ class TestNumNum:
         r = pearson(num([1, 2, 3, 4], "x"), num([1, 3, 2, 4], "y"))
         assert r.raw["r"] == pytest.approx(0.8, abs=1e-9)
 
-    def test_nmi_identity(self):
+    def test_nmi_identity(self, monkeypatch):
+        monkeypatch.setattr(num_num, "BINS", 4)
         vals = [float(v) for v in range(1, 13)]
-        r = nmi(num(vals, "x"), num(vals, "y"), MetricOptions(bins=4))
+        r = nmi(num(vals, "x"), num(vals, "y"))
         assert r.raw["nmi"] == pytest.approx(1.0, abs=1e-9)
 
     def test_wasserstein_permutation_zero(self):
@@ -275,8 +275,18 @@ def test_run_metric_rejects_columns_of_another_scenario(metric_id, cols):
         run_metric(metric_id, cols)
 
 
+def test_run_metric_forwards_the_mediator():
+    g = cat(["a", "b"] * 6 + ["a"], "g")
+    y = num([1, 3, 2, 5, 4, 4, 6, 8, 5, 9, 7, 7, 3], "y")
+    m = num([0, 2, 1, 2, 1, 3, 2, 5, 2, 4, 3, 3, 1], "m")
+    via_run = run_metric("pse", [y, g], mediator=m)
+    direct = pse(g, y, mediator=m)
+    assert via_run == direct
+    assert via_run.details == "treatment='a' mediator='m'"
+
+
 def test_mediator_of_another_length_is_a_table_error():
     g = cat(["a", "a", "a", "b", "b", "b"], "g")
     y = num([1, 2, 4, 3, 5, 8], "y")
     with pytest.raises(RaggedRowError):
-        pse(g, y, MetricOptions(mediator=num([1, 2, 3, 4], "m")))
+        pse(g, y, mediator=num([1, 2, 3, 4], "m"))

@@ -8,15 +8,22 @@ import pytest
 
 import oracles
 from biasaudit.errors import MetricError
-from biasaudit.metrics import ALL_METRIC_IDS, MetricOptions, num_num, run_metric
+from biasaudit.metrics import ALL_METRIC_IDS, num_num, run_metric
 from biasaudit.tabular import Column, Kind
 
 TOL = 1e-9
 INSTANCES = 20
 
-# Small-instance options: few bins and a coarse KDE grid so that even
+# Small-instance settings: few bins and a coarse KDE grid so that even
 # n <= 12 inputs exercise the full code paths.
-OPTS = MetricOptions(bins=3, kde_grid=8)
+BINS = 3
+KDE_GRID = 8
+
+
+@pytest.fixture(autouse=True)
+def small_bins(monkeypatch):
+    monkeypatch.setattr(num_num, "BINS", BINS)
+    monkeypatch.setattr(num_num, "KDE_GRID", KDE_GRID)
 
 
 def cat_col(name, values):
@@ -89,9 +96,9 @@ ORACLES = {
     "causal_effect": oracles.causal_effect,
     "pse": oracles.pse,
     "pearson": oracles.pearson,
-    "nmi": lambda x, y: oracles.nmi(x, y, bins=OPTS.bins),
+    "nmi": lambda x, y: oracles.nmi(x, y, bins=BINS),
     "hgr_approximation": lambda x, y: oracles.hgr_approximation(
-        x, y, bins=OPTS.bins, kde_grid=OPTS.kde_grid),
+        x, y, bins=BINS, kde_grid=KDE_GRID),
     "wasserstein": oracles.wasserstein,
     "hsic": oracles.hsic,
 }
@@ -106,10 +113,8 @@ def test_metric_matches_oracle(metric_id):
         attempts += 1
         assert attempts < 500, f"could not build {INSTANCES} valid instances"
         cols, args, extra = gen_instance(metric_id, rng)
-        opts = OPTS if not extra else MetricOptions(
-            bins=OPTS.bins, kde_grid=OPTS.kde_grid, **extra)
         try:
-            result = run_metric(metric_id, cols, opts)
+            result = run_metric(metric_id, cols, **extra)
         except MetricError:
             continue  # degenerate draw; try another
         expected = ORACLES[metric_id](*args)
@@ -157,9 +162,8 @@ def test_metric_matches_oracle_with_missing_cells(metric_id):
         attempts += 1
         assert attempts < 2000, f"could not build {INSTANCES} valid instances"
         cols, args, extra = gen_missing_instance(metric_id, rng)
-        opts = MetricOptions(bins=OPTS.bins, kde_grid=OPTS.kde_grid, **extra)
         try:
-            result = run_metric(metric_id, cols, opts)
+            result = run_metric(metric_id, cols, **extra)
         except MetricError:
             continue  # degenerate draw; try another
         expected = ORACLES[metric_id](*args)
@@ -169,6 +173,36 @@ def test_metric_matches_oracle_with_missing_cells(metric_id):
                 assert math.isinf(got), f"{metric_id}.{key}"
             else:
                 assert got == pytest.approx(want, abs=TOL), f"{metric_id}.{key}"
+        checked += 1
+
+
+STRATA = {Kind.NUMERICAL: (-1.5, 0.0, 2.25, 10.0),
+          Kind.CATEGORICAL: ("s0", "s1", "s2", "s10")}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("cov_kind", [Kind.NUMERICAL, Kind.CATEGORICAL])
+def test_causal_effect_with_covariate_matches_oracle(cov_kind, reverse):
+    rng = random.Random(f"causal_effect:{cov_kind.value}:{reverse}")
+    checked = 0
+    attempts = 0
+    while checked < INSTANCES:
+        attempts += 1
+        assert attempts < 2000, f"could not build {INSTANCES} valid instances"
+        cols, (g, y), _ = gen_missing_instance("causal_effect", rng)
+        values = STRATA[cov_kind][:rng.randint(1, 4)]
+        cov = [None if rng.random() < MISSING_RATE else rng.choice(values)
+               for _ in g]
+        covariate = Column.of("s", cov_kind, tuple(cov))
+        try:
+            result = run_metric("causal_effect", cols[::-1] if reverse else cols,
+                                covariate=covariate)
+        except MetricError:
+            continue  # degenerate draw; try another
+        assert "stratified on 's'" in result.details
+        expected = oracles.causal_effect(g, y, cov)
+        for key, want in expected.items():
+            assert result.raw[key] == pytest.approx(want, abs=TOL), key
         checked += 1
 
 
@@ -192,13 +226,13 @@ def test_hgr_weights_below_floor_match_oracle(monkeypatch, n, block):
     rng = random.Random(n)
     x = [round(rng.gauss(0, 1), 6) for _ in range(n - 1)] + [100.0]
     y = [round(v + rng.gauss(0, 1), 6) for v in x[:-1]] + [-100.0]
-    opts = MetricOptions(bins=4, kde_grid=16)
+    monkeypatch.setattr(num_num, "BINS", 4)
+    monkeypatch.setattr(num_num, "KDE_GRID", 16)
     h = n ** (-1.0 / 6.0)
     z_range = (max(x) - min(x)) / statistics.pstdev(x)
     assert -0.5 * (z_range / h) ** 2 < num_num._EXP_FLOOR
-    got = run_metric("hgr_approximation", [num_col("x", x), num_col("y", y)],
-                     opts).raw
-    want = oracles.hgr_approximation(x, y, bins=opts.bins,
-                                     kde_grid=opts.kde_grid)
+    got = run_metric("hgr_approximation",
+                     [num_col("x", x), num_col("y", y)]).raw
+    want = oracles.hgr_approximation(x, y, bins=4, kde_grid=16)
     for key, value in want.items():
         assert got[key] == pytest.approx(value, abs=TOL), key
