@@ -27,7 +27,7 @@ from .orchestrator import (
     run_session,
 )
 from .severity import DEFAULT_TABLE, ThresholdTable
-from .tabular import save_table, serialize_table
+from .tabular import save_table, write_table
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def cmd_synth(args, config: Config) -> int:
         save_table(table, args.out)
         print(args.out, file=sys.stderr)
     else:
-        print(serialize_table(table), end="")
+        write_table(table, sys.stdout)
     return 0
 
 

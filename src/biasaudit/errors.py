@@ -20,10 +20,7 @@ class DuplicateHeaderError(TableError):
 
 
 class ParseError(TableError):
-    def __init__(self, message, row=None, column=None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
+    pass
 
 
 class RaggedRowError(ParseError):

@@ -96,9 +96,7 @@ def load_library(path) -> list:
 
 def builtin_library() -> list:
     """The library shipped with the package."""
-    text = resources.files("biasaudit.data").joinpath("method_library.json").read_text("utf-8")
-    payload = json.loads(text)
-    return [MethodEntry.from_record(rec, position=i) for i, rec in enumerate(payload)]
+    return load_library(resources.files("biasaudit.data") / "method_library.json")
 
 
 def list_intentions(entries) -> list:

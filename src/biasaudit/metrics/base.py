@@ -59,11 +59,6 @@ def classify_scenario(cols) -> Scenario:
     raise UnsupportedArityError(f"expected 1 or 2 columns, got {len(cols)}")
 
 
-def column_values(col: Column) -> np.ndarray:
-    """Non-missing values of a numerical column as a float array."""
-    return col.data[col.present]
-
-
 def category_counts(col: Column) -> dict:
     """Counts of non-missing categories, keyed and ordered by label.
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import ConstantColumnError, DegenerateIQRError, InsufficientSamplesError
 from ..tabular import Column
-from .base import MetricResult, Scenario, column_values
+from .base import MetricResult, Scenario, paired
 
 # Points farther than this many population sd from the mean are outliers.
 Z_CUTOFF = 3.0
@@ -21,7 +21,7 @@ def _result(metric_id, raw, n, details=""):
 
 
 def _values(col: Column, metric_id: str) -> np.ndarray:
-    x = column_values(col)
+    (x,) = paired(col)
     if x.size < 3:
         raise InsufficientSamplesError(f"{metric_id} needs n >= 3, got {x.size}")
     return x

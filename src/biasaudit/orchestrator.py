@@ -218,9 +218,6 @@ class ToolRegistry:
     def get(self, name) -> ToolEntry:
         return self.entries[name]
 
-    def names(self):
-        return sorted(self.entries)
-
     def descriptions(self) -> list:
         return [{"name": e.name, "signature": e.signature,
                  "description": e.description}
@@ -396,10 +393,9 @@ def _chart_data(state: SessionState, kind: ChartKind) -> ChartSpec:
         if num is None:
             raise ToolError("box plot needs a numerical feature")
         if cat is None:
-            groups = {num.name: base.column_values(num).tolist()}
+            groups = {num.name: base.paired(num)[0]}
         else:
-            groups = {str(g): v.tolist()
-                      for g, v in cat_num.group_values(cat, num).items()}
+            groups = {str(g): v for g, v in cat_num.group_values(cat, num).items()}
         return ChartSpec(kind, {"groups": groups}, title=title)
     # correlation heatmap over the numerical features
     nums = [c for c in cols if c.kind is Kind.NUMERICAL]
@@ -450,7 +446,6 @@ def _tool_generate_bias_report(state: SessionState):
         findings=state.findings,
         charts=state.charts,
         method_citations=citations,
-        complete=True,
         errors=tuple(state.errors),
     )
     state.artifacts["report"] = report

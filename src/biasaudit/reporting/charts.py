@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from ..errors import ArityMismatchError, EmptyDataError
 
 WIDTH, HEIGHT = 640, 480
@@ -364,7 +366,8 @@ def _box(spec):
     if not groups or any(len(v) == 0 for v in groups.values()):
         raise EmptyDataError("box: every group needs a non-empty numeric series")
     keys = sorted(groups, key=str)
-    values = {k: sorted(float(v) for v in groups[k]) for k in keys}
+    values = {k: np.sort(np.asarray(groups[k], dtype=float), kind="stable")
+              for k in keys}
     lo = min(v[0] for v in values.values())
     hi = max(v[-1] for v in values.values())
     span = (hi - lo) or 1.0

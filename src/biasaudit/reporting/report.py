@@ -174,8 +174,7 @@ class ReportDocument:
 
 
 def assemble_report(task_summary: str, scenario: Scenario, findings,
-                    charts=(), method_citations=(), complete: bool = True,
-                    errors=()) -> ReportDocument:
+                    charts=(), method_citations=(), errors=()) -> ReportDocument:
     """Build the report model; recommendations come from the fixed rule table."""
     findings = tuple(findings)
     if not findings:
@@ -189,6 +188,5 @@ def assemble_report(task_summary: str, scenario: Scenario, findings,
         charts=tuple(charts),
         recommendations=tuple(recs),
         method_citations=tuple(method_citations),
-        complete=complete,
         errors=tuple(errors),
     )

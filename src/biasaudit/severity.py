@@ -84,8 +84,9 @@ class ThresholdTable:
     @classmethod
     def from_json(cls, text: str) -> "ThresholdTable":
         """Parse :meth:`to_json` output; a malformed table, one without a
-        band for every metric, or a band that grades another raw value
-        than the default band raises :class:`SchemaError`."""
+        band for every metric, a band for an id that is not a metric, or a
+        band that grades another raw value than the default band raises
+        :class:`SchemaError`."""
         try:
             payload = json.loads(text)
             bands = {
@@ -98,8 +99,11 @@ class ThresholdTable:
             raise SchemaError(f"threshold table: missing field {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise SchemaError(f"threshold table: {exc}") from exc
+        unknown = sorted(set(bands) - set(ALL_METRIC_IDS))
+        if unknown:
+            raise SchemaError(f"threshold table: bands for unknown metrics {unknown}")
         for mid, band in bands.items():
-            default = DEFAULT_BANDS.get(mid, band)  # no metric reads it
+            default = DEFAULT_BANDS[mid]
             if (band.raw_key, band.transform) != (default.raw_key, default.transform):
                 raise SchemaError(
                     f"threshold table: {mid} band must grade {default.raw_key!r} "
@@ -114,11 +118,14 @@ class ThresholdTable:
 def map_to_level(metric_id: str, result: MetricResult,
                  table: ThresholdTable) -> BiasLevel:
     band = table.band(metric_id)
-    value = band.transformed(result.raw)
+    return BiasLevel.of(_level(band.transformed(result.raw), band.cuts))
+
+
+def _level(value: float, cuts) -> int:
+    """5 for an infinite value, else 1 plus the number of cuts below it."""
     if math.isinf(value):
-        return BiasLevel.of(5)
-    level = 1 + sum(1 for c in band.cuts if c < value)
-    return BiasLevel.of(level)
+        return 5
+    return 1 + sum(1 for c in cuts if c < value)
 
 
 # The max/min-ratio cuts (1.5, 3, 10, 100) anchor the published thresholds
@@ -165,7 +172,6 @@ class MetricCalibration:
     accuracy_after: float
     separable: bool
     cases: int
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -175,9 +181,6 @@ class CalibrationReport:
     @property
     def inseparable(self) -> list:
         return sorted(m for m, c in self.per_metric.items() if not c.separable)
-
-    def accuracy(self, metric_id: str) -> float:
-        return self.per_metric[metric_id].accuracy_after
 
     def to_markdown(self) -> str:
         lines = ["# Calibration report", "",
@@ -214,23 +217,15 @@ def calibrate(samples: dict, initial: ThresholdTable):
         _check_coverage(metric_id, by_level)
         before = _suite_accuracy(by_level, band.cuts)
         cuts = _fit_cuts(by_level)
-        note = ""
-        if cuts is None:
-            after = before
-            separable = before >= MIN_CALIBRATION_ACCURACY
-            note = "degenerate value spread; kept initial cuts"
-        else:
+        after = before
+        if cuts is not None:
             fitted = _suite_accuracy(by_level, cuts)
             if fitted > before:
                 new_bands[metric_id] = MetricBand(band.raw_key, band.transform, cuts)
                 after = fitted
-            else:
-                after = before
-                note = "initial cuts already better"
-            separable = after >= MIN_CALIBRATION_ACCURACY
         cases = sum(len(v) for v in by_level.values())
         per_metric[metric_id] = MetricCalibration(
-            metric_id, before, after, separable, cases, note)
+            metric_id, before, after, after >= MIN_CALIBRATION_ACCURACY, cases)
     return (ThresholdTable(bands=new_bands, version="calibrated-v1"),
             CalibrationReport(per_metric=per_metric))
 
@@ -278,7 +273,6 @@ def _suite_accuracy(by_level, cuts):
     total = correct = 0
     for level, values in by_level.items():
         for v in values:
-            predicted = 5 if math.isinf(v) else 1 + sum(1 for c in cuts if c < v)
             total += 1
-            correct += predicted == level
+            correct += _level(v, cuts) == level
     return correct / total if total else 0.0

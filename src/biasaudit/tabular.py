@@ -11,13 +11,12 @@ them. Cleaning, the metrics and the charts share the array, and
 from __future__ import annotations
 
 import csv
-import io
 import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, filterfalse, islice
-from typing import Iterable, Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -32,7 +31,8 @@ from .errors import (
     UnknownColumnError,
 )
 
-DEFAULT_NA_TOKENS = frozenset({"", "NA", "N/A", "?", "null"})
+# A cell whose stripped text is one of these is missing.
+NA_TOKENS = frozenset({"", "NA", "N/A", "?", "null"})
 
 # Numeric-parse fraction above which a column is considered numerical,
 # unless it looks like an integer code with few distinct values.
@@ -166,29 +166,20 @@ def _parse(text: str) -> float:
         return math.nan
 
 
-def _parses(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 class _ColumnParser:
     """One column of raw text, added a block at a time.
 
-    A cell is missing if its stripped text is an na token; a present cell
-    is numeric if it parses as a finite real. A block whose cells all parse
-    is kept as float64 (non-finite values missing), unless every value so
-    far is one of a few integers: a possible integer code, whose labels
+    A cell is missing if its stripped text is in ``NA_TOKENS``; a present
+    cell is numeric if it parses as a finite real. A block whose cells all
+    parse is kept as float64 (non-finite values missing), unless every value
+    so far is one of a few integers: a possible integer code, whose labels
     are its texts. Every other block is kept as codes into one dict of the
     column's distinct texts, each checked and parsed once, by :meth:`kind`.
     """
 
-    def __init__(self, na: frozenset):
-        self.na = na
-        # A cell equal to an na token that parses would read as a number.
-        self.parse_floats = not any(map(_parses, na))
+    def __init__(self):
+        # Off when a categorical column's texts are read again.
+        self.parse_floats = True
         self.texts: dict = {}
         self.parts: list = []
         self.present = self.numeric = 0  # cells of the float blocks
@@ -219,8 +210,14 @@ class _ColumnParser:
                                       count=len(cells)))
 
     def kind(self) -> Kind:
-        """The :func:`infer_kind` rule over every cell added."""
-        self.missing = [text.strip() in self.na for text in self.texts]
+        """The kind of every cell added.
+
+        Numerical iff >= 95% of non-missing cells parse as finite reals and
+        the parsed values are not a small integer code (<= 10 distinct
+        all-integer values), so demographic codes like ``sex in {0, 1}``
+        stay categorical.
+        """
+        self.missing = [text.strip() in NA_TOKENS for text in self.texts]
         cells = ["nan" if m else text for text, m in zip(self.texts, self.missing)]
         try:
             self.value = np.array(cells, dtype=np.float64)
@@ -250,7 +247,7 @@ class _ColumnParser:
                 part if part.dtype == np.float64 else self.value[part]
                 for part in self.parts)]))
         if any(part.dtype == np.float64 for part in self.parts):
-            again = _ColumnParser(self.na)
+            again = _ColumnParser()
             again.parse_floats = False
             for cells in reread():
                 again.add(cells)
@@ -258,18 +255,6 @@ class _ColumnParser:
         labels = [None if m else text for text, m in zip(self.texts, self.missing)]
         codes = np.concatenate([np.empty(0, dtype=np.intp), *self.parts])
         return _recoded(name, codes, labels)
-
-
-def infer_kind(values: Sequence, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -> Kind:
-    """Decide whether a raw cell sequence is numerical or categorical.
-
-    Numerical iff >= 95% of non-missing cells parse as finite reals and the
-    parsed values are not a small integer code (<= 10 distinct all-integer
-    values), so demographic codes like ``sex in {0, 1}`` stay categorical.
-    """
-    parser = _ColumnParser(frozenset(na_tokens))
-    parser.add([str(v) for v in values if v is not None])
-    return parser.kind()
 
 
 def present_rows(cols: Sequence[Column], n: int) -> np.ndarray:
@@ -323,21 +308,20 @@ def _csv_blocks(path, width: int):
                 bad = next(i for i, row in enumerate(block) if len(row) != width)
                 raise RaggedRowError(
                     f"{path}: row {rownum + bad} has {len(block[bad])} fields, "
-                    f"expected {width}", row=rownum + bad)
+                    f"expected {width}")
             yield block
             rownum += len(block)
 
 
-def load_table(path, na_tokens: Iterable[str] = DEFAULT_NA_TOKENS) -> Table:
+def load_table(path) -> Table:
     """Load a CSV file into a typed :class:`Table`.
 
-    Column kinds are inferred with :func:`infer_kind`; cells of a numerical
-    column that do not parse are marked missing, as are na tokens anywhere.
-    Only one block of raw text is alive at a time.
+    Column kinds are inferred by :meth:`_ColumnParser.kind`; cells of a
+    numerical column that do not parse are marked missing, as are
+    ``NA_TOKENS`` anywhere. Only one block of raw text is alive at a time.
     """
     header = list_features(path)
-    na = frozenset(na_tokens)
-    parsers = [_ColumnParser(na) for _ in header]
+    parsers = [_ColumnParser() for _ in header]
     try:
         for block in _csv_blocks(path, len(header)):
             for parser, cells in zip(parsers, zip(*block)):
@@ -358,16 +342,14 @@ def from_columns(name: str, cols: Sequence[tuple]) -> Table:
 
 
 def save_table(table: Table, path) -> None:
-    """Write a table as CSV (missing cells empty), a block of rows at a time."""
+    """Write a table to a CSV file with :func:`write_table`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(_csv_rows(table))
+        write_table(table, fh)
 
 
-def serialize_table(table: Table) -> str:
-    """The CSV text that :func:`save_table` writes."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(_csv_rows(table))
-    return buf.getvalue()
+def write_table(table: Table, fh: TextIO) -> None:
+    """Write a table as CSV (missing cells empty), a block of rows at a time."""
+    csv.writer(fh, lineterminator="\n").writerows(_csv_rows(table))
 
 
 def _csv_rows(table: Table):

@@ -267,6 +267,14 @@ class TestSynth:
                      "--out", str(path)]) == 0
         assert path.read_text(encoding="utf-8").splitlines()[0] == "x,y"
 
+    def test_stdout_matches_out_file(self, tmp_path, capfdbinary):
+        spec = ["synth", "--scenario", "cat_num", "--n", "300", "--seed", "3"]
+        path = tmp_path / "t.csv"
+        assert main([*spec, "--out", str(path)]) == 0
+        capfdbinary.readouterr()
+        assert main(spec) == 0
+        assert capfdbinary.readouterr().out == path.read_bytes()
+
     def test_invalid_strength_exit_one(self, capsys):
         code = main(["synth", "--scenario", "cat_dist", "--strength", "1.5"])
         assert code == 1
@@ -301,9 +309,11 @@ def _band(**fields):
 
 
 def _table(metric_id, **fields):
-    """The default table with one band's fields replaced."""
+    """The default table with one band's fields replaced; a band for an id
+    the table lacks starts as a copy of the gini band."""
     payload = json.loads(DEFAULT_TABLE.to_json())
-    payload["bands"][metric_id].update(fields)
+    bands = payload["bands"]
+    bands.setdefault(metric_id, dict(bands["gini"])).update(fields)
     return json.dumps(payload)
 
 
@@ -336,6 +346,9 @@ BAD_INPUTS = [
     ("thresholds-other-transform", {**_THRESHOLDS_CONFIG, "t.json": _table(
         "pearson", transform="identity")}, _WITH_THRESHOLDS,
      "pearson band must grade 'r' with 'abs', got 'r' with 'identity'"),
+    ("thresholds-unknown-metric", {**_THRESHOLDS_CONFIG, "t.json": _table(
+        "ginni", cuts=[0.5, 0.6, 0.7, 0.8])}, _WITH_THRESHOLDS,
+     "bands for unknown metrics ['ginni']"),
     ("library-not-json", {"config.json": '{"library_path": "{tmp}/lib.json"}',
                           "lib.json": "{"},
      ["--config", "{tmp}/config.json", "methods", "list"], "library"),

@@ -1,9 +1,9 @@
 """Source hygiene: no module under ``biasaudit`` imports a name it never
-uses, or defines a function or class that no code, or only tests, name."""
+uses, or defines a function, class or public method that no code, or only
+tests, refer to."""
 
 import ast
 import pathlib
-import re
 from collections import Counter
 
 import pytest
@@ -13,15 +13,32 @@ SRC = ROOT / "src" / "biasaudit"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
-def word_counts(*tops) -> Counter:
-    return Counter(word for top in tops for path in (ROOT / top).rglob("*.py")
-                   for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+def references(tree: ast.AST) -> Counter:
+    """The identifiers ``tree`` refers to: names, attribute names and the
+    names imports bind or take. An attribute name is also counted under
+    ``"." + name``. Docstrings, comments and other strings refer to nothing.
+    """
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+            refs["." + node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs.update({*node.name.split("."), node.asname} - {None})
+    return refs
 
 
-# The words of the Python sources that may name a library function or
-# class: WORDS counts every source, LIBRARY_WORDS all but the tests.
-LIBRARY_WORDS = word_counts("src", "perfbench", "scripts", "demos")
-WORDS = LIBRARY_WORDS + word_counts("tests")
+def source_references(*tops) -> Counter:
+    return sum((references(ast.parse(path.read_text(encoding="utf-8")))
+                for top in tops for path in (ROOT / top).rglob("*.py")), Counter())
+
+
+# What the Python sources refer to: LIBRARY_REFS counts every source but
+# the tests, REFS all of them.
+LIBRARY_REFS = source_references("src", "perfbench", "scripts", "demos")
+REFS = LIBRARY_REFS + source_references("tests")
 # Definitions that only tests may name. ScriptedPlanner is the planner test
 # seam: it replays a fixed list of actions in place of a model.
 TEST_SEAMS = {"ScriptedPlanner"}
@@ -65,39 +82,62 @@ def test_detects_unused_import():
     assert unused_imports(ast.parse("import os\n__all__ = []\n")) == []
 
 
-def unreferenced(tree: ast.Module, words: Counter) -> list:
-    """Module-level functions and classes of ``tree`` whose name occurs as a
-    whole word only once in ``words``: in their own definition."""
-    return sorted(node.name for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
-                  and words[node.name] < 2)
+def unreferenced(tree: ast.Module, refs: Counter) -> list:
+    """Module-level functions and classes of ``tree`` that nothing in
+    ``refs`` refers to, and public methods of its classes, as
+    ``Class.method``, that no attribute access names."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = [node.name for node in tree.body
+             if isinstance(node, defs) and not refs[node.name]]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            found += [f"{cls.name}.{node.name}" for node in cls.body
+                      if isinstance(node, defs[:2]) and not node.name.startswith("_")
+                      and not refs["." + node.name]]
+    return sorted(found)
 
 
 @pytest.mark.parametrize("path", MODULES,
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unreferenced_definitions(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert unreferenced(tree, WORDS) == []
+    assert unreferenced(tree, REFS) == []
 
 
 @pytest.mark.parametrize("path", MODULES,
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_definitions_only_tests_name(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert sorted(set(unreferenced(tree, LIBRARY_WORDS)) - TEST_SEAMS) == []
+    assert sorted(set(unreferenced(tree, LIBRARY_REFS)) - TEST_SEAMS) == []
 
 
 def test_detects_unreferenced_definition():
     source = ("def used():\n    def nested():\n        pass\n\n"
               "def lone():\n    used()\n\nclass Lone:\n    pass\n")
-    words = Counter(re.findall(r"\w+", source + "# lone_call(x)\n"))
-    assert unreferenced(ast.parse(source), words) == ["Lone", "lone"]
+    refs = references(ast.parse(source + "lone_call(x)\n"))
+    assert unreferenced(ast.parse(source), refs) == ["Lone", "lone"]
+
+
+def test_detects_definition_named_only_in_a_docstring():
+    source = ('def helper():\n    pass\n\n'
+              'def main():\n    """Calls helper() # helper"""\n\nmain()\n')
+    assert unreferenced(ast.parse(source), references(ast.parse(source))) == ["helper"]
 
 
 def test_detects_definition_only_tests_name():
     source = "def used():\n    pass\n\ndef seam():\n    pass\n\nused()\n"
-    library = Counter(re.findall(r"\w+", source))
-    tests = Counter(re.findall(r"\w+", "from lib import seam\nseam()\n"))
+    library = references(ast.parse(source))
+    tests = references(ast.parse("from lib import seam\nseam()\n"))
     assert unreferenced(ast.parse(source), library + tests) == []
     assert unreferenced(ast.parse(source), library) == ["seam"]
+
+
+def test_detects_method_only_tests_call():
+    source = ("class Box:\n    def __init__(self):\n        self.n = 0\n\n"
+              "    def size(self):\n        return self.n\n\n"
+              "    def names(self):\n        return []\n\n"
+              "names = Box().size()\n")
+    library = references(ast.parse(source))
+    tests = references(ast.parse("assert Box().names() == []\n"))
+    assert unreferenced(ast.parse(source), library + tests) == []
+    assert unreferenced(ast.parse(source), library) == ["Box.names"]

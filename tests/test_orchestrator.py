@@ -78,7 +78,7 @@ def cat_task(path, **kw):
 
 class TestRegistry:
     def test_forty_five_tools(self, registry):
-        assert len(registry.names()) == 45
+        assert len(registry.entries) == 45
         assert len(DETECTION_TOOLS) == 25
         assert len(CHART_TOOLS) == 9
 
@@ -416,7 +416,7 @@ class TestChatPlanner:
             "extract_two_columns(column_a, column_b): ")
         assert described["clean_missing_values"].startswith(
             "clean_missing_values(columns, mode): ")
-        assert len(described) == len(registry.names())
+        assert len(described) == len(registry.entries)
 
 
 class TestSessionLog:

@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from biasaudit.errors import ArityMismatchError, EmptyDataError, NoFindingsError
@@ -138,6 +139,14 @@ class TestBox:
     def test_no_groups_rejected(self):
         with pytest.raises(EmptyDataError):
             render_chart(spec(ChartKind.BOX, groups={}))
+
+    def test_array_groups_render_as_lists(self):
+        # Unsorted, with -0.0/0.0 ties whose order can reach a quantile's sign.
+        groups = {"a": [3.0, -0.0, 0.0, -1.5, 0.0, -0.0, 2.25],
+                  "b": [0.0, -0.0, 0.0, -0.0], "c": [5, 1, 4]}
+        arrays = {k: np.array(v, dtype=float) for k, v in groups.items()}
+        assert (render_chart(spec(ChartKind.BOX, groups=arrays))
+                == render_chart(spec(ChartKind.BOX, groups=groups)))
 
 
 class TestRenderDeterminism:

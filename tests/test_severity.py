@@ -107,7 +107,7 @@ class TestCalibrate:
         table, report = calibrate(samples, DEFAULT_TABLE)
         cuts = table.band("shannon_balance").cuts
         assert list(cuts) == sorted(cuts)
-        assert report.accuracy("shannon_balance") >= 0.9
+        assert report.per_metric["shannon_balance"].accuracy_after >= 0.9
         assert "shannon_balance" not in report.inseparable
 
     def test_single_level_coverage_failure(self):
@@ -121,11 +121,11 @@ class TestCalibrate:
         samples = {"pearson": monotone_samples([0.05, 0.2, 0.4, 0.6, 0.85],
                                                spread=0.002)}
         table, report = calibrate(samples, DEFAULT_TABLE)
-        assert report.accuracy("pearson") == 1.0
+        assert report.per_metric["pearson"].accuracy_after == 1.0
         before = report.per_metric["pearson"].accuracy_before
         assert before == 1.0
         # accuracy is preserved even if the cuts moved
-        assert report.accuracy("pearson") >= before
+        assert report.per_metric["pearson"].accuracy_after >= before
 
     def test_improve_or_preserve(self):
         # overlapping populations: fitted accuracy never drops below initial

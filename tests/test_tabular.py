@@ -1,5 +1,6 @@
 """Loading, type inference, and preprocessing of delimited tables."""
 
+import io
 from dataclasses import fields
 
 import numpy as np
@@ -25,12 +26,11 @@ from biasaudit.tabular import (
     extract_columns,
     from_columns,
     group_and_aggregate,
-    infer_kind,
     list_features,
     load_table,
     normalize_or_standardize,
     save_table,
-    serialize_table,
+    write_table,
 )
 
 
@@ -53,22 +53,27 @@ class TestListFeatures:
             list_features(write(tmp_path, ""))
 
 
+def kind_of(tmp_path, cells) -> Kind:
+    """The kind ``load_table`` gives a one-column CSV of ``cells``."""
+    return load_table(write(tmp_path, "\n".join(["x", *cells, ""]))).column("x").kind
+
+
 class TestInferKind:
-    def test_mixed_tokens_below_threshold(self):
-        assert infer_kind(["1", "2", "x"]) is Kind.CATEGORICAL
+    def test_mixed_tokens_below_threshold(self, tmp_path):
+        assert kind_of(tmp_path, ["1", "2", "x"]) is Kind.CATEGORICAL
 
-    def test_all_reals(self):
-        assert infer_kind(["1.5", "2.5"]) is Kind.NUMERICAL
+    def test_all_reals(self, tmp_path):
+        assert kind_of(tmp_path, ["1.5", "2.5"]) is Kind.NUMERICAL
 
-    def test_binary_integer_code(self):
-        assert infer_kind(["0", "1", "0", "1"] * 50) is Kind.CATEGORICAL
+    def test_binary_integer_code(self, tmp_path):
+        assert kind_of(tmp_path, ["0", "1", "0", "1"] * 50) is Kind.CATEGORICAL
 
-    def test_many_distinct_reals(self):
-        assert infer_kind([f"{i}.25" for i in range(100)]) is Kind.NUMERICAL
+    def test_many_distinct_reals(self, tmp_path):
+        assert kind_of(tmp_path, [f"{i}.25" for i in range(100)]) is Kind.NUMERICAL
 
-    def test_mostly_numeric_with_junk(self):
+    def test_mostly_numeric_with_junk(self, tmp_path):
         vals = [f"{i}.5" for i in range(96)] + ["junk"] * 4
-        assert infer_kind(vals) is Kind.NUMERICAL
+        assert kind_of(tmp_path, vals) is Kind.NUMERICAL
 
 
 class TestLoadTable:
@@ -110,7 +115,9 @@ class TestLoadTable:
         ])
         p = tmp_path / "s.csv"
         save_table(t, p)
-        assert p.read_bytes() == serialize_table(t).encode("utf-8")
+        buf = io.StringIO()
+        write_table(t, buf)
+        assert p.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 class TestExtract:
