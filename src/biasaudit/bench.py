@@ -21,6 +21,8 @@ from .errors import (
     SchemaError,
 )
 from .metrics import (
+    ALL_METRIC_IDS,
+    METRICS,
     SCENARIO_METRICS,
     BiasType,
     classify_scenario,
@@ -257,13 +259,13 @@ class HeuristicJudge:
             f"{'complete' if finished_complete else 'no complete'} wrap-up")
 
         if detection_invoked:
-            scenario = self._scenario_of(detection_invoked)
-            required = set(SCENARIO_METRICS[scenario]) if scenario else set()
-            coverage = (len(detection_invoked & required) / len(required)
-                        if required else 0.0)
+            # The scenario of the invoked metric first in the paper's order.
+            first = min(detection_invoked, key=ALL_METRIC_IDS.index)
+            required = set(SCENARIO_METRICS[METRICS[first].scenario])
+            coverage = len(detection_invoked & required) / len(required)
             scores["Planning"] = round(30 + 70 * coverage)
             evidence["Planning"] = (
-                f"{len(detection_invoked & required)}/{len(required) or 5} "
+                f"{len(detection_invoked & required)}/{len(required)} "
                 f"scenario metrics scheduled")
         else:
             scores["Planning"] = 20
@@ -328,13 +330,6 @@ class HeuristicJudge:
         evidence["Integration"] = "; ".join(notes) or "legal stage flow, finished"
 
         return ProcessScores(scores=scores, evidence=evidence)
-
-    @staticmethod
-    def _scenario_of(metric_ids):
-        for scenario, ids in SCENARIO_METRICS.items():
-            if metric_ids & set(ids):
-                return scenario
-        return None
 
 
 def score_process(log: SessionLog):

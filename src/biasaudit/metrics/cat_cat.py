@@ -117,12 +117,3 @@ def total_variation(a: Column, b: Column) -> MetricResult:
     cond = o / o.sum(axis=1, keepdims=True)
     worst = float(_tvd(cond, o.sum(axis=0) / n).max())
     return _result("total_variation", {"tvd": worst}, int(n))
-
-
-METRICS = {
-    "cramers_v": cramers_v,
-    "elift": elift,
-    "statistical_parity": statistical_parity,
-    "lipschitz": lipschitz,
-    "total_variation": total_variation,
-}

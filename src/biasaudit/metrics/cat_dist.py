@@ -82,12 +82,3 @@ def relative_risk(col: Column) -> MetricResult:
                    {"max_abs_deviation": dev,
                     "rr_max": max(rr.values()), "rr_min": min(rr.values())},
                    n, f"k={k}")
-
-
-METRICS = {
-    "shannon_balance": shannon_balance,
-    "max_min_ratio": max_min_ratio,
-    "entropy": entropy,
-    "gini": gini,
-    "relative_risk": relative_risk,
-}

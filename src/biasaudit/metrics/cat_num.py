@@ -176,12 +176,3 @@ def pse(g: Column, y: Column, mediator: Column | None = None) -> MetricResult:
     return _result("pse",
                    {"ade": ade, "aie": aie, "total": ade + aie, "pse": raw},
                    t.size, f"treatment={keys[0]!r} mediator={mediator.name!r}")
-
-
-METRICS = {
-    "max_abs_mean": max_abs_mean,
-    "cohens_d": cohens_d,
-    "standardized_difference": standardized_difference,
-    "causal_effect": causal_effect,
-    "pse": pse,
-}

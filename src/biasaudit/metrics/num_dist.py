@@ -79,12 +79,3 @@ def quantile_deviation(col: Column) -> MetricResult:
     qd = (q3 - q2) / (q3 - q1)
     return _result("quantile_deviation",
                    {"qd": float(qd), "deviation": float(abs(qd - 0.5))}, x.size)
-
-
-METRICS = {
-    "skewness": skewness,
-    "kurtosis": kurtosis,
-    "outlier": outlier,
-    "cohens_d_mad": cohens_d_mad,
-    "quantile_deviation": quantile_deviation,
-}

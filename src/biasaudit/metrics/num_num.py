@@ -223,12 +223,3 @@ def _centered_rbf_gram(v: np.ndarray) -> np.ndarray:
     g -= col
     g += grand
     return g
-
-
-METRICS = {
-    "pearson": pearson,
-    "nmi": nmi,
-    "hgr_approximation": hgr_approximation,
-    "wasserstein": wasserstein,
-    "hsic": hsic,
-}

@@ -34,6 +34,7 @@ from .errors import (
     ToolError,
 )
 from .metrics import (
+    METRICS,
     SCENARIO_METRICS,
     BiasType,
     Scenario,
@@ -224,16 +225,17 @@ class ToolRegistry:
                 for _, e in sorted(self.entries.items())]
 
 
-# Long scenario-prefixed tool name -> metric id.
-DETECTION_TOOLS = {}
-for _scenario, _prefix in ((Scenario.CAT_DIST, "categorical_distribution"),
-                           (Scenario.NUM_DIST, "numerical_distribution"),
-                           (Scenario.CAT_CAT, "categorical_categorical_correlation"),
-                           (Scenario.CAT_NUM, "categorical_numerical_correlation"),
-                           (Scenario.NUM_NUM, "numerical_numerical_correlation")):
-    for _mid in SCENARIO_METRICS[_scenario]:
-        DETECTION_TOOLS[f"{_prefix}_{_mid}"] = _mid
-
+# Each metric is a detection tool named by its scenario's prefix and its id.
+_TOOL_PREFIX = {
+    Scenario.CAT_DIST: "categorical_distribution",
+    Scenario.NUM_DIST: "numerical_distribution",
+    Scenario.CAT_CAT: "categorical_categorical_correlation",
+    Scenario.CAT_NUM: "categorical_numerical_correlation",
+    Scenario.NUM_NUM: "numerical_numerical_correlation",
+}
+# Tool name -> metric id, in the paper's order.
+DETECTION_TOOLS = {f"{_TOOL_PREFIX[spec.scenario]}_{mid}": mid
+                   for mid, spec in METRICS.items()}
 METRIC_TO_TOOL = {m: t for t, m in DETECTION_TOOLS.items()}
 
 CHART_TOOLS = {

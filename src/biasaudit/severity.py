@@ -1,9 +1,10 @@
 """Severity mapping: raw metric values -> the five bias levels.
 
-Every metric designates one raw scalar and a transform that makes "higher
-means more biased" true, after which the level is determined by four
-strictly increasing cut-points. Ties at a cut-point map to the lower level
-(strict comparison).
+Every metric's spec in :data:`biasaudit.metrics.METRICS` designates one raw
+scalar and a transform that makes "higher means more biased" true, after
+which the level is determined by the four strictly increasing cut-points a
+:class:`ThresholdTable` holds for the metric. Ties at a cut-point map to the
+lower level (strict comparison).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CalibrationError, SchemaError, UnknownMetricError
-from .metrics import ALL_METRIC_IDS, MetricResult
+from .metrics import METRICS, MetricResult
 
 LEVEL_LABELS = {
     1: "most balanced",
@@ -43,27 +44,11 @@ class BiasLevel:
 
 
 @dataclass(frozen=True)
-class MetricBand:
-    raw_key: str
-    transform: str  # identity | abs | one_minus
-    cuts: tuple
-
-    def __post_init__(self):
-        if self.transform not in _TRANSFORMS:
-            raise ValueError(f"unknown transform {self.transform!r}")
-        if len(self.cuts) != 4 or any(a >= b for a, b in zip(self.cuts, self.cuts[1:])):
-            raise ValueError(f"cut-points must be 4 strictly increasing reals: {self.cuts}")
-
-    def transformed(self, raw: dict) -> float:
-        return _TRANSFORMS[self.transform](raw[self.raw_key])
-
-
-@dataclass(frozen=True)
 class ThresholdTable:
-    bands: dict  # metric_id -> MetricBand
+    bands: dict  # metric_id -> 4 strictly increasing cut-points
     version: str = "default-v1"
 
-    def band(self, metric_id: str) -> MetricBand:
+    def cuts(self, metric_id: str) -> tuple:
         try:
             return self.bands[metric_id]
         except KeyError:
@@ -74,9 +59,9 @@ class ThresholdTable:
         payload = {
             "version": self.version,
             "bands": {
-                mid: {"raw_key": b.raw_key, "transform": b.transform,
-                      "cuts": list(b.cuts)}
-                for mid, b in sorted(self.bands.items())
+                mid: {"raw_key": METRICS[mid].raw_key,
+                      "transform": METRICS[mid].transform, "cuts": list(cuts)}
+                for mid, cuts in sorted(self.bands.items())
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -85,40 +70,57 @@ class ThresholdTable:
     def from_json(cls, text: str) -> "ThresholdTable":
         """Parse :meth:`to_json` output; a malformed table, one without a
         band for every metric, a band for an id that is not a metric, or a
-        band that grades another raw value than the default band raises
-        :class:`SchemaError`."""
+        band that grades another raw value than its metric's ``raw_key``
+        under its ``transform`` raises :class:`SchemaError`."""
         try:
             payload = json.loads(text)
-            bands = {
-                mid: MetricBand(b["raw_key"], b["transform"],
-                                tuple(map(float, b["cuts"])))
-                for mid, b in payload["bands"].items()
-            }
+            graded, bands = {}, {}
+            for mid, b in payload["bands"].items():
+                graded[mid] = (b["raw_key"], b["transform"])
+                bands[mid] = _checked_band(b["transform"],
+                                           tuple(map(float, b["cuts"])))
             version = payload.get("version", "unversioned")
         except KeyError as exc:
             raise SchemaError(f"threshold table: missing field {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise SchemaError(f"threshold table: {exc}") from exc
-        unknown = sorted(set(bands) - set(ALL_METRIC_IDS))
+        unknown = sorted(set(bands) - set(METRICS))
         if unknown:
             raise SchemaError(f"threshold table: bands for unknown metrics {unknown}")
-        for mid, band in bands.items():
-            default = DEFAULT_BANDS[mid]
-            if (band.raw_key, band.transform) != (default.raw_key, default.transform):
+        for mid, (raw_key, transform) in graded.items():
+            spec = METRICS[mid]
+            if (raw_key, transform) != (spec.raw_key, spec.transform):
                 raise SchemaError(
-                    f"threshold table: {mid} band must grade {default.raw_key!r} "
-                    f"with {default.transform!r}, got {band.raw_key!r} with "
-                    f"{band.transform!r}")
-        missing = [m for m in ALL_METRIC_IDS if m not in bands]
+                    f"threshold table: {mid} band must grade {spec.raw_key!r} "
+                    f"with {spec.transform!r}, got {raw_key!r} with "
+                    f"{transform!r}")
+        missing = [m for m in METRICS if m not in bands]
         if missing:
             raise SchemaError(f"threshold table: no band for {missing}")
         return cls(bands=bands, version=version)
 
 
+def _checked_band(transform: str, cuts: tuple) -> tuple:
+    """``cuts`` if ``transform`` is known and they are 4 strictly increasing
+    reals, else a ValueError."""
+    if transform not in _TRANSFORMS:
+        raise ValueError(f"unknown transform {transform!r}")
+    if len(cuts) != 4 or any(a >= b for a, b in zip(cuts, cuts[1:])):
+        raise ValueError(f"cut-points must be 4 strictly increasing reals: {cuts}")
+    return cuts
+
+
+def graded_value(metric_id: str, raw: dict) -> float:
+    """The value a metric's level is read from: its spec's ``raw_key``
+    under its ``transform``, so that higher means more biased."""
+    spec = METRICS[metric_id]
+    return _TRANSFORMS[spec.transform](raw[spec.raw_key])
+
+
 def map_to_level(metric_id: str, result: MetricResult,
                  table: ThresholdTable) -> BiasLevel:
-    band = table.band(metric_id)
-    return BiasLevel.of(_level(band.transformed(result.raw), band.cuts))
+    cuts = table.cuts(metric_id)
+    return BiasLevel.of(_level(graded_value(metric_id, result.raw), cuts))
 
 
 def _level(value: float, cuts) -> int:
@@ -134,35 +136,35 @@ def _level(value: float, cuts) -> int:
 _D_FAMILY = (0.1, 0.25, 0.5, 1.0)
 _TVD_FAMILY = (0.05, 0.1, 0.2, 0.35)
 
-DEFAULT_BANDS = {
-    "shannon_balance": MetricBand("balance", "one_minus", (0.1, 0.25, 0.5, 0.75)),
-    "max_min_ratio": MetricBand("ratio", "identity", (1.5, 3.0, 10.0, 100.0)),
-    "entropy": MetricBand("H_norm", "one_minus", (0.1, 0.25, 0.5, 0.75)),
-    "gini": MetricBand("G_norm", "one_minus", (0.1, 0.25, 0.5, 0.75)),
-    "relative_risk": MetricBand("max_abs_deviation", "identity", _D_FAMILY),
-    "skewness": MetricBand("g1", "abs", (0.5, 1.0, 2.0, 3.0)),
-    "kurtosis": MetricBand("g2", "abs", (1.0, 2.0, 4.0, 7.0)),
-    "outlier": MetricBand("fraction", "identity", (0.005, 0.01, 0.03, 0.05)),
-    "cohens_d_mad": MetricBand("d", "abs", _D_FAMILY),
-    "quantile_deviation": MetricBand("deviation", "identity", (0.05, 0.1, 0.2, 0.35)),
-    "cramers_v": MetricBand("v", "identity", (0.1, 0.25, 0.45, 0.65)),
-    "elift": MetricBand("max_elift", "identity", (1.1, 1.5, 2.0, 3.0)),
-    "statistical_parity": MetricBand("max_delta", "identity", _TVD_FAMILY),
-    "lipschitz": MetricBand("lipschitz", "identity", _TVD_FAMILY),
-    "total_variation": MetricBand("tvd", "identity", _TVD_FAMILY),
-    "max_abs_mean": MetricBand("n_value", "identity", _D_FAMILY),
-    "cohens_d": MetricBand("d", "identity", _D_FAMILY),
-    "standardized_difference": MetricBand("sd", "identity", _D_FAMILY),
-    "causal_effect": MetricBand("ace_std", "abs", _D_FAMILY),
-    "pse": MetricBand("pse", "identity", _D_FAMILY),
-    "pearson": MetricBand("r", "abs", (0.1, 0.3, 0.5, 0.7)),
-    "nmi": MetricBand("nmi", "identity", (0.05, 0.15, 0.3, 0.5)),
-    "hgr_approximation": MetricBand("hgr", "identity", (0.1, 0.25, 0.45, 0.65)),
-    "wasserstein": MetricBand("w2", "identity", _D_FAMILY),
-    "hsic": MetricBand("nhsic", "identity", (0.05, 0.15, 0.3, 0.5)),
+DEFAULT_CUTS = {
+    "shannon_balance": (0.1, 0.25, 0.5, 0.75),
+    "max_min_ratio": (1.5, 3.0, 10.0, 100.0),
+    "entropy": (0.1, 0.25, 0.5, 0.75),
+    "gini": (0.1, 0.25, 0.5, 0.75),
+    "relative_risk": _D_FAMILY,
+    "skewness": (0.5, 1.0, 2.0, 3.0),
+    "kurtosis": (1.0, 2.0, 4.0, 7.0),
+    "outlier": (0.005, 0.01, 0.03, 0.05),
+    "cohens_d_mad": _D_FAMILY,
+    "quantile_deviation": (0.05, 0.1, 0.2, 0.35),
+    "cramers_v": (0.1, 0.25, 0.45, 0.65),
+    "elift": (1.1, 1.5, 2.0, 3.0),
+    "statistical_parity": _TVD_FAMILY,
+    "lipschitz": _TVD_FAMILY,
+    "total_variation": _TVD_FAMILY,
+    "max_abs_mean": _D_FAMILY,
+    "cohens_d": _D_FAMILY,
+    "standardized_difference": _D_FAMILY,
+    "causal_effect": _D_FAMILY,
+    "pse": _D_FAMILY,
+    "pearson": (0.1, 0.3, 0.5, 0.7),
+    "nmi": (0.05, 0.15, 0.3, 0.5),
+    "hgr_approximation": (0.1, 0.25, 0.45, 0.65),
+    "wasserstein": _D_FAMILY,
+    "hsic": (0.05, 0.15, 0.3, 0.5),
 }
 
-DEFAULT_TABLE = ThresholdTable(bands=DEFAULT_BANDS, version="default-v1")
+DEFAULT_TABLE = ThresholdTable(bands=DEFAULT_CUTS, version="default-v1")
 
 
 @dataclass(frozen=True)
@@ -213,15 +215,15 @@ def calibrate(samples: dict, initial: ThresholdTable):
     new_bands = dict(initial.bands)
     per_metric = {}
     for metric_id, by_level in sorted(samples.items()):
-        band = initial.band(metric_id)
+        initial_cuts = initial.cuts(metric_id)
         _check_coverage(metric_id, by_level)
-        before = _suite_accuracy(by_level, band.cuts)
+        before = _suite_accuracy(by_level, initial_cuts)
         cuts = _fit_cuts(by_level)
         after = before
         if cuts is not None:
             fitted = _suite_accuracy(by_level, cuts)
             if fitted > before:
-                new_bands[metric_id] = MetricBand(band.raw_key, band.transform, cuts)
+                new_bands[metric_id] = cuts
                 after = fitted
         cases = sum(len(v) for v in by_level.values())
         per_metric[metric_id] = MetricCalibration(

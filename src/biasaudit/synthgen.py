@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, MetricError
 from .metrics import SCENARIO_METRICS, Scenario, run_metric
-from .severity import ThresholdTable, calibrate
+from .severity import ThresholdTable, calibrate, graded_value
 from .tabular import Kind, Table, from_columns
 
 # Geometric decay of category weights reaches 1 - _CAT_DECAY at full
@@ -155,10 +155,10 @@ def grade_suite(scenario: Scenario, levels, base_seed: int = 7):
     return suite
 
 
-def collect_calibration_samples(suite, initial: ThresholdTable) -> dict:
+def collect_calibration_samples(suite) -> dict:
     """Evaluate the scenario metrics over a graded suite.
 
-    Returns metric_id -> {level: [transformed raw values]} suitable for
+    Returns metric_id -> {level: [graded values]} suitable for
     :func:`biasaudit.severity.calibrate`. Metrics that error on every suite
     case (e.g. a mediation metric with no mediator column) are dropped.
     """
@@ -171,9 +171,8 @@ def collect_calibration_samples(suite, initial: ThresholdTable) -> dict:
                 result = run_metric(metric_id, cols)
             except MetricError:
                 continue
-            band = initial.band(metric_id)
-            value = band.transformed(result.raw)
-            samples.setdefault(metric_id, {}).setdefault(level, []).append(value)
+            samples.setdefault(metric_id, {}).setdefault(level, []).append(
+                graded_value(metric_id, result.raw))
     return samples
 
 
@@ -182,5 +181,5 @@ def calibrate_scenarios(scenarios, initial: ThresholdTable, base_seed: int = 7):
     samples: dict = {}
     for scenario in scenarios:
         suite = grade_suite(scenario, levels=range(1, 6), base_seed=base_seed)
-        samples.update(collect_calibration_samples(suite, initial))
+        samples.update(collect_calibration_samples(suite))
     return calibrate(samples, initial)

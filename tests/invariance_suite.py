@@ -18,8 +18,7 @@ import random
 from unittest import mock
 
 from biasaudit.errors import MetricError
-from biasaudit.metrics import ALL_METRIC_IDS, num_num, run_metric
-from biasaudit.severity import DEFAULT_TABLE
+from biasaudit.metrics import ALL_METRIC_IDS, METRICS, num_num, run_metric
 from biasaudit.tabular import Column, Kind
 
 PERM_TOL = 1e-9
@@ -43,7 +42,7 @@ RELABEL_METRICS = CAT_DIST + CAT_CAT + CAT_NUM
 AFFINE_METRICS = NUM_DIST + CAT_NUM + NUM_NUM
 # Severity-relevant raw key per metric: the affine check compares this key
 # only, since location/scale-bearing keys (means, raw ACE) change by design.
-AFFINE_KEYS = {mid: DEFAULT_TABLE.band(mid).raw_key for mid in AFFINE_METRICS}
+AFFINE_KEYS = {mid: METRICS[mid].raw_key for mid in AFFINE_METRICS}
 
 PERM_TRIALS = 20
 RELABEL_TRIALS = 20

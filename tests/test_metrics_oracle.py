@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from biasaudit.errors import MetricError
-from biasaudit.metrics import ALL_METRIC_IDS, num_num, run_metric
+from biasaudit.metrics import ALL_METRIC_IDS, METRICS, num_num, run_metric
 from biasaudit.tabular import Column, Kind
 
 TOL = 1e-9
@@ -117,6 +117,9 @@ def test_metric_matches_oracle(metric_id):
             result = run_metric(metric_id, cols, **extra)
         except MetricError:
             continue  # degenerate draw; try another
+        assert result.metric_id == metric_id
+        assert result.scenario is METRICS[metric_id].scenario
+        assert METRICS[metric_id].raw_key in result.raw
         expected = ORACLES[metric_id](*args)
         for key, want in expected.items():
             got = result.raw[key]

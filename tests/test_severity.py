@@ -10,7 +10,6 @@ from biasaudit.severity import (
     DEFAULT_TABLE,
     LEVEL_LABELS,
     BiasLevel,
-    MetricBand,
     ThresholdTable,
     calibrate,
     map_to_level,
@@ -58,8 +57,7 @@ class TestMapToLevel:
         assert lvl.value == 5
 
     def test_cut_tie_maps_to_lower_level(self):
-        band = DEFAULT_TABLE.band("pearson")
-        for i, cut in enumerate(band.cuts, start=1):
+        for i, cut in enumerate(DEFAULT_TABLE.cuts("pearson"), start=1):
             lvl = map_to_level("pearson", result("pearson", {"r": cut}),
                                DEFAULT_TABLE)
             assert lvl.value == i
@@ -71,13 +69,13 @@ class TestMapToLevel:
 
     def test_unknown_metric(self):
         with pytest.raises(UnknownMetricError):
-            DEFAULT_TABLE.band("nope")
+            DEFAULT_TABLE.cuts("nope")
 
     def test_every_metric_has_a_band(self):
         for metric_id in ALL_METRIC_IDS:
-            band = DEFAULT_TABLE.band(metric_id)
-            assert len(band.cuts) == 4
-            assert list(band.cuts) == sorted(band.cuts)
+            cuts = DEFAULT_TABLE.cuts(metric_id)
+            assert len(cuts) == 4
+            assert list(cuts) == sorted(cuts)
 
 
 class TestThresholdTableSerialization:
@@ -86,13 +84,7 @@ class TestThresholdTableSerialization:
         back = ThresholdTable.from_json(text)
         assert back.version == DEFAULT_TABLE.version
         for metric_id in ALL_METRIC_IDS:
-            assert back.band(metric_id) == DEFAULT_TABLE.band(metric_id)
-
-    def test_band_validation(self):
-        with pytest.raises(ValueError):
-            MetricBand("x", "identity", (1.0, 0.5, 2.0, 3.0))  # not increasing
-        with pytest.raises(ValueError):
-            MetricBand("x", "no_such_transform", (1.0, 2.0, 3.0, 4.0))
+            assert back.cuts(metric_id) == DEFAULT_TABLE.cuts(metric_id)
 
 
 def monotone_samples(centers, spread=0.01, reps=4):
@@ -105,7 +97,7 @@ class TestCalibrate:
     def test_monotone_suite_separates(self):
         samples = {"shannon_balance": monotone_samples([0.05, 0.2, 0.4, 0.6, 0.8])}
         table, report = calibrate(samples, DEFAULT_TABLE)
-        cuts = table.band("shannon_balance").cuts
+        cuts = table.cuts("shannon_balance")
         assert list(cuts) == sorted(cuts)
         assert report.per_metric["shannon_balance"].accuracy_after >= 0.9
         assert "shannon_balance" not in report.inseparable
@@ -116,7 +108,6 @@ class TestCalibrate:
             calibrate(samples, DEFAULT_TABLE)
 
     def test_already_perfect_suite_preserved(self):
-        band = DEFAULT_TABLE.band("pearson")
         # values sitting comfortably inside each default level
         samples = {"pearson": monotone_samples([0.05, 0.2, 0.4, 0.6, 0.85],
                                                spread=0.002)}
@@ -142,4 +133,4 @@ class TestCalibrate:
         table, report = calibrate(samples, DEFAULT_TABLE)
         assert report.inseparable == ["wasserstein"]
         # the initial band survives
-        assert table.band("wasserstein") == DEFAULT_TABLE.band("wasserstein")
+        assert table.cuts("wasserstein") == DEFAULT_TABLE.cuts("wasserstein")

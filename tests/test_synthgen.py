@@ -4,7 +4,6 @@ import pytest
 
 from biasaudit.errors import InvalidSpecError
 from biasaudit.metrics import Scenario, run_metric
-from biasaudit.severity import DEFAULT_TABLE
 from biasaudit.synthgen import (
     GRADE_SIZES,
     LEVEL_STRENGTHS,
@@ -93,13 +92,13 @@ class TestGradeSuite:
 class TestCalibrationSamples:
     def test_mediation_metric_dropped_without_mediator(self):
         suite = grade_suite(Scenario.CAT_NUM, levels=range(1, 6))
-        samples = collect_calibration_samples(suite, DEFAULT_TABLE)
+        samples = collect_calibration_samples(suite)
         assert "pse" not in samples
         assert "cohens_d" in samples
 
     def test_samples_cover_all_levels(self):
         suite = grade_suite(Scenario.CAT_DIST, levels=range(1, 6))
-        samples = collect_calibration_samples(suite, DEFAULT_TABLE)
+        samples = collect_calibration_samples(suite)
         for metric_id, by_level in samples.items():
             assert sorted(by_level) == [1, 2, 3, 4, 5], metric_id
             assert all(len(v) == 3 for v in by_level.values())
