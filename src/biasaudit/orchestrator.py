@@ -290,12 +290,12 @@ class SessionState:
         return classify_scenario([table.column(n) for n in self.task.features])
 
 
-def _tool_get_csv_features(state: SessionState, path=None):
-    return {"features": list_features(path or state.task.dataset)}
+def _tool_get_csv_features(state: SessionState):
+    return {"features": list_features(state.task.dataset)}
 
 
-def _tool_load_csv_file(state: SessionState, path=None):
-    table = load_table(path or state.task.dataset)
+def _tool_load_csv_file(state: SessionState):
+    table = load_table(state.task.dataset)
     state.artifacts["table"] = table
     return {"rows": table.row_count,
             "columns": [{"name": c.name, "kind": c.kind.value}
@@ -334,6 +334,10 @@ def _tool_clean_missing_values(state: SessionState, columns=None, mode="drop_row
     table = state.artifacts.get("subset") or state.artifacts.get("table")
     if table is None:
         raise ToolError("nothing to clean: no table loaded")
+    if columns is not None and not (isinstance(columns, list) and all(
+            isinstance(c, str) for c in columns)):
+        raise ToolError(f"columns must be a list of column names, "
+                        f"got {columns!r}")
     result = clean_missing(table, columns or table.column_names,
                            _choice(CleaningMode, mode))
     state.artifacts["clean"] = result.table
@@ -471,10 +475,10 @@ def build_registry() -> ToolRegistry:
         entries[name] = ToolEntry(name, description, executor, params)
 
     add("get_csv_features",
-        "Reads a CSV file and returns all feature names.",
+        "Reads the task's CSV file and returns all feature names.",
         _tool_get_csv_features)
     add("load_csv_file",
-        "Loads a CSV file into the session as a typed table.",
+        "Loads the task's CSV file into the session as a typed table.",
         _tool_load_csv_file)
     add("extract_single_column",
         "Extracts a single column into the working subset.",
@@ -606,7 +610,6 @@ class RulePlanner:
         if stage is Stage.PREPROCESSING:
             if "table" not in state.artifacts:
                 return Action(ActionKind.INVOKE_TOOL, tool="load_csv_file",
-                              args={"path": task.dataset},
                               rationale="load the dataset")
             if "subset" not in state.artifacts:
                 if len(task.features) == 1:

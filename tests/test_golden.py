@@ -30,7 +30,7 @@ DETECT = {
         "report.md":
             "77ebca5e58f9315e62ac1cdda79d77ef5cb103dc0521e703ffb7251e64df74e0",
         "session.log.jsonl":
-            "c4d314e4d2ddcd261a34684f2d7867a0270304a2469c1a996d8f063fbfe5413d",
+            "7adb0f526f2359ed2e4681959c0c7b2bf1c0cad32ba81ca69c10e870f387d25b",
     },
     "gender": {
         "<stdout>":
@@ -42,7 +42,7 @@ DETECT = {
         "report.md":
             "20b2f6578af5449813adb14bb7641e5d167a73fca1f0a7b6d4aeb7e7c97efce2",
         "session.log.jsonl":
-            "35d8c3364a665e654f97392eb906736c4057a94a4d4c99c1b9bebed4b46dd844",
+            "830923a2b989958e3b9ef324f26ea340f13987a9b4c945f71f31e00750eb2f01",
     },
     "gender income_level": {
         "<stdout>":
@@ -54,7 +54,7 @@ DETECT = {
         "report.md":
             "7eca1e57e5071c82051fd177f827a86f8eba3eeaba0c805719cf1ff751deab8f",
         "session.log.jsonl":
-            "2bc85a8c6f8277528d27adf5f1a437cfa4a68f3e312638415ef711a2437a1024",
+            "4dd4ddae1be4e70ad54c306031be17c430282028032782fae47e8bccc0df2aa4",
     },
     "gender score": {
         "<stdout>":
@@ -66,7 +66,7 @@ DETECT = {
         "report.md":
             "1e892423e0e352e77642f930d05848be0c27648c3b8cbffed3f913573f0de249",
         "session.log.jsonl":
-            "b8feab8915159b3c55b7fb3652a0bfb5a16d0c8529b587f46b2e4e9384bc8b3d",
+            "2d659772e70d0fb2f0f02ff5016daacba346a716c8caeac1bffa9755401a47d4",
     },
     "score": {
         "<stdout>":
@@ -78,7 +78,7 @@ DETECT = {
         "report.md":
             "666ecfbe6530664183644e9f819c359d524475c57258a0147dbf6da3c17633b3",
         "session.log.jsonl":
-            "ed0c059052d2ac3c09f5a7b15e5455b845b70e9dd2cff525a319a4a31b27332a",
+            "d70d198c48188598b5818dd2de985e078007f2eba729d427d7b4d44eec42dae8",
     },
 }
 
@@ -86,7 +86,7 @@ BENCH = {
     "<stdout>":
         "f4a306fddd06e648619eb6500fdab388514e880705eb350ba8ddbb65f5419874",
     "T-01.log.jsonl":
-        "5796118e180ac7e2099836777fa957836da5ffbf2508bc31d17533071f877244",
+        "4687675eb1b7bfd9aef43a7bfd49019b90fbf4b055dee538ed2611b4353e542b",
     "T-01/chart_00_bar.svg":
         "9df311634defbe4e2cf144d3828386d6a26a78dabf5221c9c24f60ab9a869a8d",
     "T-01/findings.json":
@@ -94,7 +94,7 @@ BENCH = {
     "T-01/report.md":
         "84a18b9e5f2724efa786a16584a04c3dae04fd4cee26f79d0967a56fdab9d023",
     "T-02.log.jsonl":
-        "43c31761a78afe780ed20cd9f744a5175c55b077480788161e34d7acfc2fe5a1",
+        "909e9b1edcbb683e20505f11dc6f2aff1201a4ef8fa0a748fde0f67b8690f633",
     "T-02/chart_00_bar.svg":
         "eaf044154c858c4e924d03b9a574b5fee192d72d43eeee6556dd9cf2d314bd94",
     "T-02/findings.json":
@@ -102,7 +102,7 @@ BENCH = {
     "T-02/report.md":
         "8a9ab27b835471935adee98d6d0c737df6e88aa602d55e5331babc94c2dca455",
     "T-03.log.jsonl":
-        "aae144aa0c8069383c9255d28740f4e8d970eda623c4b19cd58f41395b2c63bd",
+        "b393df64869d0f1636a9710561e0999a3420f5e3716b5ca9517d709b2befed9b",
     "T-03/chart_00_bar.svg":
         "de9b65bb8a094f41ec9ec2a0df2366c753557ce90230422c08dbdd3646bebe43",
     "T-03/findings.json":
@@ -110,7 +110,7 @@ BENCH = {
     "T-03/report.md":
         "3df9ee6100efb7a3d79b40f13231f80027aa34a50d3d1615618d5cc3c9969b15",
     "T-04.log.jsonl":
-        "22222dad61af1c447d243ac2d74e70c46a82538a4fba8b55ad979270b4577190",
+        "5bd981e751bbcbf8f89d7683c8e13fb937aff804ab41972e5583cacf22521368",
     "T-04/chart_00_box.svg":
         "69cfc046eb706391274b72872d994e80ca072a71d57daa8d7ae37124e6032b71",
     "T-04/findings.json":
@@ -118,7 +118,7 @@ BENCH = {
     "T-04/report.md":
         "af6d997d256041682214e6c26ff602fd9e921795455474375bb084005aee376e",
     "T-05.log.jsonl":
-        "b208064d947a9c582a54cca116e08bc07d4d31d3d50c5e05560bdae353a9a3f3",
+        "222bd2e251cac142d5c63c1f5551d929e898f09456406a6f9f71da1947d45bf4",
     "T-05/chart_00_box.svg":
         "8cfd6a58502ba05561743780d042da157cb82efc0b36bc4ff4d3206bebc63c07",
     "T-05/findings.json":
@@ -126,7 +126,7 @@ BENCH = {
     "T-05/report.md":
         "25cc7d5b89d14326fc2b83227443e3ddad674d0a6c6c4f3444fa9269701f9a4e",
     "T-06.log.jsonl":
-        "d6613b1a9c6009c81bfe88d805f60dae109c3565aafac4c43b5f1cabbdc0558a",
+        "1b057ee283bff68e92e2c9d123911881193864235b083431dbc8708039c87b82",
     "T-06/chart_00_box.svg":
         "042ef1659679ad3021fe2912ac1723d1457f8af3c8bb9eee184bcd46e270f20a",
     "T-06/findings.json":
@@ -134,7 +134,7 @@ BENCH = {
     "T-06/report.md":
         "0e84708a50a4d6c5e8788d5a85828cee325d4cc4644995b157e4cae7312eaffd",
     "T-07.log.jsonl":
-        "3004c7c030fb721666c44f5201883b639f8bf92c60e12369f975f2b918688412",
+        "f0799db1c085010f38ed9c6b57822751d2e68eed24e63380a3bac56a47d2b5bc",
     "T-07/chart_00_stacked_bar.svg":
         "aec9a6aa2c382e694dbbea00a29b1cb10a89936689366919038df62daaec6ddf",
     "T-07/findings.json":
@@ -142,7 +142,7 @@ BENCH = {
     "T-07/report.md":
         "437adfabcc073105ade2b9de7ff2d0e56cfdfe3bfe55a7f9aaeecdbd9aa5a467",
     "T-08.log.jsonl":
-        "9a707007e84b271f4b8b7e1676fee9aece1df38adfedc958679ab7ff82b51532",
+        "811a11fceb8017d4873a60d69ef86993830808d418343a190824c8639d31698d",
     "T-08/chart_00_box.svg":
         "269ec38ca4a8a6bfd88fd499a2d5011345e9a7973d6b439df2f42881f57d260e",
     "T-08/findings.json":
@@ -150,7 +150,7 @@ BENCH = {
     "T-08/report.md":
         "38489a15d10862f878a0bc1aba1e8f748bcdd19f78b5ad7219be3c6cdac01716",
     "T-09.log.jsonl":
-        "36ecad69574bf373356018b91033c82fa5cd8e6dde183cd5c6de45d4d3948087",
+        "f6b641aab1e6f55d8534f2d2814f3105b1dc13a3d70543865aa17d80b219674f",
     "T-09/chart_00_correlation_heatmap.svg":
         "fb41786429f189db7d27f52791296c7d1de067ee2f63b97b7ea5a5b468eea8d2",
     "T-09/findings.json":
@@ -158,7 +158,7 @@ BENCH = {
     "T-09/report.md":
         "15419944a1345e615822895a784874d9c164112311cccc822b597dc6c342b031",
     "T-10.log.jsonl":
-        "75eb1f7ddaaf98b92189ad4cf7ccfee3896a31ee8dc4d9207576217926c13ad6",
+        "fe62b634524684b6f4ae80d5475104088c7f000794f6922a1ea0bb4dd83e3093",
     "T-10/chart_00_stacked_bar.svg":
         "ed9d6829bbea4c88263e38ccfc8872391b4802f009f08fa52bbf3201e3ce5dcb",
     "T-10/findings.json":
@@ -166,7 +166,7 @@ BENCH = {
     "T-10/report.md":
         "1f1a0ffeb928e58b0ad5a45aecf4dd4aaf446da4b8697b750c50a7cd6ad1b75c",
     "T-11.log.jsonl":
-        "0f2a27d176f93ecdb2f904278e73def152b1f78441d72bcbed95a194cf6fbc6f",
+        "1b35b054bb1650c2f255a749372695d096ff794b5cc7e32576793b49a8739fa7",
     "T-11/chart_00_box.svg":
         "780cdc91d96de7640c493e58a9dc6cb90aeb9a010d0d6cd64085a25528e98f26",
     "T-11/findings.json":
@@ -174,7 +174,7 @@ BENCH = {
     "T-11/report.md":
         "a83b83c85d4b31453a9065b5cadbff1183c40200b004993b32b6fbb99efdbc46",
     "T-12.log.jsonl":
-        "9b7e6618caffed7d4bee43a89cf0900ce4f652e3f82ea2c4ad4d29c7fa38c501",
+        "a7e38283bb2360c40ab75f4e3e66899818c1f0a370b2d29000d58b7ee09e141f",
     "T-12/chart_00_correlation_heatmap.svg":
         "983faa644ba6122145928879cd0a30677912863cb3b5111229d86a80327bb2ff",
     "T-12/findings.json":
@@ -182,7 +182,7 @@ BENCH = {
     "T-12/report.md":
         "2d54787e4c591e69da66c0679b6e14a48dc806e2f96471d67e172494566cf7a0",
     "T-13.log.jsonl":
-        "f9166eb6ea2ca1ef6b556b54b1a8485200ce3ad4bab0666c832d874df8dd784f",
+        "5d0a78ee1b00d812b07f4d00fcf5d53eafd64888fd2f276397cc5f4711757ce8",
     "T-13/chart_00_bar.svg":
         "9df311634defbe4e2cf144d3828386d6a26a78dabf5221c9c24f60ab9a869a8d",
     "T-13/findings.json":
@@ -190,7 +190,7 @@ BENCH = {
     "T-13/report.md":
         "8ceedd7e81f66a9e09c34ec0de4958db5ae6a9f67c110cfdf8a15a6d3caf4f0f",
     "T-14.log.jsonl":
-        "3c94a45903287027552f985eb5a49c841665f30ad5d7dc0b284df1f1436e28d2",
+        "4d3f16a69f7c023b623b5d9b47941c8d88bee1e562b14f4e1ac2a6fa2c69a7e2",
     "T-14/chart_00_correlation_heatmap.svg":
         "fb41786429f189db7d27f52791296c7d1de067ee2f63b97b7ea5a5b468eea8d2",
     "T-14/findings.json":
@@ -198,7 +198,7 @@ BENCH = {
     "T-14/report.md":
         "430d0287688be264b9a83ab3ea490e60e407c450ff08b4f167d2bbab3a941dfc",
     "T-15.log.jsonl":
-        "a2e9a110a540325575935beea75c25e090593396e839c40a8a342b86b9788737",
+        "556783a6180602b84106b52d6e1d0332edd1aab014be3a59a75d3f25f2e79c63",
     "T-15/chart_00_bar.svg":
         "de9b65bb8a094f41ec9ec2a0df2366c753557ce90230422c08dbdd3646bebe43",
     "T-15/findings.json":

@@ -191,13 +191,19 @@ class TestRunSession:
 MALFORMED_CALLS = [
     ("load_csv_file", {"file": "data.csv"}, "has no parameter(s) ['file']"),
     ("load_csv_file", [1], "takes keyword arguments, got [1]"),
+    ("load_csv_file", {"path": "x.csv"}, "has no parameter(s) ['path']"),
+    ("clean_missing_values", {"columns": 1.5},
+     "columns must be a list of column names, got 1.5"),
+    ("clean_missing_values", {"columns": "gender"},
+     "columns must be a list of column names, got 'gender'"),
     ("clean_missing_values", {"mode": "drop"}, "'drop' is not one of"),
     ("normalize_or_standardize_data", {"column": "group", "mode": "zscore"},
      "'zscore' is not one of"),
     ("group_and_aggregate", {"by": "group", "target": "group", "fn": "avg"},
      "'avg' is not one of"),
 ]
-MALFORMED_IDS = ["unknown-param", "array-args", "cleaning-mode",
+MALFORMED_IDS = ["unknown-param", "array-args", "path-param",
+                 "columns-number", "columns-string", "cleaning-mode",
                  "normalize-mode", "aggregate-fn"]
 
 
