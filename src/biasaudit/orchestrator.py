@@ -20,8 +20,6 @@ import inspect
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -703,6 +701,10 @@ class ChatConfig:
 
 
 def _default_transport(url, headers, payload, timeout_s):
+    # Imported here: only chat mode needs them, and they slow every start.
+    import urllib.error
+    import urllib.request
+
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, headers=headers,
                                      method="POST")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,10 @@ from biasaudit import cli, synthgen
 from biasaudit.cli import main
 from biasaudit.orchestrator import Action, ActionKind, ScriptedPlanner, SessionLog
 from biasaudit.severity import DEFAULT_TABLE, CalibrationReport
+
+# A child interpreter imports biasaudit from the same source tree.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(
+    os.path.dirname(os.path.abspath(cli.__file__)))}
 
 
 @pytest.fixture
@@ -279,6 +285,28 @@ class TestSynth:
         code = main(["synth", "--scenario", "cat_dist", "--strength", "1.5"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_reader_closing_stdout_early_is_not_an_error(self):
+        # As `synth ... | head -1`: the rows overflow the pipe's buffer, so a
+        # write fails once the reader has closed it.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biasaudit.cli", "synth", "--scenario",
+             "cat_num", "--n", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SUBPROCESS_ENV)
+        assert proc.stdout.readline() == b"group,value\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
+
+
+def test_import_leaves_out_urllib():
+    # Only chat mode sends requests, so only it imports urllib.request.
+    code = "import sys, biasaudit.cli; print('urllib.request' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=SUBPROCESS_ENV, check=True)
+    assert done.stdout == "False\n"
 
 
 class TestConfig:
