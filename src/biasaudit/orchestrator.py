@@ -270,10 +270,8 @@ class SessionState:
     budget: int = 64
     artifacts: dict = field(default_factory=dict)
     findings: list = field(default_factory=list)
-    attempted_metrics: list = field(default_factory=list)
     charts: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    consulted: set = field(default_factory=set)
     last_failed_call: str | None = None
     log: SessionLog = field(default_factory=SessionLog)
 
@@ -365,7 +363,6 @@ def _make_detection_executor(metric_id):
     def executor(state: SessionState):
         table = state.working_table()
         cols = [table.column(n) for n in state.task.features]
-        state.attempted_metrics.append(metric_id)
         result = run_metric(metric_id, cols)
         level = map_to_level(metric_id, result, state.thresholds)
         state.findings.append(Finding.from_result(result, level))
@@ -596,96 +593,87 @@ def advisor_review(payload: dict, state: SessionState) -> Critique:
 # --------------------------------------------------------------------------
 
 class RulePlanner:
-    """Fixed deterministic policy standing in for an LLM primary agent."""
+    """Fixed deterministic policy standing in for an LLM primary agent.
+
+    It follows one plan, the five stages in the paper's order. A tool step
+    whose result the session still lacks is proposed again, so a step that
+    fails twice ends the session through the loop's same-call-twice rule.
+    """
+
+    def __init__(self):
+        self._steps = None
 
     def next(self, state: SessionState) -> Action:
-        stage = state.stage
+        if self._steps is None:
+            self._steps = self._plan(state)
+        return next(self._steps)
+
+    def _plan(self, state: SessionState):
         task = state.task
-        if stage is Stage.USER_INPUT:
-            return Action(ActionKind.TRANSITION, stage=Stage.PREPROCESSING,
-                          rationale=f"task parsed: features={list(task.features)} "
-                                    f"bias_type={task.bias_type.value}")
-        if stage is Stage.PREPROCESSING:
-            if "table" not in state.artifacts:
-                return Action(ActionKind.INVOKE_TOOL, tool="load_csv_file",
-                              rationale="load the dataset")
-            if "subset" not in state.artifacts:
-                if len(task.features) == 1:
-                    return Action(ActionKind.INVOKE_TOOL,
-                                  tool="extract_single_column",
-                                  args={"column": task.features[0]},
-                                  rationale="restrict to the task feature")
-                return Action(ActionKind.INVOKE_TOOL,
-                              tool="extract_two_columns",
-                              args={"column_a": task.features[0],
-                                    "column_b": task.features[1]},
-                              rationale="restrict to the task features")
-            if "clean" not in state.artifacts:
-                return Action(ActionKind.INVOKE_TOOL,
-                              tool="clean_missing_values",
-                              args={"columns": list(task.features),
-                                    "mode": "drop_row"},
-                              rationale="drop rows with missing task cells")
-            if "plan" not in state.consulted:
-                scenario = state.scenario()
-                return Action(
-                    ActionKind.CONSULT_ADVISOR,
-                    payload={"kind": "plan", "scenario": scenario.value,
-                             "scheduled": [METRIC_TO_TOOL[m]
-                                           for m in SCENARIO_METRICS[scenario]],
-                             "cleaning_done": True},
-                    rationale="advisor check before detection")
-            return Action(ActionKind.TRANSITION, stage=Stage.DETECTION,
-                          rationale="preprocessing complete")
-        if stage is Stage.DETECTION:
-            scenario = state.scenario()
-            for metric_id in SCENARIO_METRICS[scenario]:
-                if metric_id not in state.attempted_metrics:
-                    return Action(ActionKind.INVOKE_TOOL,
-                                  tool=METRIC_TO_TOOL[metric_id],
-                                  rationale=f"run scenario metric {metric_id}")
-            if "results" not in state.consulted:
-                return Action(
-                    ActionKind.CONSULT_ADVISOR,
-                    payload={"kind": "results",
-                             "findings": len(state.findings),
-                             "unrecovered_errors": []},
-                    rationale="advisor check on detection results")
-            return Action(ActionKind.TRANSITION,
-                          stage=Stage.VISUALIZATION_SUMMARY,
-                          rationale="all scenario metrics attempted")
-        if stage is Stage.VISUALIZATION_SUMMARY:
-            if not state.charts:
-                return Action(ActionKind.INVOKE_TOOL,
-                              tool=SCENARIO_CHART[state.scenario()],
-                              rationale="chart kind chosen by scenario")
-            if "report" not in state.artifacts:
-                return Action(ActionKind.INVOKE_TOOL,
-                              tool="generate_bias_report",
-                              rationale="assemble the detection report")
-            return Action(ActionKind.TRANSITION, stage=Stage.FEEDBACK,
-                          rationale="report assembled")
-        # Stage.FEEDBACK
-        if "report" not in state.consulted:
-            return Action(ActionKind.CONSULT_ADVISOR,
-                          payload={"kind": "report"},
-                          rationale="advisor check before finishing")
-        return Action(ActionKind.FINISH, rationale="task complete")
+        artifacts = state.artifacts
+        yield Action(ActionKind.TRANSITION, stage=Stage.PREPROCESSING,
+                     rationale=f"task parsed: features={list(task.features)} "
+                               f"bias_type={task.bias_type.value}")
+        while "table" not in artifacts:
+            yield Action(ActionKind.INVOKE_TOOL, tool="load_csv_file",
+                         rationale="load the dataset")
+        if len(task.features) == 1:
+            extract = Action(ActionKind.INVOKE_TOOL,
+                             tool="extract_single_column",
+                             args={"column": task.features[0]},
+                             rationale="restrict to the task feature")
+        else:
+            extract = Action(ActionKind.INVOKE_TOOL, tool="extract_two_columns",
+                             args={"column_a": task.features[0],
+                                   "column_b": task.features[1]},
+                             rationale="restrict to the task features")
+        while "subset" not in artifacts:
+            yield extract
+        while "clean" not in artifacts:
+            yield Action(ActionKind.INVOKE_TOOL, tool="clean_missing_values",
+                         args={"columns": list(task.features),
+                               "mode": "drop_row"},
+                         rationale="drop rows with missing task cells")
+        scenario = state.scenario()
+        metric_tools = {METRIC_TO_TOOL[m]: m for m in SCENARIO_METRICS[scenario]}
+        yield Action(ActionKind.CONSULT_ADVISOR,
+                     payload={"kind": "plan", "scenario": scenario.value,
+                              "scheduled": list(metric_tools),
+                              "cleaning_done": True},
+                     rationale="advisor check before detection")
+        yield Action(ActionKind.TRANSITION, stage=Stage.DETECTION,
+                     rationale="preprocessing complete")
+        for tool, metric_id in metric_tools.items():
+            yield Action(ActionKind.INVOKE_TOOL, tool=tool,
+                         rationale=f"run scenario metric {metric_id}")
+        yield Action(ActionKind.CONSULT_ADVISOR,
+                     payload={"kind": "results", "findings": len(state.findings),
+                              "unrecovered_errors": []},
+                     rationale="advisor check on detection results")
+        yield Action(ActionKind.TRANSITION, stage=Stage.VISUALIZATION_SUMMARY,
+                     rationale="all scenario metrics attempted")
+        while not state.charts:
+            yield Action(ActionKind.INVOKE_TOOL, tool=SCENARIO_CHART[scenario],
+                         rationale="chart kind chosen by scenario")
+        while "report" not in artifacts:
+            yield Action(ActionKind.INVOKE_TOOL, tool="generate_bias_report",
+                         rationale="assemble the detection report")
+        yield Action(ActionKind.TRANSITION, stage=Stage.FEEDBACK,
+                     rationale="report assembled")
+        yield Action(ActionKind.CONSULT_ADVISOR, payload={"kind": "report"},
+                     rationale="advisor check before finishing")
+        yield Action(ActionKind.FINISH, rationale="task complete")
 
 
 class ScriptedPlanner:
     """Replays a fixed action list; for tests and fixture logs."""
 
     def __init__(self, actions):
-        self.actions = list(actions)
-        self.cursor = 0
+        self._actions = iter(actions)
 
     def next(self, state: SessionState) -> Action:
-        if self.cursor >= len(self.actions):
-            return Action(ActionKind.FINISH, rationale="script exhausted")
-        action = self.actions[self.cursor]
-        self.cursor += 1
-        return action
+        return next(self._actions,
+                    Action(ActionKind.FINISH, rationale="script exhausted"))
 
 
 # chat_complete tries the endpoint this many times on network errors.
@@ -917,7 +905,6 @@ def _execute(action: Action, state: SessionState, log: SessionLog):
         return
     if action.kind is ActionKind.CONSULT_ADVISOR:
         critique = advisor_review(action.payload, state)
-        state.consulted.add(action.payload.get("kind"))
         log.append(state.stage, "advisor", "critique", critique.to_record())
         return
     # InvokeTool
