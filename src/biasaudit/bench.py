@@ -13,6 +13,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from . import methodlib
 from .errors import (
     AllMetricsFailedError,
     BiasAuditError,
@@ -375,7 +376,8 @@ class BenchmarkReport:
                 "failures": [list(f) for f in self.failures]}
 
 
-def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir):
+def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir,
+             library):
     context = TaskContext(question=task.question, dataset=task.dataset,
                           features=task.features, bias_type=task.bias_type)
     task_dir = None
@@ -383,7 +385,8 @@ def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir):
         task_dir = os.path.join(out_dir, task.id)
         os.makedirs(task_dir, exist_ok=True)
     report, log = run_session(context, planner_factory(), registry,
-                              thresholds=thresholds, out_dir=task_dir)
+                              thresholds=thresholds, out_dir=task_dir,
+                              library=library)
     if out_dir is not None:
         with open(os.path.join(out_dir, f"{task.id}.log.jsonl"), "w",
                   encoding="utf-8") as fh:
@@ -399,22 +402,25 @@ def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir):
 
 def run_benchmark(taskset, planner_factory, registry: ToolRegistry,
                   thresholds: ThresholdTable = DEFAULT_TABLE, out_dir=None,
-                  jobs: int = 1) -> BenchmarkReport:
+                  jobs: int = 1, library=None) -> BenchmarkReport:
     """Run every task through a session and score against the oracle.
 
     ``planner_factory`` is called once per task so planners may hold
-    per-session state. Per-task failures are reported, not raised.
+    per-session state. Every session cites from ``library``, the shipped
+    method library if None. Per-task failures are reported, not raised.
     """
     tasks = list(taskset)
     if not tasks:
         raise EmptyRecordsError("empty taskset")
+    if library is None:
+        library = methodlib.builtin_library()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
     def attempt(task):
         try:
             return task, _run_one(task, planner_factory, registry, thresholds,
-                                  out_dir), None
+                                  out_dir, library), None
         except BiasAuditError as exc:
             return task, None, f"{type(exc).__name__}: {exc}"
 

@@ -39,7 +39,6 @@ class Config:
     timeout_s: float = 30.0
     thresholds_path: str | None = None
     library_path: str | None = None
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.mode not in ("offline", "chat"):
@@ -112,7 +111,7 @@ def _run_detect_session(args, config, out_dir):
 
 
 def cmd_detect(args, config: Config) -> int:
-    out_dir = args.out or config.out_dir
+    out_dir = args.out
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     report = _run_detect_session(args, config, out_dir)
@@ -121,7 +120,7 @@ def cmd_detect(args, config: Config) -> int:
 
 
 def cmd_repl(args, config: Config) -> int:
-    out_dir = args.out or config.out_dir
+    out_dir = args.out
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     report = _run_detect_session(args, config, out_dir)
@@ -149,8 +148,8 @@ def cmd_bench(args, config: Config) -> int:
     tasks = benchmod.load_taskset(args.taskset)
     report = benchmod.run_benchmark(
         tasks, lambda: _planner(config), build_registry(),
-        thresholds=_thresholds(config), out_dir=args.out or config.out_dir,
-        jobs=args.jobs)
+        thresholds=_thresholds(config), out_dir=args.out, jobs=args.jobs,
+        library=_library(config))
     print(report.to_markdown())
     return 0 if not report.failures else 2
 
@@ -194,9 +193,18 @@ def cmd_methods(args, config: Config) -> int:
     return 0
 
 
+# The scenarios whose generator draws categories; only they take --k.
+_K_SCENARIOS = (Scenario.CAT_DIST, Scenario.CAT_CAT)
+
+
 def cmd_synth(args, config: Config) -> int:
-    spec = synthgen.SynthSpec(scenario=Scenario(args.scenario), n=args.n,
-                              strength=args.strength, k=args.k,
+    scenario = Scenario(args.scenario)
+    if args.k is not None and scenario not in _K_SCENARIOS:
+        raise BiasAuditError(f"--k applies only to cat_dist and cat_cat, "
+                             f"not {scenario.value}")
+    spec = synthgen.SynthSpec(scenario=scenario, n=args.n,
+                              strength=args.strength,
+                              k=4 if args.k is None else args.k,
                               seed=args.seed)
     table = synthgen.generate(spec)
     if args.out:
@@ -256,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[s.value for s in Scenario])
     synth.add_argument("--n", type=int, default=1000)
     synth.add_argument("--strength", type=float, default=0.5)
-    synth.add_argument("--k", type=int, default=4)
+    synth.add_argument("--k", type=int, default=None,
+                       help="categories per column (cat_dist, cat_cat; "
+                            "default 4)")
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", default=None)
     return parser

@@ -143,8 +143,10 @@ def _gen_num_num(spec, rng):
 
 
 def grade_suite(scenario: Scenario, levels, base_seed: int = 7):
-    """(spec, intended level) pairs: one spec per level per suite size,
-    each with four categories per categorical column."""
+    """(spec, intended level) pairs: one spec per level per suite size.
+
+    cat_dist and cat_cat columns get four categories each; cat_num always
+    has two groups."""
     suite = []
     for level in levels:
         strength = LEVEL_STRENGTHS[level]
