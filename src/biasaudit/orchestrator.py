@@ -195,6 +195,13 @@ class ToolEntry:
     def signature(self) -> str:
         return f"({', '.join(self.params)})"
 
+    @property
+    def parameters(self) -> dict:
+        """The JSON schema of the keyword arguments, for a chat endpoint."""
+        return {"type": "object",
+                "properties": {p: {} for p in self.params},
+                "additionalProperties": False}
+
     def checked_args(self, args) -> dict:
         """``args`` if the tool takes them, else a :class:`ToolError`."""
         if not isinstance(args, dict):
@@ -219,7 +226,7 @@ class ToolRegistry:
 
     def descriptions(self) -> list:
         return [{"name": e.name, "signature": e.signature,
-                 "description": e.description}
+                 "description": e.description, "parameters": e.parameters}
                 for _, e in sorted(self.entries.items())]
 
 
@@ -716,7 +723,8 @@ def chat_complete(messages, tool_descriptions, config: ChatConfig,
                           "function": {
                               "name": t["name"],
                               "description": f"{t['name']}{t['signature']}: "
-                                             f"{t['description']}"}}
+                                             f"{t['description']}",
+                              "parameters": t["parameters"]}}
                          for t in tool_descriptions],
                "temperature": 0}
     last = None
