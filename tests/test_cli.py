@@ -12,6 +12,8 @@ from biasaudit.cli import main
 from biasaudit.orchestrator import Action, ActionKind, ScriptedPlanner, SessionLog
 from biasaudit.severity import DEFAULT_TABLE, CalibrationReport
 
+DATA = os.path.join(os.path.dirname(cli.__file__), "data")
+SAMPLE = os.path.join(DATA, "sample.csv")
 # A child interpreter imports biasaudit from the same source tree.
 SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(
     os.path.dirname(os.path.abspath(cli.__file__)))}
@@ -329,6 +331,57 @@ class TestConfig:
         assert code == 0
 
 
+    @pytest.mark.parametrize("command", ["detect", "bench"])
+    def test_library_path_is_cited(self, tmp_path, cat_csv, capsys, command):
+        # The config's library is the shipped one with every id prefixed
+        # "X-"; a report must cite only those ids.
+        with open(os.path.join(DATA, "method_library.json"),
+                  encoding="utf-8") as fh:
+            library = json.load(fh)
+        for record in library:
+            record["id"] = "X-" + record["id"]
+        (tmp_path / "lib.json").write_text(json.dumps(library),
+                                           encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"library_path": str(tmp_path / "lib.json")}),
+                          encoding="utf-8")
+        (tmp_path / "tasks.json").write_text(json.dumps([
+            {"id": "T-01", "dataset": "cat.csv", "question": "q",
+             "bias_type": "distribution", "features": ["group"]}]),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {"detect": [cat_csv, "--features", "group"],
+                "bench": [str(tmp_path / "tasks.json")]}[command]
+        assert main(["--config", str(config), command, *argv,
+                     "--out", str(out)]) == 0
+        report = (out / ("report.md" if command == "detect"
+                         else "T-01/report.md")).read_text(encoding="utf-8")
+        cited = report.split("## Method references\n\n")[1].splitlines()
+        assert cited and all(line.startswith("- X-") for line in cited)
+
+
+class TestRulePlannerGuards:
+    def test_unknown_feature_is_one_error_line(self, capsys):
+        assert main(["detect", SAMPLE, "--features", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown column 'nope'; have ['gender', 'region', 'age', "
+            "'hours', 'score', 'income_level']\n")
+
+    def test_mid_plan_budget_stops_after_the_clean_step(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["detect", SAMPLE, "--features", "gender", "--budget",
+                     "4", "--out", str(out)]) == 2
+        log = SessionLog.from_jsonl(
+            (out / "session.log.jsonl").read_text(encoding="utf-8"))
+        assert [(e.actor, e.action) for e in log.events[-3:]] == [
+            ("primary", "action"), ("tool", "result"),
+            ("system", "budget_exhausted")]
+        assert log.events[-2].payload["tool"] == "clean_missing_values"
+        assert len(log.events) == 10
+
+
 def _band(**fields):
     band = {"raw_key": "G_norm", "transform": "one_minus",
             "cuts": [0.1, 0.25, 0.5, 0.75]}
@@ -397,6 +450,12 @@ BAD_INPUTS = [
      ["bench", "{tmp}/tasks.json"], "bias_type must be one of"),
     ("taskset-not-utf8", {"tasks.json": b"\xe9"},
      ["bench", "{tmp}/tasks.json"], "utf-8"),
+    ("config-out-dir", {"config.json": '{"out_dir": "out"}'},
+     _WITH_THRESHOLDS, "unknown key(s) ['out_dir']"),
+    ("synth-k-num-dist", {}, ["synth", "--scenario", "num_dist", "--k", "7"],
+     "--k applies only to cat_dist and cat_cat, not num_dist"),
+    ("synth-k-cat-num", {}, ["synth", "--scenario", "cat_num", "--k", "2"],
+     "--k applies only to cat_dist and cat_cat, not cat_num"),
 ]
 
 

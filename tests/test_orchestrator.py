@@ -1,13 +1,19 @@
 """Workflow sessions: registry, planners, advisor, and the event loop."""
 
+import csv
+import os
+import statistics
+
 import pytest
 
+from biasaudit import bench
 from biasaudit.errors import (
     EndOfInputError,
     MalformedLogError,
     NetworkError,
     PlannerError,
     ToolError,
+    UnknownColumnError,
 )
 from biasaudit.metrics import BiasType, Scenario
 from biasaudit.orchestrator import (
@@ -32,6 +38,23 @@ from biasaudit.orchestrator import (
     run_session,
 )
 from biasaudit.severity import DEFAULT_TABLE
+
+SAMPLE = os.path.join(os.path.dirname(bench.__file__), "data", "sample.csv")
+
+
+class Recorder:
+    """Passes a planner's actions through, keeping them and the state."""
+
+    def __init__(self, planner):
+        self.planner = planner
+        self.actions = []
+        self.state = None
+
+    def next(self, state):
+        self.state = state
+        action = self.planner.next(state)
+        self.actions.append(action)
+        return action
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +287,119 @@ class TestRulePlanner:
         assert log1.to_jsonl() == log2.to_jsonl()
 
 
+    def test_unknown_feature_raises_on_the_second_extract(self, registry,
+                                                           cat_csv):
+        task = TaskContext(question="q", dataset=cat_csv, features=("nope",))
+        planner = Recorder(RulePlanner())
+        with pytest.raises(UnknownColumnError,
+                           match=r"unknown column 'nope'; have \['group'\]"):
+            run_session(task, planner, registry)
+        assert [a.tool for a in planner.actions] == [
+            None, "load_csv_file", "extract_single_column",
+            "extract_single_column"]
+
+    def test_mid_plan_budget_stops_after_the_first_metric(self, registry,
+                                                          cat_csv):
+        report, log = run_session(cat_task(cat_csv), RulePlanner(), registry,
+                                  budget=7)
+        assert not report.complete
+        assert [f.metric_id for f in report.findings] == ["shannon_balance"]
+        assert len(log.events) == 16
+        *_, action, result, end = log.events
+        assert action.payload["tool"] == \
+            "categorical_distribution_shannon_balance"
+        assert (result.action, result.payload["ok"]) == ("result", True)
+        assert (end.stage, end.action) == ("detection", "budget_exhausted")
+
+    def test_plan_consult_schedules_the_called_metrics(self, registry,
+                                                       cat_csv):
+        _, log = run_session(cat_task(cat_csv), RulePlanner(), registry)
+        actions = [e.payload for e in log.events if e.action == "action"]
+        [plan] = [a["payload"] for a in actions
+                  if a.get("payload", {}).get("kind") == "plan"]
+        called = [a["tool"] for a in actions
+                  if a.get("tool") in DETECTION_TOOLS]
+        assert plan["scheduled"] == called
+        assert len(called) == 5
+
+
+def _sample_cells(column):
+    with open(SAMPLE, encoding="utf-8", newline="") as fh:
+        return [row[column] for row in csv.DictReader(fh)]
+
+
+class TestToolPayloads:
+    """One scripted session through the data and library tools that the
+    rule planner never calls, checked payload by payload."""
+
+    @pytest.fixture(scope="class")
+    def session(self, registry):
+        def call(tool, **args):
+            return Action(ActionKind.INVOKE_TOOL, tool=tool, args=args)
+
+        script = [
+            call("get_csv_features"),
+            Action(ActionKind.TRANSITION, stage=Stage.PREPROCESSING),
+            call("load_csv_file"),
+            call("get_all_reference_intentions"),
+            call("get_reference_method_by_id", method_id="A-0-1"),
+            call("extract_two_columns", column_a="gender", column_b="age"),
+            call("clean_missing_values", columns=["gender", "age"],
+                 mode="fill_mode"),
+            call("group_and_aggregate", by="gender", target="age", fn="mean"),
+            call("normalize_or_standardize_data", column="age",
+                 mode="normalize"),
+        ]
+        task = TaskContext(question="q", dataset=SAMPLE,
+                           features=("gender", "age"))
+        planner = Recorder(ScriptedPlanner(script))
+        report, log = run_session(task, planner, registry)
+        results = [e.payload for e in log.events if e.action == "result"]
+        assert all(r["ok"] for r in results), results
+        return {r["tool"]: r["result"] for r in results}, planner.state
+
+    def test_csv_features(self, session):
+        payloads, _ = session
+        assert payloads["get_csv_features"] == {"features": [
+            "gender", "region", "age", "hours", "score", "income_level"]}
+
+    def test_reference_intentions(self, session):
+        payloads, state = session
+        intentions = payloads["get_all_reference_intentions"]["intentions"]
+        assert len(intentions) == len(state.library) == 27
+        assert intentions[0]["id"] == "A-0-1"
+        assert intentions[0]["intention"] == state.library[0].intention
+
+    def test_reference_method_by_id(self, session):
+        payloads, state = session
+        method = payloads["get_reference_method_by_id"]
+        assert method == state.library[0].to_record()
+        assert method["id"] == "A-0-1"
+
+    def test_fill_mode_fills_the_most_frequent_value(self, session):
+        # gender has one "?" cell and age three "NA" cells. age is
+        # numerical, so its mode is taken over its distinct values.
+        payloads, _ = session
+        assert payloads["clean_missing_values"] == {
+            "rows": 400, "cells_changed": 4, "rows_dropped": 0}
+
+    def test_group_and_aggregate(self, session):
+        payloads, _ = session
+        genders = [g if g != "?" else "male" for g in _sample_cells("gender")]
+        ages = [float(a) if a != "NA" else 18.0 for a in _sample_cells("age")]
+        want = [{"gender": g, "mean_age": pytest.approx(statistics.fmean(
+            a for h, a in zip(genders, ages) if h == g))}
+            for g in ("female", "male", "nonbinary")]
+        assert payloads["group_and_aggregate"] == {"groups": 3, "rows": want}
+
+    def test_normalize(self, session):
+        payloads, state = session
+        assert payloads["normalize_or_standardize_data"] == {
+            "column": "age", "mode": "normalize"}
+        age = state.artifacts["clean"].column("age").data
+        assert (age.min(), age.max()) == (0.0, 1.0)
+
+
 class TestAdvisor:
     def state(self, registry):
         return SessionState(task=cat_task("unused.csv"), registry=registry,
@@ -423,6 +559,26 @@ class TestChatPlanner:
         assert described["clean_missing_values"].startswith(
             "clean_missing_values(columns, mode): ")
         assert len(described) == len(registry.entries)
+
+
+    def test_tools_declare_their_parameters(self, registry):
+        sent = []
+
+        def transport(url, headers, payload, t):
+            sent.extend(payload["tools"])
+            return reply_with_text("FINISH")
+
+        ChatPlanner(self.config, transport=transport).next(self.state(registry))
+        schemas = {t["function"]["name"]: t["function"]["parameters"]
+                   for t in sent}
+        assert schemas["extract_two_columns"] == {
+            "type": "object",
+            "properties": {"column_a": {}, "column_b": {}},
+            "additionalProperties": False}
+        assert schemas["load_csv_file"] == {
+            "type": "object", "properties": {}, "additionalProperties": False}
+        assert {name: list(s["properties"]) for name, s in schemas.items()} \
+            == {name: list(e.params) for name, e in registry.entries.items()}
 
 
 class TestSessionLog:
