@@ -98,32 +98,28 @@ def _task_from_args(args) -> TaskContext:
                        interactive=args.command == "repl")
 
 
-def _run_detect_session(args, config, out_dir):
+def _run_detect_session(args, config):
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
     report, log = run_session(
         _task_from_args(args), _planner(config), build_registry(),
-        budget=args.budget, thresholds=_thresholds(config), out_dir=out_dir,
+        budget=args.budget, thresholds=_thresholds(config), out_dir=args.out,
         library=_library(config))
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "session.log.jsonl"), "w",
+    if args.out is not None:
+        with open(os.path.join(args.out, "session.log.jsonl"), "w",
                   encoding="utf-8") as fh:
             fh.write(log.to_jsonl())
     return report
 
 
 def cmd_detect(args, config: Config) -> int:
-    out_dir = args.out
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    report = _run_detect_session(args, config, out_dir)
+    report = _run_detect_session(args, config)
     print(report.to_markdown())
     return 0 if report.complete and report.findings else 2
 
 
 def cmd_repl(args, config: Config) -> int:
-    out_dir = args.out
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    report = _run_detect_session(args, config, out_dir)
+    report = _run_detect_session(args, config)
     print(report.to_markdown())
     revisions = 1
     while True:
@@ -135,7 +131,7 @@ def cmd_repl(args, config: Config) -> int:
             break
         args.question = line.strip()
         try:
-            report = _run_detect_session(args, config, out_dir)
+            report = _run_detect_session(args, config)
         except EndOfInputError:
             break
         print(report.to_markdown())
