@@ -41,6 +41,18 @@ class Config:
     library_path: str | None = None
 
     def __post_init__(self):
+        for key in ("mode", "base_url", "model", "key_env",
+                    "thresholds_path", "library_path"):
+            value = getattr(self, key)
+            nullable = key.endswith("_path")
+            if not (isinstance(value, str) or (nullable and value is None)):
+                raise BiasAuditError(
+                    f"config {key} must be a string{' or null' * nullable}, "
+                    f"got {value!r}")
+        if isinstance(self.timeout_s, bool) or \
+                not isinstance(self.timeout_s, (int, float)):
+            raise BiasAuditError(
+                f"config timeout_s must be a number, got {self.timeout_s!r}")
         if self.mode not in ("offline", "chat"):
             raise BiasAuditError(f"unknown mode {self.mode!r}")
         if self.mode == "chat" and not (self.base_url and self.model):

@@ -554,7 +554,11 @@ def advisor_review(payload: dict, state: SessionState) -> Critique:
     """Deterministic rule-mode critique of a plan, results, or report."""
     kind = payload.get("kind")
     if kind == "plan":
-        scenario = Scenario(payload["scenario"])
+        try:
+            scenario = Scenario(payload.get("scenario"))
+        except ValueError:
+            return Critique(Verdict.REVISE, (
+                f"plan names no valid scenario: {payload.get('scenario')!r}",))
         required = [METRIC_TO_TOOL[m] for m in SCENARIO_METRICS[scenario]]
         scheduled = set(payload.get("scheduled", ()))
         missing = [t for t in required if t not in scheduled]

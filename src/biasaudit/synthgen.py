@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidSpecError, MetricError
 from .metrics import SCENARIO_METRICS, Scenario, run_metric
 from .severity import ThresholdTable, calibrate, graded_value
-from .tabular import Kind, Table, from_columns
+from .tabular import Column, Table, categorical
 
 # Geometric decay of category weights reaches 1 - _CAT_DECAY at full
 # strength (cat_dist); the numeric-shape knob reaches _NUM_SHAPE at full
@@ -42,6 +42,8 @@ class SynthSpec:
             raise InvalidSpecError(f"n must be >= 10, got {self.n}")
         if self.k < 2:
             raise InvalidSpecError(f"k must be >= 2, got {self.k}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.strength <= 1.0:
             raise InvalidSpecError(
                 f"strength must be in [0, 1], got {self.strength}")
@@ -59,7 +61,7 @@ def generate(spec: SynthSpec) -> Table:
     cols = builder(spec, rng)
     name = (f"synth-{spec.scenario.value}-s{spec.strength}"
             f"-n{spec.n}-k{spec.k}-seed{spec.seed}")
-    return from_columns(name, cols)
+    return Table(name, cols)
 
 
 def _largest_remainder_counts(probs, n):
@@ -79,9 +81,9 @@ def _gen_cat_dist(spec, rng):
     g = 1.0 - _CAT_DECAY * spec.strength
     weights = np.array([g ** i for i in range(spec.k)])
     counts = _largest_remainder_counts(weights / weights.sum(), spec.n)
-    values = [f"c{i}" for i, c in enumerate(counts) for _ in range(c)]
-    rng.shuffle(values)
-    return [("category", Kind.CATEGORICAL, values)]
+    codes = np.repeat(np.arange(spec.k), counts)
+    rng.shuffle(codes)
+    return (categorical("category", codes, [f"c{i}" for i in range(spec.k)]),)
 
 
 def _gen_num_dist(spec, rng):
@@ -102,10 +104,10 @@ def _gen_num_dist(spec, rng):
     if planted:
         amp = 4.0 * float(np.std(x))
         central = np.argsort(np.abs(x - np.median(x)))[:planted]
-        x[central] = [amp if i % 2 == 0 else -amp for i in range(planted)]
-    values = [float(v) for v in x]
-    rng.shuffle(values)
-    return [("value", Kind.NUMERICAL, values)]
+        x[central] = amp
+        x[central[1::2]] = -amp
+    rng.shuffle(x)
+    return (Column("value", x),)
 
 
 def _gen_cat_cat(spec, rng):
@@ -115,20 +117,15 @@ def _gen_cat_cat(spec, rng):
     probs[np.diag_indices(k)] += s / k
     flat = probs.ravel()
     draws = rng.choice(k * k, size=spec.n, p=flat / flat.sum())
-    return [
-        ("group_a", Kind.CATEGORICAL, [f"a{i // k}" for i in draws]),
-        ("group_b", Kind.CATEGORICAL, [f"b{i % k}" for i in draws]),
-    ]
+    return (categorical("group_a", draws // k, [f"a{i}" for i in range(k)]),
+            categorical("group_b", draws % k, [f"b{i}" for i in range(k)]))
 
 
 def _gen_cat_num(spec, rng):
     gap = 2.0 * spec.strength  # standardized mean gap d = 2s
     group = rng.integers(0, 2, size=spec.n)
     y = rng.standard_normal(spec.n) + gap * group
-    return [
-        ("group", Kind.CATEGORICAL, [f"g{i}" for i in group]),
-        ("value", Kind.NUMERICAL, [float(v) for v in y]),
-    ]
+    return categorical("group", group, ["g0", "g1"]), Column("value", y)
 
 
 def _gen_num_num(spec, rng):
@@ -136,10 +133,7 @@ def _gen_num_num(spec, rng):
     x = rng.standard_normal(spec.n)
     eps = rng.standard_normal(spec.n)
     y = rho * x + math.sqrt(1.0 - rho * rho) * eps
-    return [
-        ("x", Kind.NUMERICAL, [float(v) for v in x]),
-        ("y", Kind.NUMERICAL, [float(v) for v in y]),
-    ]
+    return Column("x", x), Column("y", y)
 
 
 def grade_suite(scenario: Scenario, levels, base_seed: int = 7):

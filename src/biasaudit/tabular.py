@@ -76,8 +76,8 @@ class Column:
         if Kind(kind) is Kind.NUMERICAL:
             return cls(name, np.array(cells, dtype=np.float64))
         index = {label: code for code, label in enumerate(dict.fromkeys(cells))}
-        return _recoded(name, np.fromiter(map(index.__getitem__, cells), dtype=np.intp,
-                                          count=len(cells)), list(index))
+        codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
+        return categorical(name, codes, list(index))
 
     @property
     def kind(self) -> Kind:
@@ -103,18 +103,18 @@ class Column:
     def subset(self, rows: np.ndarray) -> Column:
         """The rows picked by a boolean mask; a categorical column keeps the
         labels still present."""
-        data = self.data[rows]
         if self.labels is None:
-            return Column(self.name, data)
-        used = np.bincount(data[data >= 0], minlength=len(self.labels)) > 0
-        return _recoded(self.name, data, [
-            label if u else None for label, u in zip(self.labels, used.tolist())])
+            return Column(self.name, self.data[rows])
+        return categorical(self.name, self.data[rows], self.labels)
 
 
-def _recoded(name: str, codes: np.ndarray, labels: Sequence) -> Column:
-    """The categorical column of ``codes`` into ``labels``, re-coded to the
-    labels sorted by ``str``; code -1 and a ``None`` label are missing."""
-    order = sorted((i for i, label in enumerate(labels) if label is not None),
+def categorical(name: str, codes: np.ndarray, labels: Sequence) -> Column:
+    """The categorical column of int ``codes`` into ``labels``. It keeps the
+    labels some code uses, re-coded in ``str`` order; code -1 and a ``None``
+    label are missing."""
+    used = np.bincount(codes[codes >= 0], minlength=len(labels)).tolist()
+    order = sorted((i for i, label in enumerate(labels)
+                    if used[i] and label is not None),
                    key=lambda i: str(labels[i]))
     rank = np.full(len(labels) + 1, -1, dtype=np.intp)
     rank[np.array(order, dtype=np.intp)] = np.arange(len(order))
@@ -254,7 +254,7 @@ class _ColumnParser:
             return again.column(name, reread)
         labels = [None if m else text for text, m in zip(self.texts, self.missing)]
         codes = np.concatenate([np.empty(0, dtype=np.intp), *self.parts])
-        return _recoded(name, codes, labels)
+        return categorical(name, codes, labels)
 
 
 def present_rows(cols: Sequence[Column], n: int) -> np.ndarray:
@@ -334,11 +334,6 @@ def load_table(path) -> Table:
             [row[i] for row in block] for block in _csv_blocks(path, len(header)))))
         parsers[i] = None
     return Table(name=str(path), columns=tuple(columns))
-
-
-def from_columns(name: str, cols: Sequence[tuple]) -> Table:
-    """Build a table from ``(name, kind, values)`` triples."""
-    return Table(name=name, columns=tuple(Column.of(n, k, v) for n, k, v in cols))
 
 
 def save_table(table: Table, path) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from biasaudit import cli, synthgen
 from biasaudit.cli import main
+from biasaudit.errors import BiasAuditError
 from biasaudit.orchestrator import Action, ActionKind, ScriptedPlanner, SessionLog
 from biasaudit.severity import DEFAULT_TABLE, CalibrationReport
 
@@ -330,6 +332,30 @@ class TestConfig:
                      "--features", "group", "--bias-type", "distribution"])
         assert code == 0
 
+    # Through load_config only: should the check fail, main would open an
+    # int path as one of the test process's own file descriptors.
+    @pytest.mark.parametrize("raw, message", [
+        ({"library_path": 2}, "library_path must be a string or null, got 2"),
+        ({"thresholds_path": 1}, "thresholds_path must be a string or null"),
+        ({"thresholds_path": ["a"]}, "thresholds_path must be a string or null"),
+        ({"timeout_s": "x"}, "timeout_s must be a number, got 'x'"),
+        ({"timeout_s": True}, "timeout_s must be a number, got True"),
+        ({"mode": None}, "mode must be a string, got None"),
+        ({"key_env": 3}, "key_env must be a string, got 3"),
+    ])
+    def test_value_of_wrong_type_is_named(self, tmp_path, raw, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(BiasAuditError, match=f"config {re.escape(message)}"):
+            cli.load_config(str(config))
+
+    def test_values_of_right_type_load(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"timeout_s": 5, "library_path": None,
+                                      "thresholds_path": "t.json"}),
+                          encoding="utf-8")
+        assert cli.load_config(str(config)) == cli.Config(
+            timeout_s=5, thresholds_path="t.json")
 
     @pytest.mark.parametrize("command", ["detect", "bench"])
     def test_library_path_is_cited(self, tmp_path, cat_csv, capsys, command):
@@ -456,6 +482,14 @@ BAD_INPUTS = [
      "--k applies only to cat_dist and cat_cat, not num_dist"),
     ("synth-k-cat-num", {}, ["synth", "--scenario", "cat_num", "--k", "2"],
      "--k applies only to cat_dist and cat_cat, not cat_num"),
+    ("synth-negative-seed", {}, ["synth", "--scenario", "cat_dist", "--seed",
+                                 "-1"], "seed must be >= 0, got -1"),
+    # The level-1 suite's first seed is -2000 + 1000.
+    ("calibrate-negative-seed", {}, ["calibrate", "--seed", "-2000"],
+     "seed must be >= 0, got -1000"),
+    ("config-thresholds-path-list", {"config.json": '{"thresholds_path": ["a"]}'},
+     _WITH_THRESHOLDS, "config thresholds_path must be a string or null, "
+     "got ['a']"),
 ]
 
 

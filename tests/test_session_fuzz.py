@@ -57,13 +57,14 @@ def tool_call(tool):
         lambda args: Action(ActionKind.INVOKE_TOOL, tool=tool, args=args))
 
 
-# The three kinds of advisor consult the rule planner sends.
+# The three kinds of advisor consult the rule planner sends. A plan consult
+# may also name no scenario, or one that does not exist.
 consults = st.one_of(
     st.fixed_dictionaries({
         "kind": st.just("plan"),
-        "scenario": st.sampled_from([s.value for s in Scenario]),
         "scheduled": st.lists(st.sampled_from(TOOLS), max_size=5),
-        "cleaning_done": st.booleans()}),
+        "cleaning_done": st.booleans()}, optional={
+        "scenario": st.sampled_from([s.value for s in Scenario] + ["nope"])}),
     st.fixed_dictionaries({
         "kind": st.just("results"),
         "findings": st.integers(0, 5),

@@ -1,4 +1,9 @@
-"""Synthetic generators: null behavior, strength targets, graded suites."""
+"""Synthetic generators: null behavior, strength targets, graded suites,
+pinned output and memory."""
+
+import hashlib
+import io
+import tracemalloc
 
 import pytest
 
@@ -12,6 +17,7 @@ from biasaudit.synthgen import (
     generate,
     grade_suite,
 )
+from biasaudit.tabular import write_table
 
 
 class TestSpecValidation:
@@ -24,6 +30,10 @@ class TestSpecValidation:
     def test_minimum_size(self):
         with pytest.raises(InvalidSpecError):
             SynthSpec(Scenario.CAT_DIST, n=5, strength=0.5)
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidSpecError, match="seed must be >= 0, got -1"):
+            SynthSpec(Scenario.CAT_DIST, n=100, strength=0.5, seed=-1)
 
 
 class TestNullBehavior:
@@ -68,6 +78,68 @@ class TestDeterminism:
         b = generate(spec)
         for ca, cb in zip(a.columns, b.columns):
             assert ca.cells() == cb.cells()
+
+
+# The sha256 of each spec's CSV text. The first two cat_dist tables leave
+# labels out (c3-c11; c11), and num_dist at strength 0 is the plain normal.
+PINNED = [
+    (SynthSpec(Scenario.CAT_DIST, 10, 1.0, 12, 0),
+     "synth-cat_dist-s1.0-n10-k12-seed0",
+     "9b83a0a451d63e9ffdbdb987d734232452d423555aa6e0ee816d0e3ce83db656"),
+    (SynthSpec(Scenario.CAT_DIST, 15, 0.2, 12, 0),
+     "synth-cat_dist-s0.2-n15-k12-seed0",
+     "fbd4342f20638972faf915362434c88b5ca3155d1798598797b64f6b24ecaa98"),
+    (SynthSpec(Scenario.CAT_DIST, 500, 0.6, 4, 3),
+     "synth-cat_dist-s0.6-n500-k4-seed3",
+     "b2856ef893da1d73fb1a8dfdce62743cc2903f18e46dc332b1b9ccbfe5a07394"),
+    (SynthSpec(Scenario.NUM_DIST, 37, 0.0, 2, 1),
+     "synth-num_dist-s0.0-n37-k2-seed1",
+     "603c4aa836d5e0966a572c17515ce84c24f6f1e403f5c78660dbb1a0a71dcb07"),
+    (SynthSpec(Scenario.NUM_DIST, 500, 0.6, 2, 3),
+     "synth-num_dist-s0.6-n500-k2-seed3",
+     "b6a5e53e1893b038e3c8f215412de6644199901ab1f6af98e88387454cbe8cd2"),
+    (SynthSpec(Scenario.CAT_CAT, 500, 0.6, 3, 3),
+     "synth-cat_cat-s0.6-n500-k3-seed3",
+     "e9c1e8991a67779f3713cc7ffb651b2d7abd4e99d0da252076b0752b763806d8"),
+    (SynthSpec(Scenario.CAT_NUM, 500, 0.6, 2, 3),
+     "synth-cat_num-s0.6-n500-k2-seed3",
+     "7d3be4c3f4391f1f70cd7a36c3b26d6105e7835c0401d0ca2bee2fd7d4c5a9e5"),
+    (SynthSpec(Scenario.NUM_NUM, 500, 0.6, 2, 3),
+     "synth-num_num-s0.6-n500-k2-seed3",
+     "b7310bfd97eb7519360e8776d8d1bd8dc1b0d96188a648a6ff9ade7c58b2c936"),
+]
+
+
+@pytest.mark.parametrize("spec, name, digest", PINNED,
+                         ids=[name for _, name, _ in PINNED])
+def test_pinned_output(spec, name, digest):
+    table = generate(spec)
+    buf = io.StringIO()
+    write_table(table, buf)
+    assert table.name == name
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+def test_labels_in_use_sorted_by_str():
+    column = generate(PINNED[1][0]).columns[0]
+    assert column.labels == ("c0", "c1", "c10", *(f"c{i}" for i in range(2, 10)))
+
+
+# A 10^5-row column takes 0.76 MiB as float64 or intp codes; num_dist also
+# holds a Python float per row while it computes its normal quantiles.
+@pytest.mark.parametrize("scenario, peak_mb", [
+    (Scenario.CAT_DIST, 5), (Scenario.NUM_DIST, 6), (Scenario.CAT_CAT, 5),
+    (Scenario.CAT_NUM, 5), (Scenario.NUM_NUM, 5)])
+def test_generate_memory(scenario, peak_mb):
+    generate(SynthSpec(scenario, 100, 0.5, 4))  # first-use imports
+    tracemalloc.start()
+    try:
+        table = generate(SynthSpec(scenario, 100_000, 0.5, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.row_count == 100_000
+    assert peak / 2 ** 20 <= peak_mb
 
 
 class TestGradeSuite:
