@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import bench as benchmod
 from . import methodlib, synthgen
-from .errors import BiasAuditError, EndOfInputError
+from .errors import BiasAuditError, EndOfInputError, SchemaError
 from .metrics import BiasType, Scenario
 from .orchestrator import (
     ChatConfig,
@@ -79,8 +79,13 @@ def load_config(path) -> Config:
 
 def _thresholds(config: Config) -> ThresholdTable:
     if config.thresholds_path:
-        with open(config.thresholds_path, encoding="utf-8") as fh:
-            return ThresholdTable.from_json(fh.read())
+        try:
+            with open(config.thresholds_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"threshold table {config.thresholds_path}: {exc}") from exc
+        return ThresholdTable.from_json(text)
     return DEFAULT_TABLE
 
 

@@ -41,6 +41,9 @@ class MethodEntry:
 
     @classmethod
     def from_record(cls, rec: dict, position: int | None = None) -> "MethodEntry":
+        if not isinstance(rec, dict):
+            raise SchemaError(f"entry {position!r}: expected an object, "
+                              f"got {rec!r}")
         where = f"entry {rec.get('id', position)!r}"
         missing = [f for f in _REQUIRED_FIELDS if f not in rec]
         if missing:
@@ -50,6 +53,8 @@ class MethodEntry:
         if not isinstance(rec["method"], dict) or not rec["method"]:
             raise SchemaError(f"{where}: method must be a non-empty step map")
         tags = rec["tags"]
+        if not isinstance(tags, dict):
+            raise SchemaError(f"{where}: tags must be an object, got {tags!r}")
         if tags.get("bias_type") not in _BIAS_TAGS:
             raise SchemaError(f"{where}: tags.bias_type must be one of {_BIAS_TAGS}")
         if tags.get("data_type") not in _DATA_TAGS:

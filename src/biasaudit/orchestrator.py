@@ -10,8 +10,8 @@ event's ``wall_ms`` is 0, so offline runs replay byte-identically.
 A planner asks the user through ``get_user_input_tool``. In an interactive
 session (``repl``) the tool reads the user's next line; in ``detect`` and
 ``bench`` there is no user, and the call is a failed tool result. A tool
-call the tool cannot take (an unknown parameter, or a value outside an
-enum) is a failed tool result too.
+call the tool cannot take (an unknown or missing parameter, a value of the
+wrong type, or a value outside an enum) is a failed tool result too.
 """
 
 from __future__ import annotations
@@ -184,12 +184,39 @@ def _jsonable(obj):
 # Tool registry
 # --------------------------------------------------------------------------
 
+def _schema(kind) -> dict:
+    if kind is str:
+        return {"type": "string"}
+    if kind == list[str]:
+        return {"type": "array", "items": {"type": "string"}}
+    return {"type": "string", "enum": [m.value for m in kind]}
+
+
+def _checked_value(name, kind, value):
+    """``value`` as a ``kind`` parameter takes it, else a :class:`ToolError`."""
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise ToolError(f"{name} must be a string, got {value!r}")
+    if kind == list[str]:
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return value
+        raise ToolError(f"{name} must be a list of column names, "
+                        f"got {value!r}")
+    try:
+        return kind(value)
+    except ValueError:
+        raise ToolError(f"{value!r} is not one of "
+                        f"{[m.value for m in kind]}") from None
+
+
 @dataclass(frozen=True)
 class ToolEntry:
     name: str
     description: str
     executor: object  # callable(SessionState, **args) -> json payload
-    params: tuple     # the keyword arguments the executor takes
+    params: dict      # keyword argument -> str, list[str] or an enum class
+    required: tuple   # the keyword arguments without a default
 
     @property
     def signature(self) -> str:
@@ -199,11 +226,13 @@ class ToolEntry:
     def parameters(self) -> dict:
         """The JSON schema of the keyword arguments, for a chat endpoint."""
         return {"type": "object",
-                "properties": {p: {} for p in self.params},
+                "properties": {p: _schema(t) for p, t in self.params.items()},
+                "required": list(self.required),
                 "additionalProperties": False}
 
     def checked_args(self, args) -> dict:
-        """``args`` if the tool takes them, else a :class:`ToolError`."""
+        """``args`` with enum values as members if the tool takes them, else
+        a :class:`ToolError`. A ``None`` value counts as left out."""
         if not isinstance(args, dict):
             raise ToolError(f"{self.name} takes keyword arguments, "
                             f"got {args!r}")
@@ -211,7 +240,12 @@ class ToolEntry:
         if unknown:
             raise ToolError(f"{self.name}{self.signature} has no "
                             f"parameter(s) {unknown}")
-        return args
+        missing = [p for p in self.required if args.get(p) is None]
+        if missing:
+            raise ToolError(f"{self.name}{self.signature} is missing "
+                            f"parameter(s) {missing}")
+        return {k: _checked_value(k, self.params[k], v)
+                for k, v in args.items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -316,50 +350,39 @@ def _extract(state: SessionState, names):
             "rows": subset.row_count}
 
 
-def _tool_extract_single_column(state: SessionState, column=None):
+def _tool_extract_single_column(state: SessionState, column: str):
     return _extract(state, [column])
 
 
-def _tool_extract_two_columns(state: SessionState, column_a=None, column_b=None):
+def _tool_extract_two_columns(state: SessionState, column_a: str,
+                              column_b: str):
     return _extract(state, [column_a, column_b])
 
 
-def _choice(enum_cls, value):
-    """The member of ``enum_cls`` with ``value``, else a :class:`ToolError`."""
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise ToolError(f"{value!r} is not one of "
-                        f"{[m.value for m in enum_cls]}") from None
-
-
-def _tool_clean_missing_values(state: SessionState, columns=None, mode="drop_row"):
+def _tool_clean_missing_values(state: SessionState, columns: list[str] = (),
+                               mode: CleaningMode = CleaningMode.DROP_ROW):
     table = state.artifacts.get("subset") or state.artifacts.get("table")
     if table is None:
         raise ToolError("nothing to clean: no table loaded")
-    if columns is not None and not (isinstance(columns, list) and all(
-            isinstance(c, str) for c in columns)):
-        raise ToolError(f"columns must be a list of column names, "
-                        f"got {columns!r}")
-    result = clean_missing(table, columns or table.column_names,
-                           _choice(CleaningMode, mode))
+    result = clean_missing(table, columns or table.column_names, mode)
     state.artifacts["clean"] = result.table
     return {"rows": result.table.row_count,
             "cells_changed": result.cells_changed,
             "rows_dropped": result.rows_dropped}
 
 
-def _tool_normalize_or_standardize(state: SessionState, column=None, mode="standardize"):
+def _tool_normalize_or_standardize(
+        state: SessionState, column: str,
+        mode: NormalizeMode = NormalizeMode.STANDARDIZE):
     table = state.working_table()
-    out = normalize_or_standardize(table, column,
-                                   _choice(NormalizeMode, mode))
-    state.artifacts["clean"] = out
-    return {"column": column, "mode": mode}
+    state.artifacts["clean"] = normalize_or_standardize(table, column, mode)
+    return {"column": column, "mode": mode.value}
 
 
-def _tool_group_and_aggregate(state: SessionState, by=None, target=None, fn="mean"):
+def _tool_group_and_aggregate(state: SessionState, by: str, target: str,
+                              fn: AggregateFn = AggregateFn.MEAN):
     table = state.working_table()
-    out = group_and_aggregate(table, by, target, _choice(AggregateFn, fn))
+    out = group_and_aggregate(table, by, target, fn)
     by_col, agg_col = out.columns
     return {"groups": out.row_count,
             "rows": [{by_col.name: key, agg_col.name: value} for key, value in
@@ -436,7 +459,7 @@ def _tool_get_all_reference_intentions(state: SessionState):
                            for i, t in methodlib.list_intentions(state.library)]}
 
 
-def _tool_get_reference_method_by_id(state: SessionState, method_id=None):
+def _tool_get_reference_method_by_id(state: SessionState, method_id: str):
     entry = methodlib.get_method_by_id(state.library, method_id)
     return entry.to_record()
 
@@ -473,8 +496,22 @@ def build_registry() -> ToolRegistry:
     entries = {}
 
     def add(name, description, executor):
-        params = tuple(inspect.signature(executor).parameters)[1:]
-        entries[name] = ToolEntry(name, description, executor, params)
+        # Each keyword parameter's annotation is its type, and one without a
+        # default is required; nothing reads the signature after this.
+        params, required = {}, []
+        _, *keywords = inspect.signature(
+            executor, eval_str=True).parameters.values()
+        for p in keywords:
+            kind = p.annotation
+            if not (kind in (str, list[str])
+                    or isinstance(kind, type) and issubclass(kind, Enum)):
+                raise TypeError(f"{name}: parameter {p.name!r} is annotated "
+                                f"{kind!r}, not str, list[str] or an enum")
+            params[p.name] = kind
+            if p.default is p.empty:
+                required.append(p.name)
+        entries[name] = ToolEntry(name, description, executor, params,
+                                  tuple(required))
 
     add("get_csv_features",
         "Reads the task's CSV file and returns all feature names.",
@@ -838,7 +875,7 @@ def _incomplete_report(state: SessionState) -> ReportDocument:
     try:
         scenario = state.scenario()
     except BiasAuditError:
-        scenario = Scenario.CAT_DIST
+        scenario = None
     return ReportDocument(
         task_summary=state.task.question,
         scenario=scenario,

@@ -96,7 +96,7 @@ def recommendations_for(scenario: Scenario, headline: int) -> list:
 @dataclass(frozen=True)
 class ReportDocument:
     task_summary: str
-    scenario: Scenario
+    scenario: Scenario | None  # None: the run never classified the features
     findings: tuple
     charts: tuple  # chart file names
     recommendations: tuple
@@ -116,12 +116,13 @@ class ReportDocument:
         head = self.headline
         headline_text = (f"{head.value} ({head.label})" if head
                          else "undetermined")
+        scenario_text = self.scenario.value if self.scenario else "undetermined"
         lines = [
             "# Bias detection report",
             "",
             f"**Task:** {self.task_summary}",
             "",
-            f"**Scenario:** {self.scenario.value}",
+            f"**Scenario:** {scenario_text}",
             "",
             f"**Overall bias level:** {headline_text}"
             + ("" if self.complete else " (INCOMPLETE RUN)"),
@@ -151,7 +152,7 @@ class ReportDocument:
     def to_record(self) -> dict:
         return {
             "task_summary": self.task_summary,
-            "scenario": self.scenario.value,
+            "scenario": self.scenario.value if self.scenario else None,
             "headline_level": self.headline.value if self.headline else None,
             "headline_label": self.headline.label if self.headline else None,
             "complete": self.complete,

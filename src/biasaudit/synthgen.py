@@ -140,7 +140,10 @@ def grade_suite(scenario: Scenario, levels, base_seed: int = 7):
     """(spec, intended level) pairs: one spec per level per suite size.
 
     cat_dist and cat_cat columns get four categories each; cat_num always
-    has two groups."""
+    has two groups. Each spec's seed is ``base_seed + 1000 * level + i``,
+    so ``base_seed`` must be at least -1000."""
+    if base_seed < -1000:
+        raise InvalidSpecError(f"seed must be >= -1000, got {base_seed}")
     suite = []
     for level in levels:
         strength = LEVEL_STRENGTHS[level]

@@ -427,6 +427,11 @@ def _table(metric_id, **fields):
 _DETECT = ["detect", "{tmp}/cat.csv", "--features", "group"]
 _WITH_THRESHOLDS = ["--config", "{tmp}/config.json", *_DETECT]
 _THRESHOLDS_CONFIG = {"config.json": '{"thresholds_path": "{tmp}/t.json"}'}
+_LIBRARY_CONFIG = {"config.json": '{"library_path": "{tmp}/lib.json"}'}
+_METHODS_LIST = ["--config", "{tmp}/config.json", "methods", "list"]
+_METHOD = {"id": "X-1", "intention": "i", "method": {"step_1": "s"},
+           "title": "t", "article_link": "", "field": "f", "year": 2024,
+           "tags": {"bias_type": "distribution", "data_type": "cat_dist"}}
 
 # (id, files written to the temporary directory, argv, text the error names);
 # "{tmp}" stands for that directory in file texts and argv.
@@ -456,9 +461,15 @@ BAD_INPUTS = [
     ("thresholds-unknown-metric", {**_THRESHOLDS_CONFIG, "t.json": _table(
         "ginni", cuts=[0.5, 0.6, 0.7, 0.8])}, _WITH_THRESHOLDS,
      "bands for unknown metrics ['ginni']"),
-    ("library-not-json", {"config.json": '{"library_path": "{tmp}/lib.json"}',
-                          "lib.json": "{"},
-     ["--config", "{tmp}/config.json", "methods", "list"], "library"),
+    ("library-not-json", {**_LIBRARY_CONFIG, "lib.json": "{"}, _METHODS_LIST,
+     "library"),
+    ("library-entry-not-object", {**_LIBRARY_CONFIG, "lib.json": "[1]"},
+     _METHODS_LIST, "entry 0: expected an object, got 1"),
+    ("library-tags-string", {**_LIBRARY_CONFIG, "lib.json": json.dumps(
+        [{**_METHOD, "tags": "cat_dist"}])}, _METHODS_LIST,
+     "entry 'X-1': tags must be an object, got 'cat_dist'"),
+    ("thresholds-not-utf8", {**_THRESHOLDS_CONFIG, "t.json": b"\xe9"},
+     _WITH_THRESHOLDS, "t.json: 'utf-8' codec can't decode"),
     ("config-not-json", {"config.json": "{"}, _WITH_THRESHOLDS, "config"),
     ("config-list", {"config.json": "[]"}, _WITH_THRESHOLDS,
      "expected a JSON object"),
@@ -484,9 +495,9 @@ BAD_INPUTS = [
      "--k applies only to cat_dist and cat_cat, not cat_num"),
     ("synth-negative-seed", {}, ["synth", "--scenario", "cat_dist", "--seed",
                                  "-1"], "seed must be >= 0, got -1"),
-    # The level-1 suite's first seed is -2000 + 1000.
+    # The level-1 suite's first seed is --seed + 1000.
     ("calibrate-negative-seed", {}, ["calibrate", "--seed", "-2000"],
-     "seed must be >= 0, got -1000"),
+     "seed must be >= -1000, got -2000"),
     ("config-thresholds-path-list", {"config.json": '{"thresholds_path": ["a"]}'},
      _WITH_THRESHOLDS, "config thresholds_path must be a string or null, "
      "got ['a']"),

@@ -1,10 +1,13 @@
 """Workflow sessions: registry, planners, advisor, and the event loop."""
 
 import csv
+import json
 import os
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasaudit import bench
 from biasaudit.errors import (
@@ -163,6 +166,15 @@ class TestRunSession:
         assert report.findings == ()
         assert log.events[-1].action == "budget_exhausted"
 
+    def test_incomplete_run_without_a_table_names_no_scenario(
+            self, registry, num_num_csv):
+        task = TaskContext(question="q", dataset=num_num_csv,
+                           features=("x", "y"))
+        report, _ = run_session(task, RulePlanner(), registry, budget=1)
+        assert report.scenario is None
+        assert "**Scenario:** undetermined\n" in report.to_markdown()
+        assert report.to_record()["scenario"] is None
+
     def test_unknown_tool_raises_after_one_retry(self, registry, cat_csv):
         planner = ScriptedPlanner([
             Action(ActionKind.INVOKE_TOOL, tool="no_such_tool"),
@@ -210,7 +222,8 @@ class TestRunSession:
 
 
 # Calls a chat planner may make that name an unknown parameter, pass a
-# non-object as the arguments, or give an enum value outside the allowed set.
+# non-object as the arguments, leave out a required parameter, give a value
+# of the wrong type, or give an enum value outside the allowed set.
 MALFORMED_CALLS = [
     ("load_csv_file", {"file": "data.csv"}, "has no parameter(s) ['file']"),
     ("load_csv_file", [1], "takes keyword arguments, got [1]"),
@@ -224,10 +237,16 @@ MALFORMED_CALLS = [
      "'zscore' is not one of"),
     ("group_and_aggregate", {"by": "group", "target": "group", "fn": "avg"},
      "'avg' is not one of"),
+    ("extract_single_column", {},
+     "extract_single_column(column) is missing parameter(s) ['column']"),
+    ("extract_single_column", {"column": 5}, "column must be a string, got 5"),
+    ("extract_single_column", {"column": None},
+     "extract_single_column(column) is missing parameter(s) ['column']"),
 ]
 MALFORMED_IDS = ["unknown-param", "array-args", "path-param",
                  "columns-number", "columns-string", "cleaning-mode",
-                 "normalize-mode", "aggregate-fn"]
+                 "normalize-mode", "aggregate-fn", "missing-column",
+                 "column-number", "null-column"]
 
 
 class TestMalformedToolCalls:
@@ -254,6 +273,80 @@ class TestMalformedToolCalls:
         with pytest.raises(ToolError) as info:
             run_session(cat_task(cat_csv), ScriptedPlanner(script), registry)
         assert message in str(info.value)
+
+
+    def test_null_argument_counts_as_left_out(self, registry, cat_csv):
+        # mode: null cleans with the default, drop_row.
+        def cleaned(args):
+            script = list(CANONICAL_DISTRIBUTION_SCRIPT)
+            script[3] = Action(ActionKind.INVOKE_TOOL,
+                               tool="clean_missing_values", args=args)
+            _, log = run_session(cat_task(cat_csv), ScriptedPlanner(script),
+                                 registry)
+            return [e.payload for e in log.events if e.action == "result"
+                    and e.payload["tool"] == "clean_missing_values"]
+
+        assert cleaned({"columns": None, "mode": None}) \
+            == cleaned({"mode": "drop_row"})
+        assert cleaned({"mode": None})[0]["ok"]
+
+
+def fits(schema, value):
+    """Whether a JSON value fits a tool's parameters schema: an object of
+    strings, string enums and string arrays."""
+    kind = schema["type"]
+    if kind == "object":
+        props = schema["properties"]
+        return (isinstance(value, dict)
+                and set(schema["required"]) <= set(value)
+                and all(fits(props[k], v) if k in props
+                        else schema["additionalProperties"]
+                        for k, v in value.items()))
+    if kind == "array":
+        return isinstance(value, list) and all(fits(schema["items"], v)
+                                               for v in value)
+    assert kind == "string", schema
+    return isinstance(value, str) and value in schema.get("enum", [value])
+
+
+# JSON values a chat endpoint may send, null aside: a null argument counts as
+# left out, which the schema does not say.
+JSON_VALUES = ["gender", "drop_row", "fill_median", "standardize", "count",
+               "drop", "", 0, 1.5, True, [], ["gender", "count"], ["gender", 1],
+               [None], {"column": "gender"}]
+# One tool per distinct schema: the 38 tools without parameters share one.
+SCHEMA_TOOLS = sorted({
+    json.dumps(entry.parameters, sort_keys=True): name
+    for name, entry in sorted(build_registry().entries.items())}.values())
+
+
+def arguments(params):
+    """The tool's own parameters, each present or not; sometimes another
+    name; sometimes not an object."""
+    values = st.sampled_from(JSON_VALUES)
+    return st.one_of(
+        st.fixed_dictionaries({}, optional=dict.fromkeys(params, values)),
+        st.dictionaries(st.sampled_from([*params, "nope"]), values,
+                        max_size=3),
+        values)
+
+
+class TestToolSchemas:
+    @pytest.mark.parametrize("tool", SCHEMA_TOOLS)
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_checked_args_accept_what_the_schema_admits(self, registry, tool,
+                                                        data):
+        entry = registry.get(tool)
+        schema = entry.parameters
+        args = data.draw(arguments(tuple(entry.params)))
+        try:
+            entry.checked_args(args)
+            accepted = True
+        except ToolError:
+            accepted = False
+        assert accepted == fits(schema, args)
 
 
 class TestRulePlanner:
@@ -571,14 +664,30 @@ class TestChatPlanner:
         ChatPlanner(self.config, transport=transport).next(self.state(registry))
         schemas = {t["function"]["name"]: t["function"]["parameters"]
                    for t in sent}
+        name = {"type": "string"}
         assert schemas["extract_two_columns"] == {
             "type": "object",
-            "properties": {"column_a": {}, "column_b": {}},
+            "properties": {"column_a": name, "column_b": name},
+            "required": ["column_a", "column_b"],
             "additionalProperties": False}
+        assert schemas["clean_missing_values"] == {
+            "type": "object",
+            "properties": {
+                "columns": {"type": "array", "items": name},
+                "mode": {"type": "string", "enum": [
+                    "drop_row", "fill_mode", "fill_median"]}},
+            "required": [],
+            "additionalProperties": False}
+        assert schemas["group_and_aggregate"]["properties"]["fn"] == {
+            "type": "string", "enum": ["mean", "count", "sum", "median"]}
+        assert schemas["group_and_aggregate"]["required"] == ["by", "target"]
         assert schemas["load_csv_file"] == {
-            "type": "object", "properties": {}, "additionalProperties": False}
+            "type": "object", "properties": {}, "required": [],
+            "additionalProperties": False}
         assert {name: list(s["properties"]) for name, s in schemas.items()} \
             == {name: list(e.params) for name, e in registry.entries.items()}
+        assert all("type" in p for s in schemas.values()
+                   for p in s["properties"].values())
 
 
 class TestSessionLog:

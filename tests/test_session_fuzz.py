@@ -25,14 +25,11 @@ from biasaudit.orchestrator import (
     build_registry,
     run_session,
 )
-from biasaudit.tabular import AggregateFn, CleaningMode, NormalizeMode
 
 SAMPLE = os.path.join(os.path.dirname(bench.__file__), "data", "sample.csv")
 COLUMNS = ["gender", "region", "age", "hours", "score", "income_level"]
 REGISTRY = build_registry()
 TOOLS = sorted(REGISTRY.entries)
-ENUM_VALUES = [m.value for enum in (CleaningMode, NormalizeMode, AggregateFn)
-               for m in enum]
 
 junk = st.one_of(st.text(max_size=6), st.booleans(),
                  st.lists(st.integers(), max_size=2),
@@ -42,16 +39,30 @@ values = st.one_of(
     st.sampled_from(COLUMNS),
     st.lists(st.sampled_from(COLUMNS + ["nope"]), max_size=3),
     st.sampled_from([None, math.nan, math.inf, -1, 0, 1.5, 10 ** 9]),
-    st.integers(), st.floats(),
-    st.sampled_from(ENUM_VALUES), st.sampled_from(TOOLS), junk)
+    st.integers(), st.floats(), st.sampled_from(TOOLS), junk)
+
+
+def from_schema(schema):
+    """Values of the JSON-schema type a chat endpoint is told a parameter
+    has: a column name or other text, a list of names, or an enum value."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    names = st.sampled_from(COLUMNS + ["nope"])
+    if schema["type"] == "array":
+        return st.lists(names, max_size=3)
+    return names | st.text(max_size=6)
 
 
 def tool_call(tool):
-    # Mostly the tool's own parameters, each one present or not; sometimes
-    # a parameter no tool takes, or arguments that are not an object.
-    params = REGISTRY.get(tool).params if tool in REGISTRY else ()
-    own = st.fixed_dictionaries({}, optional=dict.fromkeys(params, values))
-    stray = st.dictionaries(st.sampled_from(params + ("path", "nope")),
+    # Mostly the tool's own parameters, each one present or not and half the
+    # time of its declared type; sometimes a parameter no tool takes, or
+    # arguments that are not an object.
+    properties = (REGISTRY.get(tool).parameters["properties"]
+                  if tool in REGISTRY else {})
+    own = st.fixed_dictionaries({}, optional={
+        name: values | from_schema(schema)
+        for name, schema in properties.items()})
+    stray = st.dictionaries(st.sampled_from((*properties, "path", "nope")),
                             values, min_size=1, max_size=3)
     return st.one_of(own, own, own, stray, junk).map(
         lambda args: Action(ActionKind.INVOKE_TOOL, tool=tool, args=args))

@@ -151,6 +151,15 @@ class TestGradeSuite:
     def test_empty_levels(self):
         assert grade_suite(Scenario.CAT_DIST, levels=[]) == []
 
+    def test_base_seed_floor_names_the_value_given(self):
+        suite = grade_suite(Scenario.CAT_DIST, levels=range(1, 6),
+                            base_seed=-1000)
+        assert min(s.seed for s, _ in suite) == 0
+        with pytest.raises(InvalidSpecError,
+                           match="seed must be >= -1000, got -1001"):
+            grade_suite(Scenario.CAT_DIST, levels=range(1, 6),
+                        base_seed=-1001)
+
     def test_strengths_increase_with_level(self):
         suite = grade_suite(Scenario.NUM_DIST, levels=range(1, 6))
         by_level = {}
