@@ -111,8 +111,13 @@ def load_taskset(path) -> list:
                     or not all(isinstance(f, str) for f in features)):
                 raise SchemaError(f"taskset entry {i}: features must be a "
                                   f"list of column names, got {features!r}")
+            task_id = rec["id"]
+            if (not isinstance(task_id, str) or task_id in ("", ".", "..")
+                    or "/" in task_id or os.sep in task_id):
+                raise SchemaError(f"taskset entry {i}: id must be a name "
+                                  f"usable as a file name, got {task_id!r}")
             tasks.append(TaskSpec(
-                id=str(rec["id"]), dataset=dataset,
+                id=task_id, dataset=dataset,
                 question=str(rec["question"]), bias_type=bias_type,
                 features=tuple(features)))
         except KeyError as exc:

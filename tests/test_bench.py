@@ -83,6 +83,16 @@ class TestLoadTaskset:
         with pytest.raises(SchemaError):
             load_taskset(path)
 
+    @pytest.mark.parametrize("task_id", [
+        "../escape", ["x"], "", ".", "..", "a/b", 7])
+    def test_id_that_is_not_a_file_name_rejected(self, tmp_path, task_id):
+        rec = {"id": task_id, "dataset": "d.csv", "question": "q",
+               "bias_type": "distribution", "features": ["a"]}
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps([rec]), encoding="utf-8")
+        with pytest.raises(SchemaError, match="entry 0: id"):
+            load_taskset(path)
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "tasks.json"
         path.write_text(json.dumps([{"id": "T-1"}]), encoding="utf-8")

@@ -18,10 +18,12 @@ def _pair(n):
 
 
 # hgr's KDE lattice is built in blocks of points, so its peak does not grow
-# with kde_grid * n; hsic's three 2048 x 2048 Gram-size buffers take 96 MiB.
+# with kde_grid * n; above HSIC_MAX_N hsic bins rows in blocks onto a fixed
+# lattice, so its peak is a few copies of the columns and no n x n buffer.
 @pytest.mark.parametrize("metric, n, limit_mb", [
     (hgr_approximation, 100_000, 32),
     (hsic, 10_000, 120),
+    (hsic, 100_000, 8),
 ])
 def test_peak_allocation(metric, n, limit_mb):
     x, y = _pair(n)
