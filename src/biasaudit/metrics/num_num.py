@@ -1,8 +1,11 @@
 """Correlation-bias metrics for two numerical columns.
 
-Rows where either cell is missing are dropped pairwise. Discretization for
-the information-theoretic metrics uses equal-frequency (quantile-edge)
-bins, which keeps them invariant under monotone rescaling of the inputs.
+Rows where either cell is missing are dropped pairwise. nmi discretizes each
+axis into equal-frequency (quantile-edge) bins, so a strictly increasing map
+of either input leaves it unchanged. hgr_approximation works on the
+empirical copula, each axis placed through quantile knots: such a map leaves
+it unchanged up to ``COPULA_KNOTS`` rows and, above that, moves it only by
+the change in interpolation between knots (within 1e-3 in the tests).
 """
 
 from __future__ import annotations
@@ -15,22 +18,21 @@ from ..errors import ConstantColumnError, InsufficientSamplesError
 from ..tabular import Column
 from .base import MetricResult, Scenario, paired
 
-# Equal-frequency bins per axis for nmi and hgr_approximation, and the
-# side of hgr_approximation's KDE lattice.
+# Equal-frequency bins per axis for nmi and hgr_approximation, the side of
+# hgr_approximation's lattice over the empirical copula, and the number of
+# order statistics that place each axis on that lattice.
 BINS = 10
 KDE_GRID = 64
+COPULA_KNOTS = 257
 # hsic is exact, with O(n^2) Gram matrices, up to this many rows. Larger
 # inputs are linearly binned, every row, onto a lattice of at most
 # HSIC_GRID points per axis: the value does not depend on row order beyond
 # rounding and is within 0.01 of the exact one.
 HSIC_MAX_N = 2048
 HSIC_GRID = 128
-# The KDE and HSIC lattices sum the weights of this many points at a time,
-# so their buffers are O(grid * block) or O(block) rather than O(grid * n).
-_KDE_BLOCK = 4096
-_HSIC_BLOCK = 16384
-# Gaussian KDE weights with an exponent at or below this are exactly 0.
-_EXP_FLOOR = -300.0
+# The hgr and binned hsic lattices are filled this many rows at a time, so
+# their buffers are O(block) rather than O(n).
+_BIN_BLOCK = 16384
 
 
 def _result(metric_id, raw, n, details=""):
@@ -94,21 +96,34 @@ def nmi(x: Column, y: Column) -> MetricResult:
 
 
 def hgr_approximation(x: Column, y: Column) -> MetricResult:
-    """Maximal-correlation estimate from the normalized joint distribution.
+    """Maximal-correlation estimate on the empirical copula.
 
-    The joint density is smoothed by a Gaussian KDE on a KDE_GRID lattice,
-    aggregated into equal-probability bins, and normalized cell-wise as
+    Renyi's maximal correlation is invariant under any bijection of each
+    axis, so the estimate works on ranks. Each axis is mapped onto a uniform
+    ``KDE_GRID`` lattice over (0, 1) through ``COPULA_KNOTS`` of its order
+    statistics, evenly spaced in rank, and linearly between them (see
+    ``_copula_axis``); every row is linearly binned onto that lattice, and
+    the joint is smoothed with a Gaussian kernel at Scott's bandwidth for
+    U(0, 1) data, n^(-1/6) / sqrt(12). The smoothed joint is aggregated into
+    equal-probability bins and normalized cell-wise as
     Q_ij = p_ij / sqrt(p_i. * p_.j); the estimate is the second-largest
     singular value of Q. The chi-square divergence sum(Q^2) - 1 is reported
-    alongside. The lattice sums the Gaussian weights of blocks of points,
-    so memory is O(KDE_GRID * block) at any n, and a weight whose exponent
-    is at or below -300 counts as exactly 0 (it is at most 5e-131 of its
-    point's peak and would otherwise put exp and the matrix product on the
-    slow subnormal path).
+    alongside.
+
+    Ties: a value held by several knots sits at the midpoint of their
+    lattice coordinates, so tied rows map to one point in the middle of the
+    ranks they span. The value depends only on the sorted columns, so row
+    order moves it by rounding only. Up to ``COPULA_KNOTS`` rows every row
+    is a knot, and a strictly increasing map of either axis leaves the value
+    unchanged; above that, rows between knots are placed linearly in value,
+    and the tests hold such a map to within 1e-3. Time is O(n log n) and
+    memory O(n), with no O(n * KDE_GRID) buffer.
     """
     xs, ys = _checked(x, y, "hgr_approximation")
-    density = _kde_lattice(xs, ys, KDE_GRID)
-    joint = _aggregate_lattice(density, BINS)
+    lattice = _linear_binned_joint(xs, ys, _copula_axis(xs, KDE_GRID),
+                                   _copula_axis(ys, KDE_GRID),
+                                   (KDE_GRID, KDE_GRID))
+    joint = _aggregate_lattice(_smoothed(lattice, xs.size), BINS)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     keep_r = px > 0
@@ -123,52 +138,40 @@ def hgr_approximation(x: Column, y: Column) -> MetricResult:
                    xs.size, f"bins={BINS} grid={KDE_GRID}")
 
 
-def _kde_lattice(xs: np.ndarray, ys: np.ndarray, grid: int) -> np.ndarray:
-    """Product-Gaussian KDE evaluated on a grid x grid lattice."""
-    xs = (xs - xs.mean()) / xs.std()
-    ys = (ys - ys.mean()) / ys.std()
-    h = xs.size ** (-1.0 / 6.0)  # Scott's rule for d=2 on unit-sd data
-    gx = np.linspace(xs.min() - 3 * h, xs.max() + 3 * h, grid)
-    gy = np.linspace(ys.min() - 3 * h, ys.max() + 3 * h, grid)
-    density = np.zeros((grid, grid))
-    for start in range(0, xs.size, _KDE_BLOCK):
-        block = slice(start, start + _KDE_BLOCK)
-        ax = _gauss_weights(gx, xs[block], h)
-        ay = _gauss_weights(gy, ys[block], h)
-        density += ax @ ay.T
+def _copula_axis(v: np.ndarray, grid: int):
+    """Knots of v and their coordinates on a ``grid``-point lattice over
+    (0, 1): the order statistics at ``COPULA_KNOTS`` evenly spaced ranks,
+    from the minimum at 0 to the maximum at grid - 1. Knots that share a
+    value are merged at the midpoint of their coordinates."""
+    ranks = np.rint(np.linspace(0, v.size - 1, COPULA_KNOTS)).astype(np.intp)
+    at = np.linspace(0, grid - 1, COPULA_KNOTS)
+    knots, first, count = np.unique(np.sort(v)[ranks], return_index=True,
+                                    return_counts=True)
+    return knots, (at[first] + at[first + count - 1]) / 2
+
+
+def _smoothed(joint: np.ndarray, n: int) -> np.ndarray:
+    """K joint K' normalized to sum 1, with K the Gaussian kernel between
+    lattice points at Scott's bandwidth for n points of U(0, 1) data, in
+    lattice steps."""
+    grid = joint.shape[0]
+    h = n ** (-1.0 / 6.0) / math.sqrt(12.0) * (grid - 1)
+    steps = np.arange(grid)
+    k = np.exp(-0.5 * np.square(np.subtract.outer(steps, steps) / h))
+    density = k @ joint @ k
     return density / density.sum()
-
-
-def _gauss_weights(lattice: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-    """exp(-0.5 * ((lattice - v) / h) ** 2), exactly 0 where the exponent is
-    at or below _EXP_FLOOR. The exponent is clipped and the result masked
-    because exp(where=...) runs its masked loop per run of kept weights and
-    is no faster than exp on subnormals."""
-    z = np.subtract.outer(lattice, v)
-    z /= h
-    np.square(z, out=z)
-    z *= -0.5
-    keep = z > _EXP_FLOOR
-    np.maximum(z, _EXP_FLOOR, out=z)
-    np.exp(z, out=z)
-    z *= keep
-    return z
 
 
 def _aggregate_lattice(density: np.ndarray, bins: int) -> np.ndarray:
     """Group lattice cells into bins of roughly equal marginal probability."""
-    def cuts(marginal):
+    def starts(marginal):
         cum = np.cumsum(marginal)
         idx = np.searchsorted(cum, np.arange(1, bins) / bins * cum[-1])
-        return np.unique(np.clip(idx + 1, 1, marginal.size - 1))
+        return np.unique(np.concatenate(
+            ([0], np.clip(idx + 1, 1, marginal.size - 1))))
 
-    rows = np.split(np.arange(density.shape[0]), cuts(density.sum(axis=1)))
-    cols = np.split(np.arange(density.shape[1]), cuts(density.sum(axis=0)))
-    out = np.zeros((len(rows), len(cols)))
-    for i, ri in enumerate(rows):
-        for j, cj in enumerate(cols):
-            out[i, j] = density[np.ix_(ri, cj)].sum()
-    return out
+    rows = np.add.reduceat(density, starts(density.sum(axis=1)), axis=0)
+    return np.add.reduceat(rows, starts(density.sum(axis=0)), axis=1)
 
 
 def wasserstein(x: Column, y: Column) -> MetricResult:
@@ -242,7 +245,9 @@ def _binned_hsic_terms(xs: np.ndarray, ys: np.ndarray, grid: int):
     """
     gx = _lattice(xs, grid)
     gy = _lattice(ys, grid)
-    joint = _linear_binned_joint(xs, ys, gx, gy)
+    joint = _linear_binned_joint(xs, ys, (gx, np.arange(gx.size, dtype=float)),
+                                 (gy, np.arange(gy.size, dtype=float)),
+                                 (gx.size, gy.size))
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     kc = _centered_lattice_gram(gx, px)
@@ -264,17 +269,20 @@ def _lattice(v: np.ndarray, grid: int) -> np.ndarray:
         np.linspace(v.min(), v.max(), half), np.sort(v)[ranks]]))
 
 
-def _linear_binned_joint(xs: np.ndarray, ys: np.ndarray, gx: np.ndarray,
-                         gy: np.ndarray) -> np.ndarray:
-    """Joint weights on the gx x gy lattice, summing to 1: each row splits
-    its weight bilinearly over the four lattice points around it."""
-    cols = gy.size
-    cells = gx.size * cols
+def _linear_binned_joint(xs: np.ndarray, ys: np.ndarray, x_axis, y_axis,
+                         shape) -> np.ndarray:
+    """Joint weights on a lattice of the given shape, summing to 1. Each
+    axis is a pair (knots, at): value knots[k] lies at lattice coordinate
+    at[k], and a value between two knots lies linearly between their
+    coordinates. Each row splits its weight bilinearly over the four lattice
+    points around it."""
+    rows, cols = shape
+    cells = rows * cols
     joint = np.zeros(cells)
-    for start in range(0, xs.size, _HSIC_BLOCK):
-        block = slice(start, start + _HSIC_BLOCK)
-        ix, fx = _locate(gx, xs[block])
-        iy, fy = _locate(gy, ys[block])
+    for start in range(0, xs.size, _BIN_BLOCK):
+        block = slice(start, start + _BIN_BLOCK)
+        ix, fx = _locate(*x_axis, xs[block], rows)
+        iy, fy = _locate(*y_axis, ys[block], cols)
         cell = ix * cols + iy
         ex = 1.0 - fx
         ey = 1.0 - fy
@@ -282,14 +290,15 @@ def _linear_binned_joint(xs: np.ndarray, ys: np.ndarray, gx: np.ndarray,
         joint += np.bincount(cell + 1, ex * fy, cells)
         joint += np.bincount(cell + cols, fx * ey, cells)
         joint += np.bincount(cell + cols + 1, fx * fy, cells)
-    return joint.reshape(gx.size, cols) / xs.size
+    return joint.reshape(rows, cols) / xs.size
 
 
-def _locate(points: np.ndarray, v: np.ndarray):
-    """Index of the lattice cell holding each value of v, and how far
-    across that cell the value lies (0 at its left point, 1 at its right)."""
-    t = np.interp(v, points, np.arange(points.size, dtype=float))
-    i = np.minimum(t.astype(np.intp), points.size - 2)
+def _locate(knots: np.ndarray, at: np.ndarray, v: np.ndarray, size: int):
+    """Index of the cell of a ``size``-point lattice holding each value of
+    v, and how far across that cell the value lies (0 at its left point, 1
+    at its right)."""
+    t = np.interp(v, knots, at)
+    i = np.minimum(t.astype(np.intp), size - 2)
     return i, t - i
 
 

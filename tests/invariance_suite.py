@@ -11,10 +11,16 @@ Three properties, 1000 trials in total:
 
 Each trial compares raw outputs before and after the transformation and
 records any disagreement as a violation.
+
+A fourth property runs apart from those 1000 (``run_monotone``): a strictly
+increasing map of each numerical axis leaves nmi exactly unchanged and hgr
+within ``MONOTONE_TOL``, at n = 30-60, where every hgr row is a copula knot,
+and at n = 300-2000, where most rows lie between knots.
 """
 
 import math
 import random
+import zlib
 from unittest import mock
 
 from biasaudit.errors import MetricError
@@ -24,7 +30,15 @@ from biasaudit.tabular import Column, Kind
 PERM_TOL = 1e-9
 AFFINE_TOL = 1e-6
 
-# Bins and KDE grid of the binning metrics during the battery.
+# Rank-based metrics and how far a strictly increasing map of each
+# numerical axis may move their severity-relevant raw value.
+MONOTONE_TOL = {"nmi": 0.0, "hgr_approximation": 1e-3}
+MONOTONE_TRIALS = 20
+# Each axis is mapped by one of these, picked per trial.
+MONOTONE_MAPS = (lambda v: math.exp(v / 2.0), lambda v: v ** 3, math.sinh,
+                 math.atan)
+
+# Bins and copula lattice of the binning metrics during the battery.
 BINS = 4
 KDE_GRID = 16
 
@@ -77,9 +91,11 @@ def _grouped_cat_num(rng):
     return ([groups[i] for i in order], [values[i] for i in order])
 
 
-def make_instance(metric_id, rng):
-    """(columns, extra inputs) for one random trial of the given metric."""
-    n = rng.randint(30, 60)
+def make_instance(metric_id, rng, n=None):
+    """(columns, extra inputs) for one random trial of the given metric,
+    with n rows (30-60 drawn at random if not given)."""
+    if n is None:
+        n = rng.randint(30, 60)
     k = rng.randint(2, 4)
     if metric_id in CAT_DIST:
         return [cat_col("c", [f"c{rng.randrange(k)}" for _ in range(n)])], {}
@@ -156,12 +172,21 @@ def _affine(cols, rng):
     return new_cols
 
 
-def _trials(metric_id, count, rng, apply_fn, violations):
+def _monotone(cols, rng):
+    new_cols = []
+    for c in cols:
+        f = rng.choice(MONOTONE_MAPS)
+        new_cols.append(Column.of(c.name, c.kind, tuple(map(f, c.cells()))))
+    return new_cols
+
+
+def _trials(metric_id, count, rng, apply_fn, violations, sizes=None):
     done = attempts = 0
     while done < count:
         attempts += 1
         assert attempts < 50 * count, f"{metric_id}: too many degenerate draws"
-        cols, extra = make_instance(metric_id, rng)
+        n = None if sizes is None else rng.randint(*sizes[done % len(sizes)])
+        cols, extra = make_instance(metric_id, rng, n)
         try:
             before = _run(metric_id, cols, extra)
             apply_fn(metric_id, cols, extra, before, rng, violations)
@@ -169,6 +194,10 @@ def _trials(metric_id, count, rng, apply_fn, violations):
             continue
         done += 1
     return done
+
+
+def _rng_for(seed, metric_id, prop):
+    return random.Random(zlib.crc32(f"{seed}/{metric_id}/{prop}".encode()))
 
 
 def run_battery(seed=20260823):
@@ -192,18 +221,35 @@ def run_battery(seed=20260823):
         _compare(metric_id, "affine", before, after,
                  [AFFINE_KEYS[metric_id]], AFFINE_TOL, out)
 
-    def rng_for(metric_id, prop):
-        import zlib
-        return random.Random(zlib.crc32(f"{seed}/{metric_id}/{prop}".encode()))
-
     with mock.patch.multiple(num_num, BINS=BINS, KDE_GRID=KDE_GRID):
         for metric_id in ALL_METRIC_IDS:
             total += _trials(metric_id, PERM_TRIALS,
-                             rng_for(metric_id, "perm"), perm, violations)
+                             _rng_for(seed, metric_id, "perm"), perm,
+                             violations)
         for metric_id in RELABEL_METRICS:
             total += _trials(metric_id, RELABEL_TRIALS,
-                             rng_for(metric_id, "relabel"), relabel, violations)
+                             _rng_for(seed, metric_id, "relabel"), relabel,
+                             violations)
         for metric_id in AFFINE_METRICS:
             total += _trials(metric_id, AFFINE_TRIALS[metric_id],
-                             rng_for(metric_id, "affine"), affine, violations)
+                             _rng_for(seed, metric_id, "affine"), affine,
+                             violations)
+    return total, violations
+
+
+def run_monotone(seed=20261019):
+    """Run the monotone trials; returns (total_trials, violations)."""
+    violations = []
+    total = 0
+
+    def monotone(metric_id, cols, extra, before, rng, out):
+        after = _run(metric_id, _monotone(cols, rng), extra)
+        _compare(metric_id, "monotone", before, after,
+                 [AFFINE_KEYS[metric_id]], MONOTONE_TOL[metric_id], out)
+
+    with mock.patch.multiple(num_num, BINS=BINS, KDE_GRID=KDE_GRID):
+        for metric_id in MONOTONE_TOL:
+            total += _trials(metric_id, MONOTONE_TRIALS,
+                             _rng_for(seed, metric_id, "monotone"), monotone,
+                             violations, sizes=((30, 60), (300, 2000)))
     return total, violations

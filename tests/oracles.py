@@ -377,23 +377,55 @@ def wasserstein(x_vals, y_vals):
     return {"w2": math.sqrt(mean([(a - b) ** 2 for a, b in zip(sx, sy)]))}
 
 
-def hgr_approximation(x_vals, y_vals, bins=10, kde_grid=64):
+def hgr_approximation(x_vals, y_vals, bins=10, kde_grid=64, knots=257):
+    """Maximal correlation on the empirical copula: each axis placed on a
+    kde_grid-point lattice through `knots` of its order statistics, rows
+    split bilinearly over the lattice, Gaussian smoothing at Scott's
+    bandwidth for U(0, 1), equal-probability aggregation, then the SVD."""
     xs, ys = paired(x_vals, y_vals)
     n = len(xs)
-    xs = [(v - mean(xs)) / pop_sd(xs) for v in xs]
-    ys = [(v - mean(ys)) / pop_sd(ys) for v in ys]
-    h = n ** (-1.0 / 6.0)
 
-    def lin(lo, hi, m):
-        step = (hi - lo) / (m - 1)
-        return [lo + i * step for i in range(m)]
+    def axis(vs):
+        # Order statistics at evenly spaced ranks, knot i at coordinate
+        # i * (kde_grid - 1) / (knots - 1); knots sharing a value are one
+        # knot at the midpoint of their coordinates.
+        s = sorted(vs)
+        merged = []
+        for i in range(knots):
+            value = s[round(i * (n - 1) / (knots - 1))]
+            at = i * (kde_grid - 1) / (knots - 1)
+            if merged and merged[-1][0] == value:
+                merged[-1][2] = at
+            else:
+                merged.append([value, at, at])
+        return [m[0] for m in merged], [(m[1] + m[2]) / 2 for m in merged]
 
-    gx = lin(min(xs) - 3 * h, max(xs) + 3 * h, kde_grid)
-    gy = lin(min(ys) - 3 * h, max(ys) + 3 * h, kde_grid)
-    density = [[sum(math.exp(-0.5 * ((a - xs[p]) / h) ** 2)
-                    * math.exp(-0.5 * ((b - ys[p]) / h) ** 2)
-                    for p in range(n))
-                for b in gy] for a in gx]
+    def place(v, ks, ats):
+        j = max(i for i in range(len(ks)) if ks[i] <= v)
+        if ks[j] == v:
+            return ats[j]
+        slope = (ats[j + 1] - ats[j]) / (ks[j + 1] - ks[j])
+        return slope * (v - ks[j]) + ats[j]
+
+    kx, ax = axis(xs)
+    ky, ay = axis(ys)
+    p = [[0.0] * kde_grid for _ in range(kde_grid)]
+    for a, b in zip(xs, ys):
+        tx, ty = place(a, kx, ax), place(b, ky, ay)
+        i, j = min(int(tx), kde_grid - 2), min(int(ty), kde_grid - 2)
+        fx, fy = tx - i, ty - j
+        p[i][j] += (1 - fx) * (1 - fy) / n
+        p[i][j + 1] += (1 - fx) * fy / n
+        p[i + 1][j] += fx * (1 - fy) / n
+        p[i + 1][j + 1] += fx * fy / n
+
+    h = n ** (-1.0 / 6.0) / math.sqrt(12.0) * (kde_grid - 1)
+    k = [[math.exp(-0.5 * ((a - b) / h) ** 2) for b in range(kde_grid)]
+         for a in range(kde_grid)]
+    kp = [[sum(k[a][i] * p[i][j] for i in range(kde_grid))
+           for j in range(kde_grid)] for a in range(kde_grid)]
+    density = [[sum(kp[a][j] * k[j][b] for j in range(kde_grid))
+                for b in range(kde_grid)] for a in range(kde_grid)]
     total = sum(sum(r) for r in density)
     density = [[c / total for c in r] for r in density]
 

@@ -22,15 +22,15 @@ TMP_TOKEN = b"<tmp>"
 DETECT = {
     "age hours": {
         "<stdout>":
-            "4225bddbd429914a5d8b08e72b5f5fc9d6e16c8e71c0e951d1f68aa1337494e4",
+            "178dad25cb58cb6c3c34185973924520c8fef8953e454c65d0580c2b79248199",
         "chart_00_correlation_heatmap.svg":
             "983faa644ba6122145928879cd0a30677912863cb3b5111229d86a80327bb2ff",
         "findings.json":
-            "10e451a31c8b9a7a7a7c9096778c9759e288ed9bb0e1bda6cb81a97f3f63f5bc",
+            "393be92a6c3ad850377e18c20d472e11e26efafcccea789c41d62ff11b292875",
         "report.md":
-            "77ebca5e58f9315e62ac1cdda79d77ef5cb103dc0521e703ffb7251e64df74e0",
+            "80e7ce08a22c0f46571dbd04d9ef36fd8f5823d48411e22517fafb0ba0e11e47",
         "session.log.jsonl":
-            "7adb0f526f2359ed2e4681959c0c7b2bf1c0cad32ba81ca69c10e870f387d25b",
+            "d23fa3149be66d58cc0764b9d81aab46989d02ebacd0e180f493c24a1c5410ea",
     },
     "gender": {
         "<stdout>":
@@ -150,13 +150,13 @@ BENCH = {
     "T-08/report.md":
         "38489a15d10862f878a0bc1aba1e8f748bcdd19f78b5ad7219be3c6cdac01716",
     "T-09.log.jsonl":
-        "f6b641aab1e6f55d8534f2d2814f3105b1dc13a3d70543865aa17d80b219674f",
+        "e9708457fbf1e9ef88d5b1183c40ab2f3da412bf331719949c14599a7723abea",
     "T-09/chart_00_correlation_heatmap.svg":
         "fb41786429f189db7d27f52791296c7d1de067ee2f63b97b7ea5a5b468eea8d2",
     "T-09/findings.json":
-        "24778619cbd7404b4cd78ca95b860695b5e1db573393cc28ae31d1ec16c60557",
+        "97b12aa77d9121575c7a189542cfd0bf6cd0ef1642f2c41bdd473f50310715da",
     "T-09/report.md":
-        "15419944a1345e615822895a784874d9c164112311cccc822b597dc6c342b031",
+        "dfa10745fc3e19f1fbc98044dff8d31c7ef7913342f137c26c1c762c3ed86a0f",
     "T-10.log.jsonl":
         "fe62b634524684b6f4ae80d5475104088c7f000794f6922a1ea0bb4dd83e3093",
     "T-10/chart_00_stacked_bar.svg":
@@ -174,13 +174,13 @@ BENCH = {
     "T-11/report.md":
         "a83b83c85d4b31453a9065b5cadbff1183c40200b004993b32b6fbb99efdbc46",
     "T-12.log.jsonl":
-        "a7e38283bb2360c40ab75f4e3e66899818c1f0a370b2d29000d58b7ee09e141f",
+        "fbbd409b645dad151d5b53f5283eaa5009f137cf94e91a959f29a254b3ecf46b",
     "T-12/chart_00_correlation_heatmap.svg":
         "983faa644ba6122145928879cd0a30677912863cb3b5111229d86a80327bb2ff",
     "T-12/findings.json":
-        "95e11470ad75a2cf5f56c4dc48a981ce31cd2c27f212022925a93a5e77a8bba4",
+        "89ecf9d13437a344426a5a35204c7a4a6f1d8b69f1e9c59d938a2afb981876fd",
     "T-12/report.md":
-        "2d54787e4c591e69da66c0679b6e14a48dc806e2f96471d67e172494566cf7a0",
+        "a435e4be0065d81edf5aefee821b40995ab8e2a42e81821acaa364f5cc536c1d",
     "T-13.log.jsonl":
         "5d0a78ee1b00d812b07f4d00fcf5d53eafd64888fd2f276397cc5f4711757ce8",
     "T-13/chart_00_bar.svg":
@@ -190,13 +190,13 @@ BENCH = {
     "T-13/report.md":
         "8ceedd7e81f66a9e09c34ec0de4958db5ae6a9f67c110cfdf8a15a6d3caf4f0f",
     "T-14.log.jsonl":
-        "4d3f16a69f7c023b623b5d9b47941c8d88bee1e562b14f4e1ac2a6fa2c69a7e2",
+        "7361c726fa45c95ff8da140ed64b2c2889ef968b4163947a8b5145d8e79c946e",
     "T-14/chart_00_correlation_heatmap.svg":
         "fb41786429f189db7d27f52791296c7d1de067ee2f63b97b7ea5a5b468eea8d2",
     "T-14/findings.json":
-        "47a41ceff06bd34a441f35afe901c7624ee55b0d6293b4d13cb940f3a5f8fc2a",
+        "3576dc8f5e9379a049cb558828adcdbf201459bf13922526622ebf5b65521477",
     "T-14/report.md":
-        "430d0287688be264b9a83ab3ea490e60e407c450ff08b4f167d2bbab3a941dfc",
+        "fd0924fa8bd4ecaf39fff9dec681c3201608fc3e0d64657a198603730b58f273",
     "T-15.log.jsonl":
         "556783a6180602b84106b52d6e1d0332edd1aab014be3a59a75d3f25f2e79c63",
     "T-15/chart_00_bar.svg":
@@ -208,7 +208,7 @@ BENCH = {
     "benchmark.md":
         "193c5eba8377c3e738f06f16eb511baba9a7de2b0916eae3d3c6236d34718d13",
     "results.json":
-        "7ea8984a0d75f97a718ccdf88428ceb445a8a537bc3cad1a643ca4a5fc54132d",
+        "4fb69386469ab7602a46a3004ebe57aba1984d283dadffae08c56896df79ecc5",
 }
 
 

@@ -63,7 +63,7 @@ def test_blocks_sum_to_the_one_block_lattice(monkeypatch):
     # Blocks of 700 rows split the 3000 into five, the last one ragged.
     x, y = pair(N, 0.45)
     whole = run(x, y).raw
-    monkeypatch.setattr(num_num, "_HSIC_BLOCK", 700)
+    monkeypatch.setattr(num_num, "_BIN_BLOCK", 700)
     blocked = run(x, y).raw
     for key in ("hsic", "nhsic"):
         assert blocked[key] == pytest.approx(whole[key], rel=1e-12, abs=0)

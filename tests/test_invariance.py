@@ -17,3 +17,10 @@ def test_no_violations_across_all_trials():
     total, violations = invariance_suite.run_battery()
     assert total == 1000
     assert violations == [], violations[:10]
+
+
+def test_monotone_maps_keep_the_rank_based_metrics():
+    total, violations = invariance_suite.run_monotone()
+    assert total == (len(invariance_suite.MONOTONE_TOL)
+                     * invariance_suite.MONOTONE_TRIALS)
+    assert violations == [], violations[:10]

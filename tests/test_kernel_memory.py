@@ -17,11 +17,12 @@ def _pair(n):
             Column.of("y", Kind.NUMERICAL, tuple(y.tolist())))
 
 
-# hgr's KDE lattice is built in blocks of points, so its peak does not grow
-# with kde_grid * n; above HSIC_MAX_N hsic bins rows in blocks onto a fixed
-# lattice, so its peak is a few copies of the columns and no n x n buffer.
+# hgr, and hsic above HSIC_MAX_N, bin rows in blocks onto a fixed lattice,
+# so their peak is a few copies of the columns (the paired columns and one
+# sorted copy for the knots, 2.9 MiB for hgr at 100_000 rows), with no
+# lattice * n or n x n buffer.
 @pytest.mark.parametrize("metric, n, limit_mb", [
-    (hgr_approximation, 100_000, 32),
+    (hgr_approximation, 100_000, 4),
     (hsic, 10_000, 120),
     (hsic, 100_000, 8),
 ])

@@ -2,7 +2,6 @@
 
 import math
 import random
-import statistics
 
 import pytest
 
@@ -14,7 +13,7 @@ from biasaudit.tabular import Column, Kind
 TOL = 1e-9
 INSTANCES = 20
 
-# Small-instance settings: few bins and a coarse KDE grid so that even
+# Small-instance settings: few bins and a coarse lattice so that even
 # n <= 12 inputs exercise the full code paths.
 BINS = 3
 KDE_GRID = 8
@@ -210,30 +209,27 @@ def test_causal_effect_with_covariate_matches_oracle(cov_kind, reverse):
 
 
 def test_hgr_multi_block_lattice_matches_oracle(monkeypatch):
-    # Blocks of 3 points split every small instance into several blocks,
+    # Blocks of 3 rows split every small instance into several blocks,
     # the last one ragged.
-    monkeypatch.setattr(num_num, "_KDE_BLOCK", 3)
+    monkeypatch.setattr(num_num, "_BIN_BLOCK", 3)
     test_metric_matches_oracle("hgr_approximation")
     test_metric_matches_oracle_with_missing_cells("hgr_approximation")
 
 
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("n", [200, 500])
-def test_hgr_weights_below_floor_match_oracle(monkeypatch, n, block):
-    # One point 100 sd out of an otherwise normal sample: after
-    # standardizing, the lattice spans more than sqrt(600) bandwidths, so
-    # the weights of the far end fall below exp(-300) and count as 0; at
-    # n=500 whole lattice rows in the gap hold only such weights.
+def test_hgr_ties_and_outliers_match_oracle(monkeypatch, n, block):
+    # x is integer-valued, so most knots are tied, with one point 100 sd
+    # out; y has a far point too. At n=200 every row is a knot; at n=500
+    # most rows of y lie between knots and are placed by interpolation.
     if block is not None:
-        monkeypatch.setattr(num_num, "_KDE_BLOCK", block)
+        monkeypatch.setattr(num_num, "_BIN_BLOCK", block)
     rng = random.Random(n)
-    x = [round(rng.gauss(0, 1), 6) for _ in range(n - 1)] + [100.0]
-    y = [round(v + rng.gauss(0, 1), 6) for v in x[:-1]] + [-100.0]
+    x = [float(round(rng.gauss(0, 3))) for _ in range(n - 1)] + [300.0]
+    y = [round(v + rng.gauss(0, 3), 6) for v in x[:-1]] + [-300.0]
+    assert n <= num_num.COPULA_KNOTS or len(set(y)) > num_num.COPULA_KNOTS
     monkeypatch.setattr(num_num, "BINS", 4)
     monkeypatch.setattr(num_num, "KDE_GRID", 16)
-    h = n ** (-1.0 / 6.0)
-    z_range = (max(x) - min(x)) / statistics.pstdev(x)
-    assert -0.5 * (z_range / h) ** 2 < num_num._EXP_FLOOR
     got = run_metric("hgr_approximation",
                      [num_col("x", x), num_col("y", y)]).raw
     want = oracles.hgr_approximation(x, y, bins=4, kde_grid=16)
