@@ -70,6 +70,9 @@ def category_counts(col: Column) -> dict:
 
 
 def paired(*cols: Column) -> list:
-    """The columns' data on the rows where none of them is missing."""
+    """The columns' data on the rows where none of them is missing: the
+    read-only arrays themselves when no row is."""
     keep = present_rows(cols, len(cols[0].data))
+    if keep.all():
+        return [c.data for c in cols]
     return [c.data[keep] for c in cols]

@@ -656,7 +656,11 @@ class RulePlanner:
             self._steps = self._plan(state)
         return next(self._steps)
 
-    def _plan(self, state: SessionState):
+    # Static, so the plan's frame holds no reference back to the planner: a
+    # planner <-> plan cycle would keep the session's table alive until the
+    # next cyclic garbage collection.
+    @staticmethod
+    def _plan(state: SessionState):
         task = state.task
         artifacts = state.artifacts
         yield Action(ActionKind.TRANSITION, stage=Stage.PREPROCESSING,

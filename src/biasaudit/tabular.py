@@ -5,7 +5,11 @@ new table. Each :class:`Column` is one read-only numpy array: float64
 with NaN for missing, or int codes with -1 for missing into labels sorted
 by ``str``. Its kind follows from its labels: it is categorical iff it has
 them. Cleaning, the metrics and the charts share the array, and
-:func:`load_table` parses each block of CSV rows straight into it.
+:func:`load_table` parses each block of CSV rows straight into it. A file
+without quotes is split by numpy from its raw bytes, each column of a block
+into one fixed-width bytes array, with no Python object per cell (a column
+whose block has one far longer cell is kept as str instead); any file
+it cannot split exactly as ``csv.reader`` would is read by ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -169,12 +173,15 @@ def _parse(text: str) -> float:
 class _ColumnParser:
     """One column of raw text, added a block at a time.
 
-    A cell is missing if its stripped text is in ``NA_TOKENS``; a present
-    cell is numeric if it parses as a finite real. A block whose cells all
-    parse is kept as float64 (non-finite values missing), unless every value
-    so far is one of a few integers: a possible integer code, whose labels
-    are its texts. Every other block is kept as codes into one dict of the
-    column's distinct texts, each checked and parsed once, by :meth:`kind`.
+    A block is one numpy array of the column's cells: fixed-width UTF-8
+    bytes (``S``) from the byte splitter, or ``str`` objects from
+    ``csv.reader`` and from the byte splitter's long-celled columns. A cell
+    is missing if its stripped text is in ``NA_TOKENS``; a present cell is
+    numeric if it parses as a finite real. A block whose cells all parse is
+    kept as float64 (non-finite values missing), unless every value so far
+    is one of a few integers: a possible integer code, whose labels are its
+    texts. Every other block is kept as codes into one dict of the column's
+    distinct texts, each decoded, checked and parsed once, by :meth:`kind`.
     """
 
     def __init__(self):
@@ -186,11 +193,16 @@ class _ColumnParser:
         # The float blocks' distinct values, None once not a small code.
         self.small_ints: set | None = set()
 
-    def add(self, cells: Sequence[str]) -> None:
-        try:
-            block = np.array(cells, dtype=np.float64) if self.parse_floats else None
-        except ValueError:
-            block = None
+    def add(self, cells: np.ndarray) -> None:
+        block = None
+        if self.parse_floats:
+            # numpy parses bytes and str as float() does, but rejects the
+            # bytes of non-ASCII digits and spaces: such a block takes the
+            # text path, where kind() parses the decoded text.
+            try:
+                block = cells.astype(np.float64)
+            except ValueError:
+                pass
         if block is not None:
             finite = np.isfinite(block)
             if self.small_ints is not None:
@@ -203,11 +215,15 @@ class _ColumnParser:
                 self.present += block.size
                 self.numeric += int(np.count_nonzero(finite))
                 return
+        keys, inverse = _distinct(cells)
         texts = self.texts
-        fresh = list(filterfalse(texts.__contains__, dict.fromkeys(cells)))
+        fresh = list(filterfalse(texts.__contains__, keys))
         texts.update(zip(fresh, count(len(texts))))
-        self.parts.append(np.fromiter(map(texts.__getitem__, cells), dtype=np.intp,
-                                      count=len(cells)))
+        if len(fresh) == len(keys):  # all new: their codes follow the keys'
+            self.parts.append(inverse + (len(texts) - len(keys)))
+        else:
+            self.parts.append(np.array(list(map(texts.__getitem__, keys)),
+                                       dtype=np.intp)[inverse])
 
     def kind(self) -> Kind:
         """The kind of every cell added.
@@ -257,6 +273,26 @@ class _ColumnParser:
         return categorical(name, codes, labels)
 
 
+def _distinct(cells: np.ndarray) -> tuple:
+    """The distinct texts of a block, as str, and each cell's index into
+    them."""
+    if cells.dtype == object:  # str
+        texts = cells.tolist()
+        index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+        return list(index), np.fromiter(map(index.__getitem__, texts),
+                                        dtype=np.intp, count=cells.size)
+    if cells.itemsize <= 8:
+        # Sorting a text's NUL-padded bytes read as one integer is faster
+        # than sorting the bytes, and as exact: cells hold no NUL.
+        distinct, inverse = np.unique(cells.astype("S8").view(np.uint64),
+                                      return_inverse=True)
+        distinct = distinct.view("S8")
+    else:
+        distinct, inverse = np.unique(cells, return_inverse=True)
+    # The byte splitter's cells hold no newline, so one decode serves all.
+    return b"\n".join(distinct.tolist()).decode().split("\n"), inverse
+
+
 def present_rows(cols: Sequence[Column], n: int) -> np.ndarray:
     """Mask of the ``n`` rows where none of ``cols`` is missing."""
     keep = np.ones(n, dtype=bool)
@@ -279,6 +315,14 @@ def _unreadable(path, exc) -> ParseError:
     return ParseError(f"{path}: cannot read as UTF-8 CSV: {exc}")
 
 
+def _checked_header(path, header: list) -> list:
+    if not header or all(h.strip() == "" for h in header):
+        raise EmptyFileError(f"{path}: empty header row")
+    if len(set(header)) != len(header):
+        raise DuplicateHeaderError(f"{path}: duplicate header names {header}")
+    return header
+
+
 def list_features(path) -> list:
     """Return the header names of a CSV file, in file order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -289,16 +333,13 @@ def list_features(path) -> list:
             raise EmptyFileError(f"{path}: no header row") from None
         except (UnicodeDecodeError, csv.Error) as exc:
             raise _unreadable(path, exc) from exc
-    if not header or all(h.strip() == "" for h in header):
-        raise EmptyFileError(f"{path}: empty header row")
-    if len(set(header)) != len(header):
-        raise DuplicateHeaderError(f"{path}: duplicate header names {header}")
-    return header
+    return _checked_header(path, header)
 
 
 def _csv_blocks(path, width: int):
-    """The rows after the header in blocks of at most ``_CSV_BLOCK``; a row
-    of another width raises :class:`RaggedRowError`."""
+    """Each column's cells in blocks of at most ``_CSV_BLOCK`` rows after
+    the header, split by ``csv.reader``; a row of another width raises
+    :class:`RaggedRowError`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
@@ -309,8 +350,133 @@ def _csv_blocks(path, width: int):
                 raise RaggedRowError(
                     f"{path}: row {rownum + bad} has {len(block[bad])} fields, "
                     f"expected {width}")
-            yield block
+            yield [np.array(cells, dtype=object) for cells in zip(*block)]
             rownum += len(block)
+
+
+class _Unsplittable(Exception):
+    """The byte splitter cannot split this file as ``csv.reader`` does."""
+
+
+def _check_plain(raw: bytes) -> None:
+    """Raise :class:`_Unsplittable` if ``raw`` holds a quote or a NUL, or is
+    not valid UTF-8."""
+    if b'"' in raw or b"\0" in raw:
+        raise _Unsplittable
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _Unsplittable from None
+
+
+def _byte_header(path) -> list:
+    """The header names, split from the first line's bytes."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+    _check_plain(line)
+    # csv.reader reports an empty file; a "\r" must end the line.
+    if not line or line.count(b"\r") != line.endswith(b"\r\n"):
+        raise _Unsplittable
+    header = line.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8").split(",")
+    if max(map(len, header)) >= csv.field_size_limit():
+        raise _Unsplittable  # csv.reader's error
+    return _checked_header(path, header)
+
+
+def _line_blocks(fh):
+    """The rest of a binary file in blocks of ``_CSV_BLOCK`` lines, the last
+    one shorter; every block ends in a newline."""
+    rest = b""
+    size = 64 * _CSV_BLOCK  # bytes to read: about one block, once one is cut
+    while True:
+        more = fh.read(size)
+        end = len(more) < size
+        buf = rest + more
+        newlines = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 10)
+        start = 0
+        for cut in (newlines[_CSV_BLOCK - 1::_CSV_BLOCK] + 1).tolist():
+            yield buf[start:cut]
+            size, start = cut - start, cut
+        rest = buf[start:]
+        if end:
+            if rest:
+                yield rest if rest.endswith(b"\n") else rest + b"\n"
+            return
+        if not start:
+            size *= 2  # long lines
+
+
+# A column whose fixed-width cells would take more than this many bytes per
+# byte of its text and delimiters (one long cell among short ones) is kept
+# as str instead.
+_MAX_WIDENING = 8
+
+
+def _split_block(raw: bytes, width: int) -> list:
+    """Each column's cells in ``raw``, whole lines of ``width`` fields, as
+    one fixed-width ``S`` array of their bytes, or of ``str`` for a column
+    with a cell far longer than its others."""
+    _check_plain(raw)
+    a = np.frombuffer(raw, dtype=np.uint8)
+    newline = a == 10
+    ends = np.flatnonzero(newline | (a == 44))  # "\n" and ","
+    rows = int(np.count_nonzero(newline))
+    if ends.size != rows * width:
+        raise _Unsplittable
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # (width, rows) views: column j is row j.
+    starts = starts.reshape(rows, width).T
+    ends = ends.reshape(rows, width).T
+    # Each row ends at a newline, so each has width - 1 commas.
+    if not newline[ends[-1]].all():
+        raise _Unsplittable
+    lengths = np.ascontiguousarray(ends - starts)
+    cr = a[ends[-1] - 1] == 13
+    if b"\r" in raw and np.count_nonzero(a == 13) != np.count_nonzero(cr):
+        raise _Unsplittable  # a "\r" that is no line end's
+    lengths[-1] -= cr
+    if width == 1 and not lengths.all():
+        raise _Unsplittable  # csv.reader reads a blank line as no fields
+    widest = lengths.max(axis=1, initial=1)
+    if widest.max() >= csv.field_size_limit():
+        raise _Unsplittable  # csv.reader's error
+    fixed = rows * widest <= _MAX_WIDENING * (lengths.sum(axis=1) + rows)
+    shortest = lengths.min(axis=1).tolist()
+    most = int(widest.max(initial=1, where=fixed))
+    padded = np.concatenate([a, np.zeros(most, dtype=np.uint8)])
+    # most bytes of 0xff, then most of 0: the window at most - n masks all
+    # but the first n bytes.
+    keep = np.repeat(np.array([255, 0], dtype=np.uint8), most)
+    columns = []
+    for j, w in enumerate(widest.tolist()):
+        if not fixed[j]:
+            columns.append(np.array([raw[i:i + n].decode() for i, n in zip(
+                starts[j].tolist(), lengths[j].tolist())], dtype=object))
+            continue
+        cells = _windows(padded, w)[starts[j]]
+        if shortest[j] < w:  # zero what follows a shorter cell
+            tail = cells.view(np.uint8)
+            tail &= _windows(keep, w)[most - lengths[j]].view(np.uint8)
+        columns.append(cells)
+    return columns
+
+
+def _windows(buf: np.ndarray, w: int) -> np.ndarray:
+    """The ``S{w}`` view of ``buf`` whose item i is ``buf[i:i + w]``."""
+    return np.ndarray((buf.size - w + 1,), dtype=f"S{w}", buffer=buf, strides=(1,))
+
+
+def _byte_blocks(path, width: int):
+    """Each column's cells in blocks of at most ``_CSV_BLOCK`` rows after
+    the header, split from the file's bytes; raises :class:`_Unsplittable`
+    where ``csv.reader`` could split them otherwise."""
+    with open(path, "rb") as fh:
+        fh.readline()  # header
+        for raw in _line_blocks(fh):
+            yield _split_block(raw, width)
 
 
 def load_table(path) -> Table:
@@ -318,20 +484,33 @@ def load_table(path) -> Table:
 
     Column kinds are inferred by :meth:`_ColumnParser.kind`; cells of a
     numerical column that do not parse are marked missing, as are
-    ``NA_TOKENS`` anywhere. Only one block of raw text is alive at a time.
+    ``NA_TOKENS`` anywhere. A file with no quote, NUL or bare ``\r``, valid
+    UTF-8 and every row of the header's width is split by numpy from its
+    bytes; any other is read again, whole, by ``csv.reader``, which also
+    words every error. Both read and parse ``_CSV_BLOCK`` rows at a time, so
+    only about one block of raw text is alive at once.
     """
-    header = list_features(path)
+    try:
+        return _load(path, _byte_header, _byte_blocks)
+    except _Unsplittable:
+        return _load(path, list_features, _csv_blocks)
+
+
+def _load(path, header_of, blocks_of) -> Table:
+    header = header_of(path)
     parsers = [_ColumnParser() for _ in header]
     try:
-        for block in _csv_blocks(path, len(header)):
-            for parser, cells in zip(parsers, zip(*block)):
-                parser.add(cells)
+        # numpy warns when a text overflows to inf, as "1e400" does.
+        with np.errstate(over="ignore"):
+            for block in blocks_of(path, len(header)):
+                for parser, cells in zip(parsers, block):
+                    parser.add(cells)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise _unreadable(path, exc) from exc
     columns = []
     for i, name in enumerate(header):
         columns.append(parsers[i].column(name, lambda i=i: (
-            [row[i] for row in block] for block in _csv_blocks(path, len(header)))))
+            block[i] for block in blocks_of(path, len(header)))))
         parsers[i] = None
     return Table(name=str(path), columns=tuple(columns))
 

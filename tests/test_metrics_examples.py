@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from biasaudit.errors import RaggedRowError, UnknownMetricError, UnsupportedArityError
@@ -32,6 +33,7 @@ from biasaudit.metrics.num_dist import (
     skewness,
 )
 from biasaudit.metrics import num_num
+from biasaudit.metrics.base import paired
 from biasaudit.metrics.num_num import hsic, nmi, pearson, wasserstein
 from biasaudit.tabular import Column, Kind
 
@@ -290,3 +292,15 @@ def test_mediator_of_another_length_is_a_table_error():
     y = num([1, 2, 4, 3, 5, 8], "y")
     with pytest.raises(RaggedRowError):
         pse(g, y, mediator=num([1, 2, 3, 4], "m"))
+
+
+def test_paired_shares_the_columns_unless_a_row_is_dropped():
+    g = cat(["a", "b", "a", "b"], "g")
+    y = num([1, 2, 3, 4], "y")
+    gs, ys = paired(g, y)
+    assert np.shares_memory(gs, g.data) and np.shares_memory(ys, y.data)
+    assert not ys.flags.writeable
+    x = Column("x", np.array([1.0, np.nan, 3.0, 4.0]))
+    ys, xs = paired(y, x)
+    assert not np.shares_memory(ys, y.data) and not np.shares_memory(xs, x.data)
+    assert ys.tolist() == [1.0, 3.0, 4.0] and xs.tolist() == [1.0, 3.0, 4.0]

@@ -1,15 +1,17 @@
 """Workflow sessions: registry, planners, advisor, and the event loop."""
 
 import csv
+import gc
 import json
 import os
 import statistics
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasaudit import bench
+from biasaudit import bench, orchestrator
 from biasaudit.errors import (
     EndOfInputError,
     MalformedLogError,
@@ -356,6 +358,30 @@ class TestRulePlanner:
         actions = [e for e in log.events if e.action == "action"]
         assert len(actions) == 18
         assert actions[-1].payload["kind"] == "finish"
+
+    def test_a_finished_session_frees_its_table_at_once(
+            self, registry, cat_csv, monkeypatch):
+        # Without a planner <-> plan cycle, reference counting frees the
+        # table when the session's planner goes; the cycle collector, which
+        # may run much later, is not needed.
+        loaded = []
+        real_load_table = orchestrator.load_table
+
+        def load_table(path):
+            table = real_load_table(path)
+            loaded.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(orchestrator, "load_table", load_table)
+        gc.disable()
+        try:
+            planner = RulePlanner()
+            report, _ = run_session(cat_task(cat_csv), planner, registry)
+            del planner
+            assert report.complete and len(loaded) == 1
+            assert loaded[0]() is None
+        finally:
+            gc.enable()
 
     def test_cat_num_gets_box_plot(self, registry, cat_num_csv):
         task = TaskContext(question="Do groups differ on score?",
