@@ -18,6 +18,7 @@ from .errors import (
     AllMetricsFailedError,
     BiasAuditError,
     EmptyRecordsError,
+    InvalidJobsError,
     MalformedLogError,
     SchemaError,
 )
@@ -412,8 +413,11 @@ def run_benchmark(taskset, planner_factory, registry: ToolRegistry,
 
     ``planner_factory`` is called once per task so planners may hold
     per-session state. Every session cites from ``library``, the shipped
-    method library if None. Per-task failures are reported, not raised.
+    method library if None. Per-task failures are reported, not raised;
+    ``jobs`` below 1 raises InvalidJobsError.
     """
+    if jobs < 1:
+        raise InvalidJobsError(f"jobs must be >= 1, got {jobs}")
     tasks = list(taskset)
     if not tasks:
         raise EmptyRecordsError("empty taskset")

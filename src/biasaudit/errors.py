@@ -85,6 +85,12 @@ class UnknownMetricError(MetricError):
     pass
 
 
+class NumericRangeError(MetricError):
+    """Values beyond what float64 arithmetic can carry: a column whose
+    middle half underflows once its largest value is scaled to 1, or a
+    metric value that computes as NaN."""
+
+
 # --- severity / synthgen -----------------------------------------------------
 
 class CalibrationError(BiasAuditError):
@@ -152,4 +158,8 @@ class AllMetricsFailedError(BiasAuditError):
 
 
 class MalformedLogError(BiasAuditError):
+    pass
+
+
+class InvalidJobsError(BiasAuditError):
     pass

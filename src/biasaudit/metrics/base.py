@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import UnsupportedArityError
+from ..errors import NumericRangeError, UnsupportedArityError
 from ..tabular import Column, Kind, present_rows
 
 
@@ -76,3 +76,22 @@ def paired(*cols: Column) -> list:
     if keep.all():
         return [c.data for c in cols]
     return [c.data[keep] for c in cols]
+
+
+def in_float_range(v: np.ndarray, metric_id: str) -> np.ndarray:
+    """v itself when its largest |value| lies in [2^-64, 2^64], else v times
+    the exact power of two that brings that value into [0.5, 1), so that the
+    powers a scale-invariant metric takes neither overflow nor underflow.
+    Raises NumericRangeError if the scaling leaves the middle half of a
+    column with nonzero quartiles subnormal or zero."""
+    top = max(float(v.max()), -float(v.min()))
+    if 2.0 ** -64 <= top <= 2.0 ** 64:
+        return v
+    shift = -int(np.frexp(top)[1])
+    middle = float(np.max(np.abs(np.quantile(v, [0.25, 0.75]))))
+    if 0 < middle and np.ldexp(middle, shift) < np.finfo(float).tiny:
+        raise NumericRangeError(
+            f"{metric_id}: the column spans too many orders of magnitude "
+            f"for float64 (largest |value| {top:.3g}, quartiles within "
+            f"{middle:.3g})")
+    return np.ldexp(v, shift)

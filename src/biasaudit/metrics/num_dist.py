@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import ConstantColumnError, DegenerateIQRError, InsufficientSamplesError
 from ..tabular import Column
-from .base import MetricResult, Scenario, paired
+from .base import MetricResult, Scenario, in_float_range, paired
 
 # Points farther than this many population sd from the mean are outliers.
 Z_CUTOFF = 3.0
@@ -24,7 +24,7 @@ def _values(col: Column, metric_id: str) -> np.ndarray:
     (x,) = paired(col)
     if x.size < 3:
         raise InsufficientSamplesError(f"{metric_id} needs n >= 3, got {x.size}")
-    return x
+    return in_float_range(x, metric_id)
 
 
 def skewness(col: Column) -> MetricResult:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConstantColumnError, InsufficientSamplesError
 from ..tabular import Column
-from .base import MetricResult, Scenario, paired
+from .base import MetricResult, Scenario, in_float_range, paired
 
 # Equal-frequency bins per axis for nmi and hgr_approximation, the side of
 # hgr_approximation's lattice over the empirical copula, and the number of
@@ -24,13 +24,12 @@ from .base import MetricResult, Scenario, paired
 BINS = 10
 KDE_GRID = 64
 COPULA_KNOTS = 257
-# hsic is exact, with O(n^2) Gram matrices, up to this many rows. Larger
-# inputs are linearly binned, every row, onto a lattice of at most
-# HSIC_GRID points per axis: the value does not depend on row order beyond
-# rounding and is within 0.01 of the exact one.
-HSIC_MAX_N = 2048
+# hsic has one estimator at every n: every row linearly binned onto a
+# lattice of at most HSIC_GRID points per axis. Up to HSIC_GRID // 2 rows
+# every row is a lattice point and the value is exact; above that it is
+# within 0.01 of the exact value.
 HSIC_GRID = 128
-# The hgr and binned hsic lattices are filled this many rows at a time, so
+# The hgr and hsic lattices are filled this many rows at a time, so
 # their buffers are O(block) rather than O(n).
 _BIN_BLOCK = 16384
 
@@ -48,6 +47,8 @@ def _checked(x: Column, y: Column, metric_id: str,
     if xs.size < need:
         raise InsufficientSamplesError(
             f"{metric_id} needs n >= {need}, got {xs.size}")
+    xs = in_float_range(xs, metric_id)
+    ys = in_float_range(ys, metric_id)
     if need_variance and (xs.std() == 0 or ys.std() == 0):
         raise ConstantColumnError(f"{metric_id} undefined for a constant column")
     return xs, ys
@@ -122,7 +123,7 @@ def hgr_approximation(x: Column, y: Column) -> MetricResult:
     xs, ys = _checked(x, y, "hgr_approximation")
     lattice = _linear_binned_joint(xs, ys, _copula_axis(xs, KDE_GRID),
                                    _copula_axis(ys, KDE_GRID),
-                                   (KDE_GRID, KDE_GRID))
+                                   (KDE_GRID, KDE_GRID)) / xs.size
     joint = _aggregate_lattice(_smoothed(lattice, xs.size), BINS)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
@@ -186,53 +187,20 @@ def wasserstein(x: Column, y: Column) -> MetricResult:
 def hsic(x: Column, y: Column) -> MetricResult:
     """Normalized HSIC with RBF kernels and median-heuristic bandwidths.
 
-    nHSIC = HSIC(x, y) / sqrt(HSIC(x, x) * HSIC(y, y)). Up to
-    ``HSIC_MAX_N`` rows it is exact: each centered Gram matrix is built in
-    place in one n x n buffer, and one more buffer holds the three
-    elementwise products in turn, so the peak is three n x n arrays.
-    Above that every row is linearly binned onto an ``HSIC_GRID`` lattice
-    (see ``_binned_hsic_terms``) in O(n log n + HSIC_GRID^3) time and O(n)
-    memory. That value does not depend on row order beyond rounding, and
-    the tests hold it within 0.01 of the exact nHSIC of the same rows.
+    nHSIC = HSIC(x, y) / sqrt(HSIC(x, x) * HSIC(y, y)), from every row
+    linearly binned onto an ``HSIC_GRID`` lattice (see ``_binned_hsic_terms``)
+    in O(n log n + HSIC_GRID^3) time and O(n) memory. Up to
+    ``HSIC_GRID // 2`` rows every row is a lattice point, and the value is
+    the exact V-statistic of the rows; above that the tests hold it within
+    0.01 of it. The value does not depend on row order beyond rounding.
     """
     xs, ys = _checked(x, y, "hsic", min_n=4)
     n = xs.size
-    if n > HSIC_MAX_N:
-        hxy, hxx, hyy = _binned_hsic_terms(xs, ys, HSIC_GRID)
-        raw = n * n * hxy / (n - 1) ** 2
-        details = f"grid={HSIC_GRID}"
-    else:
-        kc = _centered_rbf_gram(xs)
-        lc = _centered_rbf_gram(ys)
-        prod = np.multiply(kc, lc)
-        hxy = float(prod.sum())
-        hxx = float(np.multiply(kc, kc, out=prod).sum())
-        hyy = float(np.multiply(lc, lc, out=prod).sum())
-        raw = hxy / (n - 1) ** 2
-        details = f"gram_n={n}"
+    hxy, hxx, hyy = _binned_hsic_terms(xs, ys, HSIC_GRID)
     norm = math.sqrt(hxx * hyy)
     nh = max(0.0, min(1.0, hxy / norm)) if norm > 0 else 0.0
-    return _result("hsic", {"hsic": raw, "nhsic": nh}, n, details)
-
-
-def _centered_rbf_gram(v: np.ndarray) -> np.ndarray:
-    """Double-centered RBF Gram matrix, bandwidth the median positive
-    squared distance over pairs i < j."""
-    g = np.subtract.outer(v, v)
-    np.square(g, out=g)
-    positive = g[np.triu(g > 0, k=1)]
-    sigma2 = (float(np.median(positive, overwrite_input=True))
-              if positive.size else 1.0)
-    np.negative(g, out=g)
-    g /= 2.0 * sigma2
-    np.exp(g, out=g)
-    row = g.mean(axis=0, keepdims=True)
-    col = g.mean(axis=1, keepdims=True)
-    grand = g.mean()
-    g -= row
-    g -= col
-    g += grand
-    return g
+    return _result("hsic", {"hsic": n * n * hxy / (n - 1) ** 2, "nhsic": nh},
+                   n, f"grid={HSIC_GRID}")
 
 
 def _binned_hsic_terms(xs: np.ndarray, ys: np.ndarray, grid: int):
@@ -245,13 +213,15 @@ def _binned_hsic_terms(xs: np.ndarray, ys: np.ndarray, grid: int):
     """
     gx = _lattice(xs, grid)
     gy = _lattice(ys, grid)
-    joint = _linear_binned_joint(xs, ys, (gx, np.arange(gx.size, dtype=float)),
-                                 (gy, np.arange(gy.size, dtype=float)),
-                                 (gx.size, gy.size))
+    counts = _linear_binned_joint(xs, ys,
+                                  (gx, np.arange(gx.size, dtype=float)),
+                                  (gy, np.arange(gy.size, dtype=float)),
+                                  (gx.size, gy.size))
+    joint = counts / xs.size
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
-    kc = _centered_lattice_gram(gx, px)
-    lc = _centered_lattice_gram(gy, py)
+    kc = _centered_lattice_gram(gx, px, counts.sum(axis=1))
+    lc = _centered_lattice_gram(gy, py, counts.sum(axis=0))
     hxy = float(((kc @ joint @ lc) * joint).sum())
     hxx = float(px @ (kc * kc) @ px)
     hyy = float(py @ (lc * lc) @ py)
@@ -271,11 +241,11 @@ def _lattice(v: np.ndarray, grid: int) -> np.ndarray:
 
 def _linear_binned_joint(xs: np.ndarray, ys: np.ndarray, x_axis, y_axis,
                          shape) -> np.ndarray:
-    """Joint weights on a lattice of the given shape, summing to 1. Each
-    axis is a pair (knots, at): value knots[k] lies at lattice coordinate
-    at[k], and a value between two knots lies linearly between their
-    coordinates. Each row splits its weight bilinearly over the four lattice
-    points around it."""
+    """Joint weights on a lattice of the given shape, summing to the row
+    count. Each axis is a pair (knots, at): value knots[k] lies at lattice
+    coordinate at[k], and a value between two knots lies linearly between
+    their coordinates. Each row splits its weight of 1 bilinearly over the
+    four lattice points around it."""
     rows, cols = shape
     cells = rows * cols
     joint = np.zeros(cells)
@@ -290,7 +260,7 @@ def _linear_binned_joint(xs: np.ndarray, ys: np.ndarray, x_axis, y_axis,
         joint += np.bincount(cell + 1, ex * fy, cells)
         joint += np.bincount(cell + cols, fx * ey, cells)
         joint += np.bincount(cell + cols + 1, fx * fy, cells)
-    return joint.reshape(rows, cols) / xs.size
+    return joint.reshape(rows, cols)
 
 
 def _locate(knots: np.ndarray, at: np.ndarray, v: np.ndarray, size: int):
@@ -302,17 +272,27 @@ def _locate(knots: np.ndarray, at: np.ndarray, v: np.ndarray, size: int):
     return i, t - i
 
 
-def _centered_lattice_gram(points: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _centered_lattice_gram(points: np.ndarray, p: np.ndarray,
+                           rows: np.ndarray) -> np.ndarray:
     """RBF Gram matrix over the lattice points, centered with their weights
     p: K - (Kp)1' - 1(Kp)' + p'Kp. The bandwidth is the median heuristic on
-    the binned data: the weighted median squared distance over pairs of
-    distinct points a < b, a pair weighing p[a] * p[b]."""
+    the binned data, by np.median's rule: the weighted median squared
+    distance over pairs of distinct points a < b, a pair weighing
+    rows[a] * rows[b], and the midpoint to the next weighted pair where the
+    weight below a pair is exactly half. When every row is a lattice point
+    the weights are whole row counts, so that comparison is exact."""
     d2 = np.square(np.subtract.outer(points, points))
     upper = np.triu_indices(points.size, k=1)
     pair_d2 = d2[upper]
     order = np.argsort(pair_d2)
-    cum = np.cumsum(np.outer(p, p)[upper][order])
-    sigma2 = pair_d2[order[np.searchsorted(cum, 0.5 * cum[-1])]]
+    weight = np.outer(rows, rows)[upper][order]
+    cum = np.cumsum(weight)
+    half = 0.5 * cum[-1]
+    mid = np.searchsorted(cum, half)
+    sigma2 = pair_d2[order[mid]]
+    if cum[mid] == half:
+        above = mid + 1 + np.flatnonzero(weight[mid + 1:])[0]
+        sigma2 = (sigma2 + pair_d2[order[above]]) / 2
     k = np.exp(d2 / (-2.0 * sigma2))
     kp = k @ p
     return k - kp[:, None] - kp[None, :] + p @ kp

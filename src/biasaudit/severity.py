@@ -13,7 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import CalibrationError, SchemaError, UnknownMetricError
+from .errors import (
+    CalibrationError,
+    NumericRangeError,
+    SchemaError,
+    UnknownMetricError,
+)
 from .metrics import METRICS, MetricResult
 
 LEVEL_LABELS = {
@@ -112,9 +117,14 @@ def _checked_band(transform: str, cuts: tuple) -> tuple:
 
 def graded_value(metric_id: str, raw: dict) -> float:
     """The value a metric's level is read from: its spec's ``raw_key``
-    under its ``transform``, so that higher means more biased."""
+    under its ``transform``, so that higher means more biased. A NaN value
+    has no level and raises NumericRangeError."""
     spec = METRICS[metric_id]
-    return _TRANSFORMS[spec.transform](raw[spec.raw_key])
+    value = _TRANSFORMS[spec.transform](raw[spec.raw_key])
+    if math.isnan(value):
+        raise NumericRangeError(f"{metric_id}: {spec.raw_key} is NaN, which "
+                                f"has no bias level")
+    return value
 
 
 def map_to_level(metric_id: str, result: MetricResult,

@@ -167,11 +167,12 @@ def collect_calibration_samples(suite) -> dict:
         cols = table.columns
         for metric_id in SCENARIO_METRICS[spec.scenario]:
             try:
-                result = run_metric(metric_id, cols)
+                value = graded_value(metric_id,
+                                     run_metric(metric_id, cols).raw)
             except MetricError:
                 continue
             samples.setdefault(metric_id, {}).setdefault(level, []).append(
-                graded_value(metric_id, result.raw))
+                value)
     return samples
 
 

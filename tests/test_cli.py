@@ -487,6 +487,10 @@ BAD_INPUTS = [
      ["bench", "{tmp}/tasks.json"], "bias_type must be one of"),
     ("taskset-not-utf8", {"tasks.json": b"\xe9"},
      ["bench", "{tmp}/tasks.json"], "utf-8"),
+    ("bench-jobs-zero", {"tasks.json": json.dumps([
+        {"id": "T-1", "dataset": "cat.csv", "question": "q",
+         "bias_type": "distribution", "features": ["group"]}])},
+     ["bench", "{tmp}/tasks.json", "--jobs", "0"], "jobs must be >= 1, got 0"),
     ("config-out-dir", {"config.json": '{"out_dir": "out"}'},
      _WITH_THRESHOLDS, "unknown key(s) ['out_dir']"),
     ("synth-k-num-dist", {}, ["synth", "--scenario", "num_dist", "--k", "7"],

@@ -22,15 +22,15 @@ TMP_TOKEN = b"<tmp>"
 DETECT = {
     "age hours": {
         "<stdout>":
-            "178dad25cb58cb6c3c34185973924520c8fef8953e454c65d0580c2b79248199",
+            "38d8b4b9514b912450833328aac42d3609ac06fd67c89810b4063d1f383902fd",
         "chart_00_correlation_heatmap.svg":
             "983faa644ba6122145928879cd0a30677912863cb3b5111229d86a80327bb2ff",
         "findings.json":
-            "393be92a6c3ad850377e18c20d472e11e26efafcccea789c41d62ff11b292875",
+            "71868e1b57253c9c35814f8e978e06a47fc87e1342c8a47b063f9834f44b3dc4",
         "report.md":
-            "80e7ce08a22c0f46571dbd04d9ef36fd8f5823d48411e22517fafb0ba0e11e47",
+            "10669549ae383a60b4565be466d00facbae1ba1c8ad65e4397b79283f28b858e",
         "session.log.jsonl":
-            "d23fa3149be66d58cc0764b9d81aab46989d02ebacd0e180f493c24a1c5410ea",
+            "9d3a8e8e33fb9a28b148c4df6980b6cb20208791178b3948883aff12efe08dab",
     },
     "gender": {
         "<stdout>":
@@ -150,13 +150,13 @@ BENCH = {
     "T-08/report.md":
         "38489a15d10862f878a0bc1aba1e8f748bcdd19f78b5ad7219be3c6cdac01716",
     "T-09.log.jsonl":
-        "e9708457fbf1e9ef88d5b1183c40ab2f3da412bf331719949c14599a7723abea",
+        "b1068550f9feb4029e807579d044c456b83c61e953b7d6689fc7d9bff6ee5844",
     "T-09/chart_00_correlation_heatmap.svg":
         "fb41786429f189db7d27f52791296c7d1de067ee2f63b97b7ea5a5b468eea8d2",
     "T-09/findings.json":
-        "97b12aa77d9121575c7a189542cfd0bf6cd0ef1642f2c41bdd473f50310715da",
+        "9cb923a9f694e0f10408b8a00b61cbbfeeeb80ef055bc265c907c937923b034a",
     "T-09/report.md":
-        "dfa10745fc3e19f1fbc98044dff8d31c7ef7913342f137c26c1c762c3ed86a0f",
+        "ad2ea18e753d27c42cdcf04e9358b3b6fc9cce35610a80c8a888631982bece20",
     "T-10.log.jsonl":
         "fe62b634524684b6f4ae80d5475104088c7f000794f6922a1ea0bb4dd83e3093",
     "T-10/chart_00_stacked_bar.svg":
@@ -174,13 +174,13 @@ BENCH = {
     "T-11/report.md":
         "a83b83c85d4b31453a9065b5cadbff1183c40200b004993b32b6fbb99efdbc46",
     "T-12.log.jsonl":
-        "fbbd409b645dad151d5b53f5283eaa5009f137cf94e91a959f29a254b3ecf46b",
+        "a385d349a56c56e0a0e85d2aa2890ae9180c3ca19bdf771d85d98da35c410fdd",
     "T-12/chart_00_correlation_heatmap.svg":
         "983faa644ba6122145928879cd0a30677912863cb3b5111229d86a80327bb2ff",
     "T-12/findings.json":
-        "89ecf9d13437a344426a5a35204c7a4a6f1d8b69f1e9c59d938a2afb981876fd",
+        "6b6ae7b14d6e8b155d80329f3ef4329fdcdd69c19b3b7815e6977be52071f46c",
     "T-12/report.md":
-        "a435e4be0065d81edf5aefee821b40995ab8e2a42e81821acaa364f5cc536c1d",
+        "3d0279362b9b8c84ca2c597df5fbb4dce5ca24e1c1c6462df2530dbe7e5d3e85",
     "T-13.log.jsonl":
         "5d0a78ee1b00d812b07f4d00fcf5d53eafd64888fd2f276397cc5f4711757ce8",
     "T-13/chart_00_bar.svg":
@@ -190,13 +190,13 @@ BENCH = {
     "T-13/report.md":
         "8ceedd7e81f66a9e09c34ec0de4958db5ae6a9f67c110cfdf8a15a6d3caf4f0f",
     "T-14.log.jsonl":
-        "7361c726fa45c95ff8da140ed64b2c2889ef968b4163947a8b5145d8e79c946e",
+        "5fb28781d790f6cecbc86b731393b5be9d1e5b14ba8d4715ce9ea7117747290e",
     "T-14/chart_00_correlation_heatmap.svg":
         "fb41786429f189db7d27f52791296c7d1de067ee2f63b97b7ea5a5b468eea8d2",
     "T-14/findings.json":
-        "3576dc8f5e9379a049cb558828adcdbf201459bf13922526622ebf5b65521477",
+        "4516a89ccbd4558c3c751e832c4f823abb2ae726c710230d543c1d1cdfaf4abb",
     "T-14/report.md":
-        "fd0924fa8bd4ecaf39fff9dec681c3201608fc3e0d64657a198603730b58f273",
+        "f8dae83b138f5c9ba16bf8e51770c37b9a4dcb00af8f80c4d310b63111f41f55",
     "T-15.log.jsonl":
         "556783a6180602b84106b52d6e1d0332edd1aab014be3a59a75d3f25f2e79c63",
     "T-15/chart_00_bar.svg":

@@ -3,6 +3,9 @@
 import tracemalloc
 
 import numpy as np
+# np.unique imports numpy.ma on its first call; importing it here keeps that
+# one-time import out of the first traced metric's peak.
+import numpy.ma  # noqa: F401
 import pytest
 
 from biasaudit.metrics.num_num import hgr_approximation, hsic
@@ -17,13 +20,14 @@ def _pair(n):
             Column.of("y", Kind.NUMERICAL, tuple(y.tolist())))
 
 
-# hgr, and hsic above HSIC_MAX_N, bin rows in blocks onto a fixed lattice,
-# so their peak is a few copies of the columns (the paired columns and one
-# sorted copy for the knots, 2.9 MiB for hgr at 100_000 rows), with no
-# lattice * n or n x n buffer.
+# hgr and hsic bin rows in blocks onto a fixed lattice at every n, so their
+# peak is a few copies of the columns (the paired columns and one sorted
+# copy for the knots, 2.9 MiB for hgr at 100_000 rows), with no lattice * n
+# or n x n buffer; one 2000 x 2000 float64 array alone is 30.5 MiB.
 @pytest.mark.parametrize("metric, n, limit_mb", [
     (hgr_approximation, 100_000, 4),
-    (hsic, 10_000, 120),
+    (hsic, 2_000, 2),
+    (hsic, 10_000, 2),
     (hsic, 100_000, 8),
 ])
 def test_peak_allocation(metric, n, limit_mb):
