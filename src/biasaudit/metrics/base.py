@@ -78,15 +78,16 @@ def paired(*cols: Column) -> list:
     return [c.data[keep] for c in cols]
 
 
-def in_float_range(v: np.ndarray, metric_id: str) -> np.ndarray:
-    """v itself when its largest |value| lies in [2^-64, 2^64], else v times
-    the exact power of two that brings that value into [0.5, 1), so that the
-    powers a scale-invariant metric takes neither overflow nor underflow.
-    Raises NumericRangeError if the scaling leaves the middle half of a
-    column with nonzero quartiles subnormal or zero."""
-    top = max(float(v.max()), -float(v.min()))
-    if 2.0 ** -64 <= top <= 2.0 ** 64:
-        return v
+def in_float_range(v: np.ndarray, metric_id: str):
+    """(v, 0) when v is empty, all zero or its largest |value| lies in
+    [2^-64, 2^64], else v times the exact power of two that brings that value
+    into [0.5, 1), and that power's exponent, so that the powers a metric
+    takes neither overflow nor underflow. Raises NumericRangeError if the
+    scaling leaves the middle half of a column with nonzero quartiles
+    subnormal or zero."""
+    top = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+    if top == 0 or 2.0 ** -64 <= top <= 2.0 ** 64:
+        return v, 0
     shift = -int(np.frexp(top)[1])
     middle = float(np.max(np.abs(np.quantile(v, [0.25, 0.75]))))
     if 0 < middle and np.ldexp(middle, shift) < np.finfo(float).tiny:
@@ -94,4 +95,4 @@ def in_float_range(v: np.ndarray, metric_id: str) -> np.ndarray:
             f"{metric_id}: the column spans too many orders of magnitude "
             f"for float64 (largest |value| {top:.3g}, quartiles within "
             f"{middle:.3g})")
-    return np.ldexp(v, shift)
+    return np.ldexp(v, shift), shift

@@ -2,10 +2,14 @@
 
 Rows where either cell is missing are dropped pairwise. Groups are ordered
 by descending size with label order breaking ties, so "the two largest
-categories" is deterministic.
+categories" is deterministic. An outcome (or mediator) in extreme units is
+scaled by an exact power of two before any arithmetic; ``ace``, ``ade``,
+``aie`` and ``total`` are reported in the outcome's own units.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,7 +19,7 @@ from ..errors import (
     ZeroVarianceError,
 )
 from ..tabular import Column, Kind, split_by_code
-from .base import MetricResult, Scenario, paired
+from .base import MetricResult, Scenario, in_float_range, paired
 
 
 def _result(metric_id, raw, n, details=""):
@@ -24,8 +28,10 @@ def _result(metric_id, raw, n, details=""):
 
 def group_values(g: Column, y: Column):
     """Per-group value arrays for paired non-missing rows."""
-    codes, ys = paired(g, y)
-    labels = g.labels
+    return _grouped(g.labels, *paired(g, y))
+
+
+def _grouped(labels, codes, ys):
     parts = split_by_code(codes, ys, len(labels))
     ordered = sorted((i for i, part in enumerate(parts) if part.size),
                      key=lambda i: (-parts[i].size, i))  # labels are str-sorted
@@ -33,12 +39,16 @@ def group_values(g: Column, y: Column):
 
 
 def _checked_groups(g: Column, y: Column, metric_id: str):
-    groups = group_values(g, y)
+    """The groups with >= 2 observations of the outcome brought into float
+    range, and the exponent of the power of two it was scaled by."""
+    codes, ys = paired(g, y)
+    ys, shift = in_float_range(ys, metric_id)
+    groups = _grouped(g.labels, codes, ys)
     usable = {k: v for k, v in groups.items() if v.size >= 2}
     if len(usable) < 2:
         raise SingletonGroupError(
             f"{metric_id} needs >= 2 categories with >= 2 observations each")
-    return usable
+    return usable, shift
 
 
 def _all_y(groups) -> np.ndarray:
@@ -47,7 +57,7 @@ def _all_y(groups) -> np.ndarray:
 
 def max_abs_mean(g: Column, y: Column) -> MetricResult:
     """Largest |group mean| of the globally standardized outcome (N value)."""
-    groups = _checked_groups(g, y, "max_abs_mean")
+    groups, _ = _checked_groups(g, y, "max_abs_mean")
     allv = _all_y(groups)
     sd = allv.std()
     if sd == 0:
@@ -59,7 +69,7 @@ def max_abs_mean(g: Column, y: Column) -> MetricResult:
 
 def cohens_d(g: Column, y: Column) -> MetricResult:
     """Largest pairwise Cohen's d with the pooled sample-variance sd."""
-    groups = _checked_groups(g, y, "cohens_d").values()
+    groups = _checked_groups(g, y, "cohens_d")[0].values()
     size = np.array([v.size for v in groups])
     mean = np.array([v.mean() for v in groups])
     squares = np.array([(v.size - 1) * v.var(ddof=1) for v in groups])
@@ -74,7 +84,7 @@ def cohens_d(g: Column, y: Column) -> MetricResult:
 
 def standardized_difference(g: Column, y: Column) -> MetricResult:
     """Largest pairwise mean gap scaled by 1.4826 * MAD of all outcomes."""
-    groups = _checked_groups(g, y, "standardized_difference")
+    groups, _ = _checked_groups(g, y, "standardized_difference")
     allv = _all_y(groups)
     med = np.median(allv)
     mad = float(np.median(np.abs(allv - med)))
@@ -94,7 +104,7 @@ def causal_effect(g: Column, y: Column,
     second-largest group); with one, stratum mean differences are averaged
     weighted by stratum size. Also reported scaled by the outcome sd.
     """
-    groups = _checked_groups(g, y, "causal_effect")
+    groups, shift = _checked_groups(g, y, "causal_effect")
     keys = list(groups)[:2]
     allv = _all_y(groups)
     sd = allv.std()
@@ -104,15 +114,17 @@ def causal_effect(g: Column, y: Column,
         ace = float(groups[keys[0]].mean() - groups[keys[1]].mean())
         details = f"treatment={keys[0]!r} control={keys[1]!r}"
     else:
-        ace, strata = _stratified_ace(g, y, covariate, keys)
+        ace, strata = _stratified_ace(g, y, covariate, keys, shift)
         details = (f"treatment={keys[0]!r} control={keys[1]!r} "
                    f"stratified on {covariate.name!r} ({strata} strata)")
-    return _result("causal_effect", {"ace": ace, "ace_std": ace / float(sd)},
+    return _result("causal_effect", {"ace": math.ldexp(ace, -shift),
+                                     "ace_std": ace / float(sd)},
                    allv.size, details)
 
 
-def _stratified_ace(g: Column, y: Column, cov: Column, keys):
+def _stratified_ace(g: Column, y: Column, cov: Column, keys, shift: int):
     codes, ys, strata = paired(g, y, cov)
+    ys = np.ldexp(ys, shift)
     treated, control = (g.labels.index(k) for k in keys)
     if cov.kind is Kind.NUMERICAL:  # strata are the distinct values, by str
         strata = Column.of(cov.name, Kind.CATEGORICAL, strata.tolist()).data
@@ -146,14 +158,15 @@ def pse(g: Column, y: Column, mediator: Column | None = None) -> MetricResult:
         raise MissingMediatorError("pse requires a mediator column")
     if mediator.kind is not Kind.NUMERICAL:
         raise MissingMediatorError("pse mediator must be numerical")
-    groups = _checked_groups(g, y, "pse")
+    groups, shift = _checked_groups(g, y, "pse")
     keys = list(groups)[:2]
     codes, yv, m = paired(g, y, mediator)
+    m, _ = in_float_range(m, "pse")
     treated, control = (g.labels.index(k) for k in keys)
     arm = (codes == treated) | (codes == control)
     t = (codes[arm] == treated).astype(float)
     m = m[arm]
-    yv = yv[arm]
+    yv = np.ldexp(yv[arm], shift)
     if t.size < 3 or t.var() == 0:
         raise SingletonGroupError("pse: treatment is constant after binarization")
     sd = yv.std()
@@ -173,6 +186,7 @@ def pse(g: Column, y: Column, mediator: Column | None = None) -> MetricResult:
         ade = float(coef[1])
         aie = a1 * float(coef[2])
     raw = max(abs(ade), abs(aie)) / float(sd)
+    ade, aie = math.ldexp(ade, -shift), math.ldexp(aie, -shift)
     return _result("pse",
                    {"ade": ade, "aie": aie, "total": ade + aie, "pse": raw},
                    t.size, f"treatment={keys[0]!r} mediator={mediator.name!r}")

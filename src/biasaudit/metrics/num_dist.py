@@ -24,7 +24,7 @@ def _values(col: Column, metric_id: str) -> np.ndarray:
     (x,) = paired(col)
     if x.size < 3:
         raise InsufficientSamplesError(f"{metric_id} needs n >= 3, got {x.size}")
-    return in_float_range(x, metric_id)
+    return in_float_range(x, metric_id)[0]
 
 
 def skewness(col: Column) -> MetricResult:

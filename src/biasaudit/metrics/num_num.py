@@ -47,8 +47,8 @@ def _checked(x: Column, y: Column, metric_id: str,
     if xs.size < need:
         raise InsufficientSamplesError(
             f"{metric_id} needs n >= {need}, got {xs.size}")
-    xs = in_float_range(xs, metric_id)
-    ys = in_float_range(ys, metric_id)
+    xs, _ = in_float_range(xs, metric_id)
+    ys, _ = in_float_range(ys, metric_id)
     if need_variance and (xs.std() == 0 or ys.std() == 0):
         raise ConstantColumnError(f"{metric_id} undefined for a constant column")
     return xs, ys

@@ -51,6 +51,7 @@ from .tabular import (
     CleaningMode,
     Kind,
     NormalizeMode,
+    Table,
     clean_missing,
     extract_columns,
     group_and_aggregate,
@@ -301,7 +302,9 @@ SCENARIO_CHART = {
 
 @dataclass
 class SessionState:
-    """Mutable per-session workspace shared by the loop and the tools."""
+    """Mutable per-session workspace shared by the loop and the tools:
+    ``table`` is the dataset as loaded, which extraction reads, and
+    ``working`` the table the last data tool returned, which the rest read."""
     task: TaskContext
     registry: "ToolRegistry"
     thresholds: ThresholdTable
@@ -309,18 +312,19 @@ class SessionState:
     library: list
     stage: Stage = Stage.USER_INPUT
     budget: int = 64
-    artifacts: dict = field(default_factory=dict)
+    table: Table | None = None
+    working: Table | None = None
+    report: ReportDocument | None = None
     findings: list = field(default_factory=list)
     charts: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    last_failed_call: str | None = None
+    last_failed_call: tuple | None = None  # (tool, args)
     log: SessionLog = field(default_factory=SessionLog)
 
-    def working_table(self):
-        for key in ("clean", "subset", "table"):
-            if key in self.artifacts:
-                return self.artifacts[key]
-        raise ToolError("no table loaded yet")
+    def working_table(self) -> Table:
+        if self.working is None:
+            raise ToolError("no table loaded yet")
+        return self.working
 
     def scenario(self) -> Scenario:
         table = self.working_table()
@@ -332,19 +336,16 @@ def _tool_get_csv_features(state: SessionState):
 
 
 def _tool_load_csv_file(state: SessionState):
-    table = load_table(state.task.dataset)
-    state.artifacts["table"] = table
+    table = state.table = state.working = load_table(state.task.dataset)
     return {"rows": table.row_count,
             "columns": [{"name": c.name, "kind": c.kind.value}
                         for c in table.columns]}
 
 
 def _extract(state: SessionState, names):
-    table = state.artifacts.get("table")
-    if table is None:
+    if state.table is None:
         raise ToolError("load_csv_file must run before extraction")
-    subset = extract_columns(table, names)
-    state.artifacts["subset"] = subset
+    subset = state.working = extract_columns(state.table, names)
     return {"columns": [{"name": c.name, "kind": c.kind.value}
                         for c in subset.columns],
             "rows": subset.row_count}
@@ -361,11 +362,9 @@ def _tool_extract_two_columns(state: SessionState, column_a: str,
 
 def _tool_clean_missing_values(state: SessionState, columns: list[str] = (),
                                mode: CleaningMode = CleaningMode.DROP_ROW):
-    table = state.artifacts.get("subset") or state.artifacts.get("table")
-    if table is None:
-        raise ToolError("nothing to clean: no table loaded")
+    table = state.working_table()
     result = clean_missing(table, columns or table.column_names, mode)
-    state.artifacts["clean"] = result.table
+    state.working = result.table
     return {"rows": result.table.row_count,
             "cells_changed": result.cells_changed,
             "rows_dropped": result.rows_dropped}
@@ -374,8 +373,8 @@ def _tool_clean_missing_values(state: SessionState, columns: list[str] = (),
 def _tool_normalize_or_standardize(
         state: SessionState, column: str,
         mode: NormalizeMode = NormalizeMode.STANDARDIZE):
-    table = state.working_table()
-    state.artifacts["clean"] = normalize_or_standardize(table, column, mode)
+    state.working = normalize_or_standardize(state.working_table(), column,
+                                             mode)
     return {"column": column, "mode": mode.value}
 
 
@@ -479,7 +478,7 @@ def _tool_generate_bias_report(state: SessionState):
         method_citations=citations,
         errors=tuple(state.errors),
     )
-    state.artifacts["report"] = report
+    state.report = report
     if state.out_dir is not None:
         with open(os.path.join(state.out_dir, "report.md"), "w",
                   encoding="utf-8") as fh:
@@ -520,19 +519,19 @@ def build_registry() -> ToolRegistry:
         "Loads the task's CSV file into the session as a typed table.",
         _tool_load_csv_file)
     add("extract_single_column",
-        "Extracts a single column into the working subset.",
+        "Replaces the working table with one column of the loaded dataset.",
         _tool_extract_single_column)
     add("extract_two_columns",
-        "Extracts two columns into the working subset.",
+        "Replaces the working table with two columns of the loaded dataset.",
         _tool_extract_two_columns)
     add("clean_missing_values",
-        "Cleans missing or invalid values from the working subset.",
+        "Cleans missing or invalid values from the working table.",
         _tool_clean_missing_values)
     add("normalize_or_standardize_data",
-        "Normalizes or standardizes a numerical column.",
+        "Normalizes or standardizes a numerical column of the working table.",
         _tool_normalize_or_standardize)
     add("group_and_aggregate",
-        "Groups by one column and aggregates another.",
+        "Groups the working table by one column and aggregates another.",
         _tool_group_and_aggregate)
     for tool_name, metric_id in DETECTION_TOOLS.items():
         add(tool_name,
@@ -621,7 +620,7 @@ def advisor_review(payload: dict, state: SessionState) -> Critique:
             return Critique(Verdict.REVISE, ("no metric produced a finding",))
         return Critique(Verdict.APPROVE)
     if kind == "report":
-        report = state.artifacts.get("report")
+        report = state.report
         issues = []
         if report is None:
             issues.append("no report assembled")
@@ -643,18 +642,27 @@ def advisor_review(payload: dict, state: SessionState) -> Critique:
 class RulePlanner:
     """Fixed deterministic policy standing in for an LLM primary agent.
 
-    It follows one plan, the five stages in the paper's order. A tool step
-    whose result the session still lacks is proposed again, so a step that
-    fails twice ends the session through the loop's same-call-twice rule.
+    It follows one plan, the five stages in the paper's order. A load,
+    extract, clean, chart or report step that has just failed is proposed
+    once more, so one that fails twice ends the session through the loop's
+    same-call-twice rule. A failed metric step is not retried.
     """
 
     def __init__(self):
         self._steps = None
+        self._last = None
 
     def next(self, state: SessionState) -> Action:
+        # last_failed_call outlives consults and transitions, so it counts
+        # only if the action proposed last is the call that failed.
+        last = self._last
+        if (last is not None and last.tool not in DETECTION_TOOLS
+                and state.last_failed_call == (last.tool, last.args)):
+            return last
         if self._steps is None:
             self._steps = self._plan(state)
-        return next(self._steps)
+        self._last = next(self._steps)
+        return self._last
 
     # Static, so the plan's frame holds no reference back to the planner: a
     # planner <-> plan cycle would keep the session's table alive until the
@@ -662,30 +670,23 @@ class RulePlanner:
     @staticmethod
     def _plan(state: SessionState):
         task = state.task
-        artifacts = state.artifacts
         yield Action(ActionKind.TRANSITION, stage=Stage.PREPROCESSING,
                      rationale=f"task parsed: features={list(task.features)} "
                                f"bias_type={task.bias_type.value}")
-        while "table" not in artifacts:
-            yield Action(ActionKind.INVOKE_TOOL, tool="load_csv_file",
-                         rationale="load the dataset")
+        yield Action(ActionKind.INVOKE_TOOL, tool="load_csv_file",
+                     rationale="load the dataset")
         if len(task.features) == 1:
-            extract = Action(ActionKind.INVOKE_TOOL,
-                             tool="extract_single_column",
-                             args={"column": task.features[0]},
-                             rationale="restrict to the task feature")
+            yield Action(ActionKind.INVOKE_TOOL, tool="extract_single_column",
+                         args={"column": task.features[0]},
+                         rationale="restrict to the task feature")
         else:
-            extract = Action(ActionKind.INVOKE_TOOL, tool="extract_two_columns",
-                             args={"column_a": task.features[0],
-                                   "column_b": task.features[1]},
-                             rationale="restrict to the task features")
-        while "subset" not in artifacts:
-            yield extract
-        while "clean" not in artifacts:
-            yield Action(ActionKind.INVOKE_TOOL, tool="clean_missing_values",
-                         args={"columns": list(task.features),
-                               "mode": "drop_row"},
-                         rationale="drop rows with missing task cells")
+            yield Action(ActionKind.INVOKE_TOOL, tool="extract_two_columns",
+                         args={"column_a": task.features[0],
+                               "column_b": task.features[1]},
+                         rationale="restrict to the task features")
+        yield Action(ActionKind.INVOKE_TOOL, tool="clean_missing_values",
+                     args={"columns": list(task.features), "mode": "drop_row"},
+                     rationale="drop rows with missing task cells")
         scenario = state.scenario()
         metric_tools = {METRIC_TO_TOOL[m]: m for m in SCENARIO_METRICS[scenario]}
         yield Action(ActionKind.CONSULT_ADVISOR,
@@ -704,12 +705,10 @@ class RulePlanner:
                      rationale="advisor check on detection results")
         yield Action(ActionKind.TRANSITION, stage=Stage.VISUALIZATION_SUMMARY,
                      rationale="all scenario metrics attempted")
-        while not state.charts:
-            yield Action(ActionKind.INVOKE_TOOL, tool=SCENARIO_CHART[scenario],
-                         rationale="chart kind chosen by scenario")
-        while "report" not in artifacts:
-            yield Action(ActionKind.INVOKE_TOOL, tool="generate_bias_report",
-                         rationale="assemble the detection report")
+        yield Action(ActionKind.INVOKE_TOOL, tool=SCENARIO_CHART[scenario],
+                     rationale="chart kind chosen by scenario")
+        yield Action(ActionKind.INVOKE_TOOL, tool="generate_bias_report",
+                     rationale="assemble the detection report")
         yield Action(ActionKind.TRANSITION, stage=Stage.FEEDBACK,
                      rationale="report assembled")
         yield Action(ActionKind.CONSULT_ADVISOR, payload={"kind": "report"},
@@ -741,17 +740,18 @@ class ChatConfig:
 
 
 def _default_transport(url, headers, payload, timeout_s):
-    # Imported here: only chat mode needs them, and they slow every start.
-    import urllib.error
+    # Imported here: only chat mode needs it, and it slows every start.
     import urllib.request
 
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, headers=headers,
                                      method="POST")
+    # URLError and TimeoutError are OSErrors; a body that is not UTF-8 JSON
+    # raises a ValueError.
     try:
         with urllib.request.urlopen(request, timeout=timeout_s) as response:
             return json.loads(response.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError, TimeoutError) as exc:
+    except (OSError, ValueError) as exc:
         raise NetworkError(str(exc)) from exc
 
 
@@ -805,7 +805,7 @@ class ChatPlanner:
         tools = state.registry.descriptions()
         reply = chat_complete(messages, tools, self.config,
                               transport=self.transport)
-        action = self._parse(reply, state)
+        action = self._parse(reply)
         if action is None:
             messages.append({
                 "role": "system",
@@ -813,7 +813,7 @@ class ChatPlanner:
                            "TRANSITION:<stage>, or FINISH."})
             reply = chat_complete(messages, tools, self.config,
                                   transport=self.transport)
-            action = self._parse(reply, state)
+            action = self._parse(reply)
         if action is None:
             raise PlannerError("chat reply was unparseable after one retry")
         return action
@@ -823,7 +823,7 @@ class ChatPlanner:
             "stage": state.stage.value,
             "question": state.task.question,
             "features": list(state.task.features),
-            "artifacts": sorted(state.artifacts),
+            "working_columns": state.working and state.working.column_names,
             "findings": len(state.findings),
             "errors": state.errors[-3:],
             "budget": state.budget,
@@ -833,35 +833,29 @@ class ChatPlanner:
             {"role": "user", "content": json.dumps(summary, sort_keys=True)},
         ]
 
-    def _parse(self, reply: dict, state: SessionState):
+    @staticmethod
+    def _parse(reply):
+        """The action a chat reply names, or None for any other reply."""
         try:
             message = reply["choices"][0]["message"]
-        except (KeyError, IndexError, TypeError):
-            return None
-        calls = message.get("tool_calls") or []
-        if calls:
-            fn = calls[0].get("function", {})
-            name = fn.get("name")
-            if not name:
-                return None
-            try:
+            calls = message.get("tool_calls")
+            if calls:
+                fn = calls[0]["function"]
+                name = fn["name"]
                 args = json.loads(fn.get("arguments") or "{}")
-            except json.JSONDecodeError:
+                if name and isinstance(name, str) and isinstance(args, dict):
+                    return Action(ActionKind.INVOKE_TOOL, tool=name, args=args,
+                                  rationale="chat planner tool call")
                 return None
-            if not isinstance(args, dict):
-                return None
-            return Action(ActionKind.INVOKE_TOOL, tool=name, args=args,
-                          rationale="chat planner tool call")
-        content = (message.get("content") or "").strip()
-        if content.upper().startswith("FINISH"):
-            return Action(ActionKind.FINISH, rationale="chat planner finish")
-        if content.upper().startswith("TRANSITION:"):
-            target = content.split(":", 1)[1].strip().lower()
-            try:
+            content = (message.get("content") or "").strip()
+            if content.upper().startswith("FINISH"):
+                return Action(ActionKind.FINISH, rationale="chat planner finish")
+            if content.upper().startswith("TRANSITION:"):
+                target = content.split(":", 1)[1].strip().lower()
                 return Action(ActionKind.TRANSITION, stage=Stage(target),
                               rationale="chat planner transition")
-            except ValueError:
-                return None
+        except (LookupError, TypeError, AttributeError, ValueError):
+            pass  # JSONDecodeError and an unknown stage are ValueErrors
         return None
 
 
@@ -910,7 +904,7 @@ def run_session(task: TaskContext, planner, registry: ToolRegistry,
         state.budget -= 1
         log.append(state.stage, "primary", "action", action.to_record())
         if action.kind is ActionKind.FINISH:
-            report = state.artifacts.get("report")
+            report = state.report
             if report is None:
                 report = _incomplete_report(state)
             log.append(state.stage, "primary", "finish",
@@ -962,7 +956,7 @@ def _execute(action: Action, state: SessionState, log: SessionLog):
         return
     # InvokeTool
     entry = state.registry.get(action.tool)
-    call_key = json.dumps([action.tool, action.args], sort_keys=True)
+    call = (action.tool, action.args)
     try:
         result = entry.executor(state, **entry.checked_args(action.args))
         state.last_failed_call = None
@@ -974,6 +968,6 @@ def _execute(action: Action, state: SessionState, log: SessionLog):
                    {"tool": action.tool, "ok": False, "error": str(exc)})
         # The same call failing twice in a row means the planner cannot make
         # progress (e.g. an unknown column); surface the error to the caller.
-        if state.last_failed_call == call_key:
+        if state.last_failed_call == call:
             raise
-        state.last_failed_call = call_key
+        state.last_failed_call = call

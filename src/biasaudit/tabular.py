@@ -32,6 +32,7 @@ from .errors import (
     NonNumericalTargetError,
     ParseError,
     RaggedRowError,
+    TableError,
     UnknownColumnError,
 )
 
@@ -325,14 +326,15 @@ def _checked_header(path, header: list) -> list:
 
 def list_features(path) -> list:
     """Return the header names of a CSV file, in file order."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path}: no header row") from None
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise _unreadable(path, exc) from exc
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh))
+    except StopIteration:
+        raise EmptyFileError(f"{path}: no header row") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _unreadable(path, exc) from exc
+    except OSError as exc:
+        raise TableError(str(exc)) from exc
     return _checked_header(path, header)
 
 
@@ -488,12 +490,16 @@ def load_table(path) -> Table:
     UTF-8 and every row of the header's width is split by numpy from its
     bytes; any other is read again, whole, by ``csv.reader``, which also
     words every error. Both read and parse ``_CSV_BLOCK`` rows at a time, so
-    only about one block of raw text is alive at once.
+    only about one block of raw text is alive at once. A file that cannot
+    be opened or read raises :class:`TableError` with the OS error's text.
     """
     try:
-        return _load(path, _byte_header, _byte_blocks)
-    except _Unsplittable:
-        return _load(path, list_features, _csv_blocks)
+        try:
+            return _load(path, _byte_header, _byte_blocks)
+        except _Unsplittable:
+            return _load(path, list_features, _csv_blocks)
+    except OSError as exc:
+        raise TableError(str(exc)) from exc
 
 
 def _load(path, header_of, blocks_of) -> Table:

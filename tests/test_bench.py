@@ -276,8 +276,10 @@ class TestRunBenchmark:
         tasks = small_taskset(tmp_path)
         tasks.append(task("T-bad", dataset=tasks[0].dataset,
                           features=("no_such_column",)))
+        tasks.append(task("T-absent", dataset=str(tmp_path / "absent.csv")))
         report = run_benchmark(tasks, RulePlanner, registry)
         assert report.overall["n"] == 3
-        assert len(report.failures) == 1
-        assert report.failures[0][0] == "T-bad"
+        assert [f[0] for f in report.failures] == ["T-bad", "T-absent"]
+        assert report.failures[1][1].startswith(
+            "TableError: [Errno 2] No such file or directory")
         assert isinstance(report, BenchmarkReport)

@@ -1,9 +1,10 @@
 """Scale-invariant metrics keep their value for a column in extreme units.
 
 Each num_dist and num_num metric is invariant to multiplying a column by a
-positive constant, so a column in units 1e80 times too large or 1e160 times
-too small must read as it does in ordinary units, not as an overflowed or
-underflowed NaN, 0 or 1.
+positive constant, and so is each cat_num metric's graded value for the
+outcome, so a column in units 1e80 times too large or 1e160 times too small
+must read as it does in ordinary units, not as an overflowed or underflowed
+NaN, 0 or 1. cat_num's unit-bearing values scale with the outcome.
 """
 
 import numpy as np
@@ -14,11 +15,12 @@ from biasaudit.errors import NumericRangeError
 from biasaudit.metrics import SCENARIO_METRICS, MetricResult, Scenario, run_metric
 from biasaudit.metrics.base import in_float_range
 from biasaudit.severity import graded_value
-from biasaudit.tabular import Column
+from biasaudit.tabular import Column, categorical
 
 N = 500
 NUM_DIST = SCENARIO_METRICS[Scenario.NUM_DIST]
 NUM_NUM = SCENARIO_METRICS[Scenario.NUM_NUM]
+CAT_NUM = SCENARIO_METRICS[Scenario.CAT_NUM]
 
 
 def columns(metric_id, scale):
@@ -36,6 +38,18 @@ def graded(metric_id, scale):
                         run_metric(metric_id, columns(metric_id, scale)).raw)
 
 
+def cat_num_raw(metric_id, scale):
+    """Two groups whose outcome means differ by 0.6, part of it through a
+    mediator in the outcome's units (pse's only)."""
+    rng = np.random.default_rng(3)
+    t = rng.integers(0, 2, N)
+    m = 0.5 * t + rng.standard_normal(N)
+    y = 0.6 * t + 0.3 * m + rng.standard_normal(N)
+    inputs = {"mediator": Column("m", scale * m)} if metric_id == "pse" else {}
+    cols = [categorical("g", t, ("a", "b")), Column("y", scale * y)]
+    return run_metric(metric_id, cols, **inputs).raw
+
+
 @pytest.mark.parametrize("scale", [1e80, 1e160, 1e-160])
 @pytest.mark.parametrize("metric_id", NUM_DIST + NUM_NUM)
 def test_extreme_units_read_as_ordinary_units(metric_id, scale):
@@ -43,14 +57,27 @@ def test_extreme_units_read_as_ordinary_units(metric_id, scale):
                                                      rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+@pytest.mark.parametrize("metric_id", CAT_NUM)
+def test_cat_num_in_extreme_units(metric_id, scale):
+    ordinary = cat_num_raw(metric_id, 1.0)
+    extreme = cat_num_raw(metric_id, scale)
+    assert graded_value(metric_id, extreme) == pytest.approx(
+        graded_value(metric_id, ordinary), rel=1e-6, abs=1e-9)
+    for key in {"ace", "ade", "aie", "total"} & set(ordinary):
+        assert extreme[key] == pytest.approx(scale * ordinary[key], rel=1e-6)
+
+
 def test_in_range_columns_keep_every_bit():
     for v in (np.array([2.0 ** 64, -3.0, 1.0]), np.array([2.0 ** -64, 0.0])):
-        assert in_float_range(v, "m") is v
+        scaled, shift = in_float_range(v, "m")
+        assert scaled is v and shift == 0
 
 
 def test_scaling_is_by_a_power_of_two():
     v = np.array([3e100, -1.5e90, 7.0])
-    scaled = in_float_range(v, "m")
+    scaled, shift = in_float_range(v, "m")
+    assert np.array_equal(scaled, np.ldexp(v, shift))
     assert 0.5 <= np.abs(scaled).max() < 1
     assert np.all(np.frexp(scaled)[0] == np.frexp(v)[0])
 
@@ -71,7 +98,7 @@ def test_a_far_pair_beside_ordinary_values_raises(metric_id):
 def test_a_column_that_is_mostly_zero_is_scaled_exactly():
     v = np.zeros(100)
     v[:3] = 1e300, 2e300, 3e300
-    assert np.array_equal(in_float_range(v, "m") != 0, v != 0)
+    assert np.array_equal(in_float_range(v, "m")[0] != 0, v != 0)
 
 
 def test_a_nan_graded_value_has_no_level():

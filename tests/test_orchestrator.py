@@ -17,10 +17,11 @@ from biasaudit.errors import (
     MalformedLogError,
     NetworkError,
     PlannerError,
+    TableError,
     ToolError,
     UnknownColumnError,
 )
-from biasaudit.metrics import BiasType, Scenario
+from biasaudit.metrics import BiasType, Scenario, run_metric
 from biasaudit.orchestrator import (
     CHART_TOOLS,
     DETECTION_TOOLS,
@@ -43,6 +44,7 @@ from biasaudit.orchestrator import (
     run_session,
 )
 from biasaudit.severity import DEFAULT_TABLE
+from biasaudit.tabular import extract_columns, load_table
 
 SAMPLE = os.path.join(os.path.dirname(bench.__file__), "data", "sample.csv")
 
@@ -221,6 +223,48 @@ class TestRunSession:
         assert len(failed) == 1
         assert failed[0]["tool"] == "numerical_distribution_skewness"
         assert "skewness is a num_dist metric" in failed[0]["error"]
+
+
+def call(tool, **args):
+    return Action(ActionKind.INVOKE_TOOL, tool=tool, args=args)
+
+
+class TestWorkingTable:
+    """Every data tool replaces the working table, which the next tool reads;
+    extraction always starts from the loaded dataset."""
+
+    def run(self, registry, features, *steps):
+        task = TaskContext(question="q", dataset=SAMPLE, features=features)
+        script = [Action(ActionKind.TRANSITION, stage=Stage.PREPROCESSING),
+                  call("load_csv_file"), *steps]
+        planner = Recorder(ScriptedPlanner(script))
+        _, log = run_session(task, planner, registry)
+        results = [e.payload for e in log.events if e.action == "result"]
+        return results, planner.state
+
+    def test_a_new_extract_replaces_a_cleaned_table(self, registry):
+        results, state = self.run(
+            registry, ("score",),
+            call("extract_single_column", column="gender"),
+            call("clean_missing_values", mode="drop_row"),
+            call("extract_single_column", column="score"),
+            Action(ActionKind.TRANSITION, stage=Stage.DETECTION),
+            call("numerical_distribution_skewness"))
+        assert all(r["ok"] for r in results), results
+        assert state.working.column_names == ["score"]
+        assert results[-1]["result"]["raw"] == run_metric(
+            "skewness", [state.table.column("score")]).raw
+
+    def test_clean_keeps_a_normalization(self, registry):
+        results, state = self.run(
+            registry, ("score",),
+            call("normalize_or_standardize_data", column="score",
+                 mode="normalize"),
+            call("clean_missing_values", columns=["score"], mode="drop_row"))
+        assert all(r["ok"] for r in results), results
+        score = state.working.column("score").data
+        assert (score.min(), score.max()) == (0.0, 1.0)
+        assert state.table.column("score").data[0] == 58.18
 
 
 # Calls a chat planner may make that name an unknown parameter, pass a
@@ -417,6 +461,26 @@ class TestRulePlanner:
             None, "load_csv_file", "extract_single_column",
             "extract_single_column"]
 
+    def test_a_failed_load_is_proposed_once_more(self, registry, tmp_path):
+        planner = Recorder(RulePlanner())
+        with pytest.raises(TableError, match="No such file"):
+            run_session(cat_task(str(tmp_path / "absent.csv")), planner,
+                        registry)
+        assert [a.tool for a in planner.actions] == [
+            None, "load_csv_file", "load_csv_file"]
+
+    def test_a_failed_chart_is_proposed_once_more(self, registry, cat_csv,
+                                                  monkeypatch):
+        def render_chart(spec, path):
+            raise ToolError("no canvas")
+
+        monkeypatch.setattr(orchestrator, "render_chart", render_chart)
+        planner = Recorder(RulePlanner())
+        with pytest.raises(ToolError, match="no canvas"):
+            run_session(cat_task(cat_csv), planner, registry)
+        assert [a.tool for a in planner.actions[-3:]] == [
+            None, "plot_bar_chart", "plot_bar_chart"]
+
     def test_mid_plan_budget_stops_after_the_first_metric(self, registry,
                                                           cat_csv):
         report, log = run_session(cat_task(cat_csv), RulePlanner(), registry,
@@ -453,9 +517,6 @@ class TestToolPayloads:
 
     @pytest.fixture(scope="class")
     def session(self, registry):
-        def call(tool, **args):
-            return Action(ActionKind.INVOKE_TOOL, tool=tool, args=args)
-
         script = [
             call("get_csv_features"),
             Action(ActionKind.TRANSITION, stage=Stage.PREPROCESSING),
@@ -515,7 +576,7 @@ class TestToolPayloads:
         payloads, state = session
         assert payloads["normalize_or_standardize_data"] == {
             "column": "age", "mode": "normalize"}
-        age = state.artifacts["clean"].column("age").data
+        age = state.working.column("age").data
         assert (age.min(), age.max()) == (0.0, 1.0)
 
 
@@ -612,6 +673,56 @@ class TestChatPlanner:
         with pytest.raises(PlannerError):
             ChatPlanner(self.config, transport=transport).next(
                 self.state(registry))
+
+    @pytest.mark.parametrize("message", [
+        "FINISH",
+        {"content": [{"type": "text", "text": "FINISH"}]},
+        {"tool_calls": ["load_csv_file"]},
+        {"tool_calls": [{"function": "load_csv_file"}]},
+        {"tool_calls": [{"function": {"name": "extract_single_column",
+                                      "arguments": {"column": "group"}}}]},
+    ], ids=["message-string", "content-parts", "call-string",
+            "function-string", "arguments-object"])
+    def test_reply_of_another_shape_unparseable(self, registry, message):
+        calls = []
+
+        def transport(url, headers, payload, t):
+            calls.append(payload)
+            return {"choices": [{"message": message}]}
+
+        with pytest.raises(PlannerError):
+            ChatPlanner(self.config, transport=transport).next(
+                self.state(registry))
+        assert len(calls) == 2
+
+    def test_summary_names_the_working_columns(self, registry):
+        sent = []
+
+        def transport(url, headers, payload, t):
+            sent.append(json.loads(payload["messages"][1]["content"]))
+            return reply_with_text("FINISH")
+
+        planner = ChatPlanner(self.config, transport=transport)
+        state = self.state(registry)
+        planner.next(state)
+        state.table = load_table(SAMPLE)
+        state.working = extract_columns(state.table, ["score", "gender"])
+        planner.next(state)
+        assert [s["working_columns"] for s in sent] == [None,
+                                                        ["score", "gender"]]
+        assert "artifacts" not in sent[0]
+
+    @pytest.mark.parametrize("body", [b"\xff\xfe{}", b"<html>busy</html>"],
+                             ids=["not-utf8", "not-json"])
+    def test_body_that_is_not_utf8_json_is_a_network_error(self, monkeypatch,
+                                                           body):
+        import io
+        import urllib.request
+
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout: io.BytesIO(body))
+        with pytest.raises(NetworkError):
+            orchestrator._default_transport(self.config.base_url, {}, {}, 1.0)
 
     def test_transition_reply(self, registry):
         transport = lambda *a: reply_with_text("TRANSITION: preprocessing")

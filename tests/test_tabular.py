@@ -14,6 +14,7 @@ from biasaudit.errors import (
     EmptyFileError,
     NonNumericalTargetError,
     RaggedRowError,
+    TableError,
     UnknownColumnError,
 )
 from biasaudit.tabular import (
@@ -56,6 +57,17 @@ class TestListFeatures:
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyFileError):
             list_features(write(tmp_path, ""))
+
+    @pytest.mark.parametrize("read", [list_features, load_table])
+    @pytest.mark.parametrize("name,message", [
+        ("absent.csv", "No such file or directory"), ("", "Is a directory")])
+    def test_unopenable_path_is_a_table_error(self, tmp_path, read, name,
+                                              message):
+        # The text is the OS error's, so the CLI's error line is unchanged.
+        path = tmp_path / name
+        with pytest.raises(TableError, match=message) as info:
+            read(path)
+        assert str(info.value) == str(info.value.__cause__)
 
 
 def kind_of(tmp_path, cells) -> Kind:
