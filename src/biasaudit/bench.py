@@ -133,7 +133,6 @@ def load_taskset(path) -> list:
 class GroundTruth:
     oracle_levels: dict  # metric_id -> level (1-5)
     y: int               # max of the oracle levels
-    errors: tuple = ()
 
 
 def ground_truth(task: TaskSpec,
@@ -149,14 +148,13 @@ def ground_truth(task: TaskSpec,
     for metric_id in SCENARIO_METRICS[scenario]:
         try:
             result = run_metric(metric_id, cols)
-            levels[metric_id] = map_to_level(metric_id, result, thresholds).value
+            levels[metric_id] = map_to_level(result, thresholds).value
         except BiasAuditError as exc:
             errors.append(f"{metric_id}: {exc}")
     if not levels:
         raise AllMetricsFailedError(
             f"task {task.id}: every scenario metric failed: {errors}")
-    return GroundTruth(oracle_levels=levels, y=max(levels.values()),
-                       errors=tuple(errors))
+    return GroundTruth(oracle_levels=levels, y=max(levels.values()))
 
 
 @dataclass(frozen=True)
@@ -386,17 +384,14 @@ def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir,
              library):
     context = TaskContext(question=task.question, dataset=task.dataset,
                           features=task.features, bias_type=task.bias_type)
-    task_dir = None
+    task_dir = log_path = None
     if out_dir is not None:
         task_dir = os.path.join(out_dir, task.id)
         os.makedirs(task_dir, exist_ok=True)
-    report, log = run_session(context, planner_factory(), registry,
-                              thresholds=thresholds, out_dir=task_dir,
-                              library=library)
-    if out_dir is not None:
-        with open(os.path.join(out_dir, f"{task.id}.log.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(log.to_jsonl())
+        log_path = os.path.join(out_dir, f"{task.id}.log.jsonl")
+    report, _ = run_session(context, planner_factory(), registry,
+                            thresholds=thresholds, out_dir=task_dir,
+                            library=library, log_path=log_path)
     if not report.complete or not report.findings:
         raise BiasAuditError("session produced no complete report")
     truth = ground_truth(task, thresholds)

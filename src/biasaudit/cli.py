@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success (complete report), 2 when a run finishes but the
 report is incomplete, 1 on any error. Offline mode (the default) never
-touches the network; chat mode needs a config file naming the endpoint and
-an API-key environment variable (the key itself is never stored).
+touches the network; a config naming ``base_url`` and ``model`` turns chat
+mode on, with the API key read from an environment variable, never stored.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .tabular import save_table, write_table
 
 @dataclass(frozen=True)
 class Config:
-    mode: str = "offline"          # offline | chat
-    base_url: str = ""
+    base_url: str = ""             # chat mode when non-empty, else offline
     model: str = ""
     key_env: str = "BIASAUDIT_API_KEY"
     timeout_s: float = 30.0
@@ -41,8 +40,8 @@ class Config:
     library_path: str | None = None
 
     def __post_init__(self):
-        for key in ("mode", "base_url", "model", "key_env",
-                    "thresholds_path", "library_path"):
+        for key in ("base_url", "model", "key_env", "thresholds_path",
+                    "library_path"):
             value = getattr(self, key)
             nullable = key.endswith("_path")
             if not (isinstance(value, str) or (nullable and value is None)):
@@ -53,9 +52,10 @@ class Config:
                 not isinstance(self.timeout_s, (int, float)):
             raise BiasAuditError(
                 f"config timeout_s must be a number, got {self.timeout_s!r}")
-        if self.mode not in ("offline", "chat"):
-            raise BiasAuditError(f"unknown mode {self.mode!r}")
-        if self.mode == "chat" and not (self.base_url and self.model):
+        if not 0 < self.timeout_s < float("inf"):  # NaN fails too
+            raise BiasAuditError(f"config timeout_s must be finite and > 0, "
+                                 f"got {self.timeout_s!r}")
+        if self.base_url and not self.model:
             raise BiasAuditError("chat mode requires base_url and model")
 
 
@@ -74,7 +74,12 @@ def load_config(path) -> Config:
     unknown = sorted(set(raw) - set(Config.__dataclass_fields__))
     if unknown:
         raise BiasAuditError(f"config {path}: unknown key(s) {unknown}")
-    return Config(**raw)
+    config = Config(**raw)
+    unread = [key for key in ("model", "key_env", "timeout_s") if key in raw]
+    if unread and not config.base_url:
+        raise BiasAuditError(f"config {path}: no base_url, so chat mode is "
+                             f"off and {unread} would be ignored")
+    return config
 
 
 def _thresholds(config: Config) -> ThresholdTable:
@@ -96,7 +101,7 @@ def _library(config: Config):
 
 
 def _planner(config: Config):
-    if config.mode == "chat":
+    if config.base_url:
         return ChatPlanner(ChatConfig(base_url=config.base_url,
                                       model=config.model,
                                       key_env=config.key_env,
@@ -116,17 +121,14 @@ def _task_from_args(args) -> TaskContext:
 
 
 def _run_detect_session(args, config):
+    log_path = None
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-    report, log = run_session(
+        log_path = os.path.join(args.out, "session.log.jsonl")
+    return run_session(
         _task_from_args(args), _planner(config), build_registry(),
         budget=args.budget, thresholds=_thresholds(config), out_dir=args.out,
-        library=_library(config))
-    if args.out is not None:
-        with open(os.path.join(args.out, "session.log.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(log.to_jsonl())
-    return report
+        library=_library(config), log_path=log_path)[0]
 
 
 def cmd_detect(args, config: Config) -> int:

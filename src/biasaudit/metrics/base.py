@@ -29,15 +29,14 @@ class BiasType(str, Enum):
 @dataclass(frozen=True)
 class MetricResult:
     metric_id: str
-    scenario: Scenario
     raw: dict
     n: int
     details: str = ""
 
     def to_record(self) -> dict:
         raw = {k: ("inf" if math.isinf(v) else v) for k, v in self.raw.items()}
-        return {"metric_id": self.metric_id, "scenario": self.scenario.value,
-                "raw": raw, "n": self.n, "details": self.details}
+        return {"metric_id": self.metric_id, "raw": raw, "n": self.n,
+                "details": self.details}
 
 
 def classify_scenario(cols) -> Scenario:

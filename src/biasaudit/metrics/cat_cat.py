@@ -11,14 +11,10 @@ import numpy as np
 
 from ..errors import DegenerateTableError
 from ..tabular import Column
-from .base import MetricResult, Scenario, paired
+from .base import MetricResult, paired
 
 # elift skips cells with a joint count below this, to avoid ratio blow-ups.
 MIN_CELL_SUPPORT = 5
-
-
-def _result(metric_id, raw, n, details=""):
-    return MetricResult(metric_id, Scenario.CAT_CAT, raw, n, details)
 
 
 def contingency(a: Column, b: Column):
@@ -51,8 +47,8 @@ def cramers_v(a: Column, b: Column) -> MetricResult:
     mask = e > 0
     chi2 = float(((o[mask] - e[mask]) ** 2 / e[mask]).sum())
     v = float(np.sqrt(chi2 / (n * (min(len(rows), len(cols)) - 1))))
-    return _result("cramers_v", {"chi2": chi2, "v": min(v, 1.0)}, int(n),
-                   f"{len(rows)}x{len(cols)} table")
+    return MetricResult("cramers_v", {"chi2": chi2, "v": min(v, 1.0)}, int(n),
+                        f"{len(rows)}x{len(cols)} table")
 
 
 def elift(a: Column, b: Column) -> MetricResult:
@@ -73,7 +69,7 @@ def elift(a: Column, b: Column) -> MetricResult:
     worst = max(1.0, lift.max(initial=1.0), (1.0 / lift[lift > 0]).max(initial=1.0))
     details = ("fallback: no cell met support" if fallback
                else f"support>={MIN_CELL_SUPPORT}")
-    return _result("elift", {"max_elift": float(worst)}, int(n), details)
+    return MetricResult("elift", {"max_elift": float(worst)}, int(n), details)
 
 
 def statistical_parity(a: Column, b: Column) -> MetricResult:
@@ -89,9 +85,9 @@ def statistical_parity(a: Column, b: Column) -> MetricResult:
         z = delta[denom > 0] / np.sqrt(denom[denom > 0])
         max_delta = max(max_delta, delta.max())
         max_z = max(max_z, z.max(initial=0.0))
-    return _result("statistical_parity",
-                   {"max_delta": float(max_delta), "max_z": float(max_z)},
-                   int(o.sum()))
+    return MetricResult("statistical_parity",
+                        {"max_delta": float(max_delta), "max_z": float(max_z)},
+                        int(o.sum()))
 
 
 def _tvd(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -107,7 +103,7 @@ def lipschitz(a: Column, b: Column) -> MetricResult:
     o, rows, cols = _checked(a, b, "lipschitz")
     cond = o / o.sum(axis=1, keepdims=True)
     worst = max(_tvd(cond[g], cond[g + 1:]).max() for g in range(len(rows) - 1))
-    return _result("lipschitz", {"lipschitz": float(worst)}, int(o.sum()))
+    return MetricResult("lipschitz", {"lipschitz": float(worst)}, int(o.sum()))
 
 
 def total_variation(a: Column, b: Column) -> MetricResult:
@@ -116,4 +112,4 @@ def total_variation(a: Column, b: Column) -> MetricResult:
     n = o.sum()
     cond = o / o.sum(axis=1, keepdims=True)
     worst = float(_tvd(cond, o.sum(axis=0) / n).max())
-    return _result("total_variation", {"tvd": worst}, int(n))
+    return MetricResult("total_variation", {"tvd": worst}, int(n))

@@ -9,11 +9,7 @@ import math
 
 from ..errors import SingleCategoryError
 from ..tabular import Column
-from .base import MetricResult, Scenario, category_counts
-
-
-def _result(metric_id, raw, n, details=""):
-    return MetricResult(metric_id, Scenario.CAT_DIST, raw, n, details)
+from .base import MetricResult, category_counts
 
 
 def _counts(col: Column, require_k2: bool, metric_id: str):
@@ -37,13 +33,14 @@ def _entropy(col: Column, metric_id: str):
 def shannon_balance(col: Column) -> MetricResult:
     """Shannon entropy H and balance = H / ln k."""
     h, balance, n, k = _entropy(col, "shannon_balance")
-    return _result("shannon_balance", {"H": h, "balance": balance}, n, f"k={k}")
+    return MetricResult("shannon_balance", {"H": h, "balance": balance}, n,
+                        f"k={k}")
 
 
 def entropy(col: Column) -> MetricResult:
     """Shannon entropy with its normalized form H / ln k."""
     h, h_norm, n, k = _entropy(col, "entropy")
-    return _result("entropy", {"H": h, "H_norm": h_norm}, n, f"k={k}")
+    return MetricResult("entropy", {"H": h, "H_norm": h_norm}, n, f"k={k}")
 
 
 def max_min_ratio(col: Column) -> MetricResult:
@@ -56,9 +53,11 @@ def max_min_ratio(col: Column) -> MetricResult:
     counts = _counts(col, False, "max_min_ratio")
     n = sum(counts.values())
     if len(counts) < 2:
-        return _result("max_min_ratio", {"ratio": math.inf}, n, "single category")
+        return MetricResult("max_min_ratio", {"ratio": math.inf}, n,
+                            "single category")
     ratio = max(counts.values()) / min(counts.values())
-    return _result("max_min_ratio", {"ratio": ratio}, n, f"k={len(counts)}")
+    return MetricResult("max_min_ratio", {"ratio": ratio}, n,
+                        f"k={len(counts)}")
 
 
 def gini(col: Column) -> MetricResult:
@@ -68,7 +67,8 @@ def gini(col: Column) -> MetricResult:
     k = len(counts)
     q = [(c + 1) / (n + k) for c in counts.values()]
     g = 1.0 - sum(x * x for x in q)
-    return _result("gini", {"G": g, "G_norm": g / (1.0 - 1.0 / k)}, n, f"k={k}")
+    return MetricResult("gini", {"G": g, "G_norm": g / (1.0 - 1.0 / k)}, n,
+                        f"k={k}")
 
 
 def relative_risk(col: Column) -> MetricResult:
@@ -78,7 +78,7 @@ def relative_risk(col: Column) -> MetricResult:
     k = len(counts)
     rr = {lbl: (c / n) * k for lbl, c in counts.items()}
     dev = max(abs(v - 1.0) for v in rr.values())
-    return _result("relative_risk",
-                   {"max_abs_deviation": dev,
-                    "rr_max": max(rr.values()), "rr_min": min(rr.values())},
-                   n, f"k={k}")
+    return MetricResult("relative_risk",
+                        {"max_abs_deviation": dev, "rr_max": max(rr.values()),
+                         "rr_min": min(rr.values())},
+                        n, f"k={k}")

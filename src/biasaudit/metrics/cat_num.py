@@ -19,11 +19,7 @@ from ..errors import (
     ZeroVarianceError,
 )
 from ..tabular import Column, Kind, split_by_code
-from .base import MetricResult, Scenario, in_float_range, paired
-
-
-def _result(metric_id, raw, n, details=""):
-    return MetricResult(metric_id, Scenario.CAT_NUM, raw, n, details)
+from .base import MetricResult, in_float_range, paired
 
 
 def group_values(g: Column, y: Column):
@@ -64,7 +60,7 @@ def max_abs_mean(g: Column, y: Column) -> MetricResult:
         raise ZeroVarianceError("max_abs_mean undefined: outcome is constant")
     mean = allv.mean()
     n_value = max(abs(float((v - mean).mean() / sd)) for v in groups.values())
-    return _result("max_abs_mean", {"n_value": n_value}, allv.size)
+    return MetricResult("max_abs_mean", {"n_value": n_value}, allv.size)
 
 
 def cohens_d(g: Column, y: Column) -> MetricResult:
@@ -79,7 +75,7 @@ def cohens_d(g: Column, y: Column) -> MetricResult:
         if (pooled == 0).any():
             raise ZeroVarianceError("cohens_d undefined: zero pooled variance")
         worst = max(worst, np.abs((mean[i] - mean[i + 1:]) / np.sqrt(pooled)).max())
-    return _result("cohens_d", {"d": float(worst)}, int(size.sum()))
+    return MetricResult("cohens_d", {"d": float(worst)}, int(size.sum()))
 
 
 def standardized_difference(g: Column, y: Column) -> MetricResult:
@@ -92,8 +88,8 @@ def standardized_difference(g: Column, y: Column) -> MetricResult:
         raise ZeroVarianceError("standardized_difference undefined: MAD is zero")
     means = [v.mean() for v in groups.values()]
     gap = float(max(means) - min(means))  # the largest pairwise gap
-    return _result("standardized_difference", {"sd": gap / (1.4826 * mad)},
-                   allv.size)
+    return MetricResult("standardized_difference",
+                        {"sd": gap / (1.4826 * mad)}, allv.size)
 
 
 def causal_effect(g: Column, y: Column,
@@ -117,9 +113,9 @@ def causal_effect(g: Column, y: Column,
         ace, strata = _stratified_ace(g, y, covariate, keys, shift)
         details = (f"treatment={keys[0]!r} control={keys[1]!r} "
                    f"stratified on {covariate.name!r} ({strata} strata)")
-    return _result("causal_effect", {"ace": math.ldexp(ace, -shift),
-                                     "ace_std": ace / float(sd)},
-                   allv.size, details)
+    return MetricResult("causal_effect", {"ace": math.ldexp(ace, -shift),
+                                          "ace_std": ace / float(sd)},
+                        allv.size, details)
 
 
 def _stratified_ace(g: Column, y: Column, cov: Column, keys, shift: int):
@@ -187,6 +183,7 @@ def pse(g: Column, y: Column, mediator: Column | None = None) -> MetricResult:
         aie = a1 * float(coef[2])
     raw = max(abs(ade), abs(aie)) / float(sd)
     ade, aie = math.ldexp(ade, -shift), math.ldexp(aie, -shift)
-    return _result("pse",
-                   {"ade": ade, "aie": aie, "total": ade + aie, "pse": raw},
-                   t.size, f"treatment={keys[0]!r} mediator={mediator.name!r}")
+    return MetricResult("pse",
+                        {"ade": ade, "aie": aie, "total": ade + aie,
+                         "pse": raw}, t.size,
+                        f"treatment={keys[0]!r} mediator={mediator.name!r}")

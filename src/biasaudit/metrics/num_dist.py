@@ -10,14 +10,10 @@ import numpy as np
 
 from ..errors import ConstantColumnError, DegenerateIQRError, InsufficientSamplesError
 from ..tabular import Column
-from .base import MetricResult, Scenario, in_float_range, paired
+from .base import MetricResult, in_float_range, paired
 
 # Points farther than this many population sd from the mean are outliers.
 Z_CUTOFF = 3.0
-
-
-def _result(metric_id, raw, n, details=""):
-    return MetricResult(metric_id, Scenario.NUM_DIST, raw, n, details)
 
 
 def _values(col: Column, metric_id: str) -> np.ndarray:
@@ -34,7 +30,7 @@ def skewness(col: Column) -> MetricResult:
     if m2 == 0:
         raise ConstantColumnError("skewness undefined for a constant column")
     g1 = np.mean(d ** 3) / m2 ** 1.5
-    return _result("skewness", {"g1": float(g1)}, x.size)
+    return MetricResult("skewness", {"g1": float(g1)}, x.size)
 
 
 def kurtosis(col: Column) -> MetricResult:
@@ -45,7 +41,7 @@ def kurtosis(col: Column) -> MetricResult:
     if m2 == 0:
         raise ConstantColumnError("kurtosis undefined for a constant column")
     g2 = np.mean(d ** 4) / m2 ** 2 - 3.0
-    return _result("kurtosis", {"g2": float(g2)}, x.size)
+    return MetricResult("kurtosis", {"g2": float(g2)}, x.size)
 
 
 def outlier(col: Column) -> MetricResult:
@@ -55,8 +51,8 @@ def outlier(col: Column) -> MetricResult:
     if sd == 0:
         raise ConstantColumnError("outlier fraction undefined for a constant column")
     frac = float(np.mean(np.abs(x - x.mean()) / sd > Z_CUTOFF))
-    return _result("outlier", {"fraction": frac}, x.size,
-                   f"z_cutoff={Z_CUTOFF}")
+    return MetricResult("outlier", {"fraction": frac}, x.size,
+                        f"z_cutoff={Z_CUTOFF}")
 
 
 def cohens_d_mad(col: Column) -> MetricResult:
@@ -67,7 +63,7 @@ def cohens_d_mad(col: Column) -> MetricResult:
     if mad == 0:
         raise ConstantColumnError("cohens_d_mad undefined: MAD is zero")
     d = (float(x.mean()) - med) / (1.4826 * mad)
-    return _result("cohens_d_mad", {"d": d}, x.size)
+    return MetricResult("cohens_d_mad", {"d": d}, x.size)
 
 
 def quantile_deviation(col: Column) -> MetricResult:
@@ -77,5 +73,6 @@ def quantile_deviation(col: Column) -> MetricResult:
     if q3 <= q1:
         raise DegenerateIQRError("quantile_deviation undefined: IQR is zero")
     qd = (q3 - q2) / (q3 - q1)
-    return _result("quantile_deviation",
-                   {"qd": float(qd), "deviation": float(abs(qd - 0.5))}, x.size)
+    return MetricResult("quantile_deviation",
+                        {"qd": float(qd), "deviation": float(abs(qd - 0.5))},
+                        x.size)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConstantColumnError, InsufficientSamplesError
 from ..tabular import Column
-from .base import MetricResult, Scenario, in_float_range, paired
+from .base import MetricResult, in_float_range, paired
 
 # Equal-frequency bins per axis for nmi and hgr_approximation, the side of
 # hgr_approximation's lattice over the empirical copula, and the number of
@@ -32,10 +32,6 @@ HSIC_GRID = 128
 # The hgr and hsic lattices are filled this many rows at a time, so
 # their buffers are O(block) rather than O(n).
 _BIN_BLOCK = 16384
-
-
-def _result(metric_id, raw, n, details=""):
-    return MetricResult(metric_id, Scenario.NUM_NUM, raw, n, details)
 
 
 def _checked(x: Column, y: Column, metric_id: str,
@@ -59,7 +55,7 @@ def pearson(x: Column, y: Column) -> MetricResult:
     dx = xs - xs.mean()
     dy = ys - ys.mean()
     r = float((dx * dy).sum() / math.sqrt((dx ** 2).sum() * (dy ** 2).sum()))
-    return _result("pearson", {"r": max(-1.0, min(1.0, r))}, xs.size)
+    return MetricResult("pearson", {"r": max(-1.0, min(1.0, r))}, xs.size)
 
 
 def _equal_frequency_bins(v: np.ndarray, bins: int) -> np.ndarray:
@@ -92,8 +88,8 @@ def nmi(x: Column, y: Column) -> MetricResult:
         value = 0.0
     else:
         value = max(0.0, min(1.0, mi / math.sqrt(hx * hy)))
-    return _result("nmi", {"nmi": value, "mi": max(0.0, mi)}, xs.size,
-                   f"bins={BINS}")
+    return MetricResult("nmi", {"nmi": value, "mi": max(0.0, mi)}, xs.size,
+                        f"bins={BINS}")
 
 
 def hgr_approximation(x: Column, y: Column) -> MetricResult:
@@ -134,9 +130,10 @@ def hgr_approximation(x: Column, y: Column) -> MetricResult:
     sv = np.linalg.svd(q, compute_uv=False)
     hgr = float(sv[1]) if sv.size > 1 else 0.0
     chi2 = float((q ** 2).sum() - 1.0)
-    return _result("hgr_approximation",
-                   {"hgr": max(0.0, min(1.0, hgr)), "chi2_divergence": max(0.0, chi2)},
-                   xs.size, f"bins={BINS} grid={KDE_GRID}")
+    return MetricResult("hgr_approximation",
+                        {"hgr": max(0.0, min(1.0, hgr)),
+                         "chi2_divergence": max(0.0, chi2)},
+                        xs.size, f"bins={BINS} grid={KDE_GRID}")
 
 
 def _copula_axis(v: np.ndarray, grid: int):
@@ -181,7 +178,7 @@ def wasserstein(x: Column, y: Column) -> MetricResult:
     xs = np.sort((xs - xs.mean()) / xs.std())
     ys = np.sort((ys - ys.mean()) / ys.std())
     w2 = float(np.sqrt(np.mean((xs - ys) ** 2)))
-    return _result("wasserstein", {"w2": w2}, xs.size)
+    return MetricResult("wasserstein", {"w2": w2}, xs.size)
 
 
 def hsic(x: Column, y: Column) -> MetricResult:
@@ -199,8 +196,9 @@ def hsic(x: Column, y: Column) -> MetricResult:
     hxy, hxx, hyy = _binned_hsic_terms(xs, ys, HSIC_GRID)
     norm = math.sqrt(hxx * hyy)
     nh = max(0.0, min(1.0, hxy / norm)) if norm > 0 else 0.0
-    return _result("hsic", {"hsic": n * n * hxy / (n - 1) ** 2, "nhsic": nh},
-                   n, f"grid={HSIC_GRID}")
+    return MetricResult("hsic",
+                        {"hsic": n * n * hxy / (n - 1) ** 2, "nhsic": nh}, n,
+                        f"grid={HSIC_GRID}")
 
 
 def _binned_hsic_terms(xs: np.ndarray, ys: np.ndarray, grid: int):

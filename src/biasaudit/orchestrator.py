@@ -393,9 +393,10 @@ def _make_detection_executor(metric_id):
         table = state.working_table()
         cols = [table.column(n) for n in state.task.features]
         result = run_metric(metric_id, cols)
-        level = map_to_level(metric_id, result, state.thresholds)
+        level = map_to_level(result, state.thresholds)
         state.findings.append(Finding.from_result(result, level))
         record = result.to_record()
+        record["scenario"] = METRICS[metric_id].scenario.value
         record["level"] = level.value
         record["label"] = level.label
         return record
@@ -887,8 +888,9 @@ def _incomplete_report(state: SessionState) -> ReportDocument:
 
 def run_session(task: TaskContext, planner, registry: ToolRegistry,
                 budget: int = 64, thresholds: ThresholdTable = DEFAULT_TABLE,
-                out_dir=None, library=None):
-    """Drive one workflow session to a report and a structured log."""
+                out_dir=None, library=None, log_path=None):
+    """Drive one workflow session to a report and a structured log, which
+    is written to ``log_path``, if given, however the session ends."""
     if library is None:
         library = methodlib.builtin_library()
     state = SessionState(task=task, registry=registry, thresholds=thresholds,
@@ -898,25 +900,29 @@ def run_session(task: TaskContext, planner, registry: ToolRegistry,
                {"question": task.question, "dataset": task.dataset,
                 "features": list(task.features),
                 "bias_type": task.bias_type.value})
+    try:
+        while state.budget > 0:
+            action = _next_action(planner, state, log)
+            state.budget -= 1
+            log.append(state.stage, "primary", "action", action.to_record())
+            if action.kind is ActionKind.FINISH:
+                report = state.report
+                if report is None:
+                    report = _incomplete_report(state)
+                headline = report.headline.value if report.findings else None
+                log.append(state.stage, "primary", "finish",
+                           {"complete": report.complete, "headline": headline})
+                return report, log
+            _execute(action, state, log)
 
-    while state.budget > 0:
-        action = _next_action(planner, state, log)
-        state.budget -= 1
-        log.append(state.stage, "primary", "action", action.to_record())
-        if action.kind is ActionKind.FINISH:
-            report = state.report
-            if report is None:
-                report = _incomplete_report(state)
-            log.append(state.stage, "primary", "finish",
-                       {"complete": report.complete,
-                        "headline": report.headline.value if report.findings else None})
-            return report, log
-        _execute(action, state, log)
-
-    report = _incomplete_report(state)
-    log.append(state.stage, "system", "budget_exhausted",
-               {"findings": len(state.findings)})
-    return report, log
+        report = _incomplete_report(state)
+        log.append(state.stage, "system", "budget_exhausted",
+                   {"findings": len(state.findings)})
+        return report, log
+    finally:
+        if log_path is not None:
+            with open(log_path, "w", encoding="utf-8") as fh:
+                fh.write(log.to_jsonl())
 
 
 def _next_action(planner, state: SessionState, log: SessionLog) -> Action:

@@ -24,12 +24,11 @@ class Finding:
     raw: dict
     level: BiasLevel
     n: int
-    details: str = ""
 
     @classmethod
     def from_result(cls, result: MetricResult, level: BiasLevel) -> "Finding":
         return cls(metric_id=result.metric_id, raw=result.raw, level=level,
-                   n=result.n, details=result.details)
+                   n=result.n)
 
 
 # Recommendation text keyed by (scenario, headline level band).

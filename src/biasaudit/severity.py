@@ -115,22 +115,21 @@ def _checked_band(transform: str, cuts: tuple) -> tuple:
     return cuts
 
 
-def graded_value(metric_id: str, raw: dict) -> float:
+def graded_value(result: MetricResult) -> float:
     """The value a metric's level is read from: its spec's ``raw_key``
     under its ``transform``, so that higher means more biased. A NaN value
     has no level and raises NumericRangeError."""
-    spec = METRICS[metric_id]
-    value = _TRANSFORMS[spec.transform](raw[spec.raw_key])
+    spec = METRICS[result.metric_id]
+    value = _TRANSFORMS[spec.transform](result.raw[spec.raw_key])
     if math.isnan(value):
-        raise NumericRangeError(f"{metric_id}: {spec.raw_key} is NaN, which "
-                                f"has no bias level")
+        raise NumericRangeError(f"{result.metric_id}: {spec.raw_key} is NaN, "
+                                f"which has no bias level")
     return value
 
 
-def map_to_level(metric_id: str, result: MetricResult,
-                 table: ThresholdTable) -> BiasLevel:
-    cuts = table.cuts(metric_id)
-    return BiasLevel.of(_level(graded_value(metric_id, result.raw), cuts))
+def map_to_level(result: MetricResult, table: ThresholdTable) -> BiasLevel:
+    cuts = table.cuts(result.metric_id)
+    return BiasLevel.of(_level(graded_value(result), cuts))
 
 
 def _level(value: float, cuts) -> int:

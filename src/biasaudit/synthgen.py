@@ -2,8 +2,8 @@
 
 Each scenario interpolates from its null (balanced / independent) at
 strength 0 to a strongly biased construction at strength 1. Generation
-uses numpy's default (PCG64) generator seeded from the spec, and the table
-name spells out the spec, so a table is reproducible from its name alone.
+uses numpy's default (PCG64) generator seeded from the spec, so a table is
+reproducible from its spec alone.
 """
 
 from __future__ import annotations
@@ -58,10 +58,7 @@ def generate(spec: SynthSpec) -> Table:
         Scenario.CAT_NUM: _gen_cat_num,
         Scenario.NUM_NUM: _gen_num_num,
     }[spec.scenario]
-    cols = builder(spec, rng)
-    name = (f"synth-{spec.scenario.value}-s{spec.strength}"
-            f"-n{spec.n}-k{spec.k}-seed{spec.seed}")
-    return Table(name, cols)
+    return Table(builder(spec, rng))
 
 
 def _largest_remainder_counts(probs, n):
@@ -167,8 +164,7 @@ def collect_calibration_samples(suite) -> dict:
         cols = table.columns
         for metric_id in SCENARIO_METRICS[spec.scenario]:
             try:
-                value = graded_value(metric_id,
-                                     run_metric(metric_id, cols).raw)
+                value = graded_value(run_metric(metric_id, cols))
             except MetricError:
                 continue
             samples.setdefault(metric_id, {}).setdefault(level, []).append(

@@ -128,7 +128,6 @@ def categorical(name: str, codes: np.ndarray, labels: Sequence) -> Column:
 
 @dataclass(frozen=True)
 class Table:
-    name: str
     columns: tuple
 
     def __post_init__(self):
@@ -518,7 +517,7 @@ def _load(path, header_of, blocks_of) -> Table:
         columns.append(parsers[i].column(name, lambda i=i: (
             block[i] for block in blocks_of(path, len(header)))))
         parsers[i] = None
-    return Table(name=str(path), columns=tuple(columns))
+    return Table(tuple(columns))
 
 
 def save_table(table: Table, path) -> None:
@@ -555,7 +554,7 @@ def _format_cell(v) -> str:
 def extract_columns(table: Table, names: Sequence[str]) -> Table:
     """Project the table onto 1 or 2 named columns, preserving order and kinds."""
     cols = tuple(table.column(n) for n in names)
-    return Table(name=table.name, columns=cols)
+    return Table(cols)
 
 
 def clean_missing(table: Table, columns: Sequence[str],
@@ -570,7 +569,7 @@ def clean_missing(table: Table, columns: Sequence[str],
         dropped = table.row_count - int(keep.sum())
         new_cols = table.columns if not dropped else tuple(
             c.subset(keep) for c in table.columns)
-        return CleaningResult(Table(table.name, new_cols), 0, dropped)
+        return CleaningResult(Table(new_cols), 0, dropped)
 
     changed = 0
     new_cols = []
@@ -594,7 +593,7 @@ def clean_missing(table: Table, columns: Sequence[str],
                 fill = cats.labels[fill]
         changed += len(present) - int(present.sum())
         new_cols.append(Column(c.name, np.where(present, c.data, fill), c.labels))
-    return CleaningResult(Table(table.name, tuple(new_cols)), changed, 0)
+    return CleaningResult(Table(tuple(new_cols)), changed, 0)
 
 
 class NormalizeMode(str, Enum):
@@ -634,7 +633,7 @@ def normalize_or_standardize(table: Table, column: str,
         new = (data - mean) / math.sqrt(var)
     new_cols = tuple(Column(column, new) if c.name == column else c
                      for c in table.columns)
-    return Table(table.name, new_cols)
+    return Table(new_cols)
 
 
 class AggregateFn(str, Enum):
@@ -670,9 +669,5 @@ def group_and_aggregate(table: Table, by: str, target: str,
             out.append(float(sum(vals)))
         else:
             out.append(float(statistics.median(vals)))
-    return Table(
-        name=f"{table.name}:{by}-{fn.value}({target})",
-        columns=(
-            Column.of(by, by_col.kind, keys),
-            Column.of(f"{fn.value}_{target}", Kind.NUMERICAL, out),
-        ))
+    return Table((Column.of(by, by_col.kind, keys),
+                  Column.of(f"{fn.value}_{target}", Kind.NUMERICAL, out)))

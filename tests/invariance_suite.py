@@ -16,6 +16,11 @@ A fourth property runs apart from those 1000 (``run_monotone``): a strictly
 increasing map of each numerical axis leaves nmi exactly unchanged and hgr
 within ``MONOTONE_TOL``, at n = 30-60, where every hgr row is a copula knot,
 and at n = 300-2000, where most rows lie between knots.
+
+A second tier (``run_large``) repeats the three properties with the shipped
+bins and lattices, one trial per metric and property at each of
+``LARGE_SIZES``: rows just past the sizes where an estimator changes path,
+and categorical columns with 20-60 categories.
 """
 
 import math
@@ -23,9 +28,11 @@ import random
 import zlib
 from unittest import mock
 
+import numpy as np
+
 from biasaudit.errors import MetricError
 from biasaudit.metrics import ALL_METRIC_IDS, METRICS, num_num, run_metric
-from biasaudit.tabular import Column, Kind
+from biasaudit.tabular import Column, Kind, categorical
 
 PERM_TOL = 1e-9
 AFFINE_TOL = 1e-6
@@ -67,6 +74,17 @@ for _mid in NUM_NUM:
 TOTAL_TRIALS = (len(ALL_METRIC_IDS) * PERM_TRIALS
                 + len(RELABEL_METRICS) * RELABEL_TRIALS
                 + sum(AFFINE_TRIALS.values()))
+# The battery's trials per property and metric.
+BATTERY_TRIALS = {"perm": dict.fromkeys(ALL_METRIC_IDS, PERM_TRIALS),
+                  "relabel": dict.fromkeys(RELABEL_METRICS, RELABEL_TRIALS),
+                  "affine": AFFINE_TRIALS}
+
+# The second tier's row counts: hsic rows fall between lattice points above
+# HSIC_GRID // 2 = 64 rows, hgr rows between copula knots above
+# COPULA_KNOTS = 257, and both lattices fill a second block above
+# _BIN_BLOCK = 16384 rows.
+LARGE_SIZES = ((65, 90), (258, 300), (16385, 16600))
+LARGE_K = (20, 60)
 
 
 def cat_col(name, values):
@@ -119,6 +137,40 @@ def make_instance(metric_id, rng, n=None):
     return [num_col("x", x), num_col("y", y)], {}
 
 
+def large_instance(metric_id, rng, n):
+    """(columns, extra inputs) for one second-tier trial with n rows, built
+    from arrays. Categorical columns take 20-60 categories; a cat_num group
+    column takes k groups of distinct sizes near n / k (at least 3 rows), so
+    that its two largest groups differ in size, as in the first tier."""
+    gen = np.random.default_rng(rng.getrandbits(64))
+    k = rng.randint(*LARGE_K)
+
+    def values(name, loc=0.0, scale=2.0, size=n):
+        return Column(name, np.round(gen.normal(loc, scale, size), 3))
+
+    def labels(name, prefix):
+        return categorical(name, gen.integers(0, k, n),
+                           [f"{prefix}{i}" for i in range(k)])
+
+    if metric_id in CAT_DIST:
+        return [labels("c", "c")], {}
+    if metric_id in NUM_DIST:
+        return [values("x")], {}
+    if metric_id in CAT_CAT:
+        return [labels("a", "c"), labels("b", "o")], {}
+    if metric_id in CAT_NUM:
+        low = max(3, n // k - k)
+        sizes = rng.sample(range(low, low + 2 * k), k)
+        codes = gen.permutation(np.repeat(np.arange(k), sizes))
+        cols = [categorical("g", codes, [f"g{i}" for i in range(k)]),
+                values("y", codes, 1.5, codes.size)]
+        if metric_id == "pse":
+            return cols, {"mediator": values("m", 0.0, 1.0, codes.size)}
+        return cols, {}
+    x = values("x")
+    return [x, Column("y", np.round(0.5 * x.data + gen.normal(0, 1, n), 3))], {}
+
+
 def _run(metric_id, cols, extra):
     return run_metric(metric_id, cols, **extra).raw
 
@@ -133,15 +185,15 @@ def _compare(metric_id, prop, before, after, keys, tol, violations):
 
 
 def _permute(cols, extra, rng):
-    n = len(cols[0].cells())
-    order = list(range(n))
+    order = list(range(len(cols[0].data)))
     rng.shuffle(order)
-    new_cols = [Column.of(c.name, c.kind, tuple(c.cells()[i] for i in order))
-                for c in cols]
-    new_extra = {key: Column.of(c.name, c.kind,
-                                tuple(c.cells()[i] for i in order))
-                 for key, c in extra.items()}
-    return new_cols, new_extra
+
+    def permuted(c):
+        cells = c.cells()
+        return Column.of(c.name, c.kind, tuple(cells[i] for i in order))
+
+    return ([permuted(c) for c in cols],
+            {key: permuted(c) for key, c in extra.items()})
 
 
 def _relabel(cols, rng):
@@ -180,13 +232,14 @@ def _monotone(cols, rng):
     return new_cols
 
 
-def _trials(metric_id, count, rng, apply_fn, violations, sizes=None):
+def _trials(metric_id, count, rng, apply_fn, violations, sizes=None,
+            build=make_instance):
     done = attempts = 0
     while done < count:
         attempts += 1
         assert attempts < 50 * count, f"{metric_id}: too many degenerate draws"
         n = None if sizes is None else rng.randint(*sizes[done % len(sizes)])
-        cols, extra = make_instance(metric_id, rng, n)
+        cols, extra = build(metric_id, rng, n)
         try:
             before = _run(metric_id, cols, extra)
             apply_fn(metric_id, cols, extra, before, rng, violations)
@@ -200,40 +253,53 @@ def _rng_for(seed, metric_id, prop):
     return random.Random(zlib.crc32(f"{seed}/{metric_id}/{prop}".encode()))
 
 
+def _perm(metric_id, cols, extra, before, rng, out):
+    new_cols, new_extra = _permute(cols, extra, rng)
+    after = _run(metric_id, new_cols, new_extra)
+    _compare(metric_id, "permutation", before, after,
+             sorted(set(before) & set(after)), PERM_TOL, out)
+
+
+def _relabeled(metric_id, cols, extra, before, rng, out):
+    after = _run(metric_id, _relabel(cols, rng), extra)
+    _compare(metric_id, "relabeling", before, after,
+             sorted(set(before) & set(after)), PERM_TOL, out)
+
+
+def _affined(metric_id, cols, extra, before, rng, out):
+    after = _run(metric_id, _affine(cols, rng), extra)
+    _compare(metric_id, "affine", before, after,
+             [AFFINE_KEYS[metric_id]], AFFINE_TOL, out)
+
+
+# Each property's trial, keyed by the name that seeds its draws.
+PROPERTIES = {"perm": _perm, "relabel": _relabeled, "affine": _affined}
+
+
 def run_battery(seed=20260823):
     """Run all 1000 trials; returns (total_trials, violations)."""
     violations = []
     total = 0
-
-    def perm(metric_id, cols, extra, before, rng, out):
-        new_cols, new_extra = _permute(cols, extra, rng)
-        after = _run(metric_id, new_cols, new_extra)
-        _compare(metric_id, "permutation", before, after,
-                 sorted(set(before) & set(after)), PERM_TOL, out)
-
-    def relabel(metric_id, cols, extra, before, rng, out):
-        after = _run(metric_id, _relabel(cols, rng), extra)
-        _compare(metric_id, "relabeling", before, after,
-                 sorted(set(before) & set(after)), PERM_TOL, out)
-
-    def affine(metric_id, cols, extra, before, rng, out):
-        after = _run(metric_id, _affine(cols, rng), extra)
-        _compare(metric_id, "affine", before, after,
-                 [AFFINE_KEYS[metric_id]], AFFINE_TOL, out)
-
     with mock.patch.multiple(num_num, BINS=BINS, KDE_GRID=KDE_GRID):
-        for metric_id in ALL_METRIC_IDS:
-            total += _trials(metric_id, PERM_TRIALS,
-                             _rng_for(seed, metric_id, "perm"), perm,
-                             violations)
-        for metric_id in RELABEL_METRICS:
-            total += _trials(metric_id, RELABEL_TRIALS,
-                             _rng_for(seed, metric_id, "relabel"), relabel,
-                             violations)
-        for metric_id in AFFINE_METRICS:
-            total += _trials(metric_id, AFFINE_TRIALS[metric_id],
-                             _rng_for(seed, metric_id, "affine"), affine,
-                             violations)
+        for prop, trial in PROPERTIES.items():
+            for metric_id, count in BATTERY_TRIALS[prop].items():
+                total += _trials(metric_id, count,
+                                 _rng_for(seed, metric_id, prop), trial,
+                                 violations)
+    return total, violations
+
+
+def run_large(seed=20261020):
+    """Run the second tier, one trial per metric, property and size in
+    ``LARGE_SIZES``; returns (total_trials, violations)."""
+    violations = []
+    total = 0
+    for prop, trial in PROPERTIES.items():
+        for metric_id in BATTERY_TRIALS[prop]:
+            total += _trials(metric_id, len(LARGE_SIZES),
+                             _rng_for(seed, metric_id, prop), trial,
+                             violations, sizes=LARGE_SIZES,
+                             build=large_instance)
     return total, violations
 
 

@@ -118,9 +118,8 @@ class TestRatioSeverityScale:
 
     def level_of(self, ratio):
         from biasaudit.metrics import MetricResult
-        result = MetricResult("max_min_ratio", Scenario.CAT_DIST,
-                              {"ratio": ratio}, 100)
-        return map_to_level("max_min_ratio", result, DEFAULT_TABLE).value
+        result = MetricResult("max_min_ratio", {"ratio": ratio}, 100)
+        return map_to_level(result, DEFAULT_TABLE).value
 
     def test_above_hundred_is_five(self):
         for ratio in (100.001, 150.0, 1e6, math.inf):

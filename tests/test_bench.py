@@ -277,9 +277,17 @@ class TestRunBenchmark:
         tasks.append(task("T-bad", dataset=tasks[0].dataset,
                           features=("no_such_column",)))
         tasks.append(task("T-absent", dataset=str(tmp_path / "absent.csv")))
-        report = run_benchmark(tasks, RulePlanner, registry)
+        out = tmp_path / "out"
+        report = run_benchmark(tasks, RulePlanner, registry, out_dir=str(out))
         assert report.overall["n"] == 3
         assert [f[0] for f in report.failures] == ["T-bad", "T-absent"]
         assert report.failures[1][1].startswith(
             "TableError: [Errno 2] No such file or directory")
         assert isinstance(report, BenchmarkReport)
+        # A failed session leaves its log, which ends in the failed call.
+        for task_id, tool in (("T-bad", "extract_single_column"),
+                              ("T-absent", "load_csv_file")):
+            log = SessionLog.from_jsonl(
+                (out / f"{task_id}.log.jsonl").read_text(encoding="utf-8"))
+            assert log.events[-1].payload["tool"] == tool
+            assert not log.events[-1].payload["ok"]

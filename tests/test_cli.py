@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from biasaudit import cli, synthgen
+from biasaudit import cli, orchestrator, synthgen
 from biasaudit.cli import main
 from biasaudit.errors import BiasAuditError
 from biasaudit.orchestrator import Action, ActionKind, ScriptedPlanner, SessionLog
@@ -56,6 +56,20 @@ class TestDetect:
                      "--bias-type", "distribution"])
         assert code == 1
         assert "no_such_column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "repl"])
+    def test_a_failed_session_leaves_its_log(self, tmp_path, capsys, command):
+        out = tmp_path / "o1"
+        code = main([command, SAMPLE, "--features", "nope", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: unknown column 'nope'; have "
+            "['gender', 'region', 'age', 'hours', 'score', 'income_level']\n")
+        log = SessionLog.from_jsonl(
+            (out / "session.log.jsonl").read_text(encoding="utf-8"))
+        failed = [e.payload for e in log.events
+                  if e.action == "result" and not e.payload["ok"]]
+        assert [p["tool"] for p in failed] == ["extract_single_column"] * 2
 
     def test_missing_dataset_exit_one(self, tmp_path, capsys):
         code = main(["detect", str(tmp_path / "absent.csv"),
@@ -316,21 +330,66 @@ def test_import_leaves_out_urllib():
 class TestConfig:
     def test_chat_mode_without_model_exit_one(self, tmp_path, cat_csv, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"mode": "chat"}), encoding="utf-8")
+        config.write_text(json.dumps({"base_url": "http://localhost:9/v1"}),
+                          encoding="utf-8")
         code = main(["--config", str(config), "detect", cat_csv,
                      "--features", "group"])
         assert code == 1
         assert "chat mode" in capsys.readouterr().err
 
-    def test_config_never_holds_a_key(self, tmp_path, cat_csv):
+    def test_config_never_holds_a_key(self, tmp_path, monkeypatch):
         # the config names the environment variable only
+        monkeypatch.setenv("MY_KEY_VAR", "secret-key")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"mode": "offline",
-                                      "key_env": "MY_KEY_VAR"}),
+        config.write_text(json.dumps({"base_url": "http://localhost:9/v1",
+                                      "model": "m", "key_env": "MY_KEY_VAR"}),
+                          encoding="utf-8")
+        loaded = cli.load_config(str(config))
+        planner = cli._planner(loaded)
+        assert planner.config.key_env == "MY_KEY_VAR"
+        assert "secret-key" not in repr(loaded) + repr(planner.config)
+
+    def test_base_url_and_model_turn_chat_on(self, tmp_path, cat_csv,
+                                             monkeypatch):
+        # The README's example config: no other key is needed for chat.
+        urls = []
+
+        def transport(url, headers, payload, timeout_s):
+            urls.append(url)
+            return {"choices": [{"message": {"content": "FINISH"}}]}
+
+        monkeypatch.setattr(orchestrator, "_default_transport", transport)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"base_url": "http://localhost:9/v1",
+                                      "model": "m", "key_env": "MY_KEY_VAR"}),
                           encoding="utf-8")
         code = main(["--config", str(config), "detect", cat_csv,
-                     "--features", "group", "--bias-type", "distribution"])
-        assert code == 0
+                     "--features", "group"])
+        assert code == 2  # the scripted endpoint finishes at once
+        assert urls == ["http://localhost:9/v1"]
+
+    @pytest.mark.parametrize("raw, named", [
+        ({"model": "m"}, "['model']"),
+        ({"key_env": "K", "base_url": ""}, "['key_env']"),
+        ({"timeout_s": 5}, "['timeout_s']"),
+        ({"model": "m", "timeout_s": 5}, "['model', 'timeout_s']"),
+    ])
+    def test_chat_key_without_base_url_exit_one(self, tmp_path, cat_csv,
+                                                capsys, raw, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        code = main(["--config", str(config), "detect", cat_csv,
+                     "--features", "group"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: config {config}: no base_url, so chat mode is off and "
+            f"{named} would be ignored\n")
+
+    def test_mode_is_an_unknown_key(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "offline"}), encoding="utf-8")
+        with pytest.raises(BiasAuditError, match=r"unknown key\(s\) \['mode'\]"):
+            cli.load_config(str(config))
 
     # Through load_config only: should the check fail, main would open an
     # int path as one of the test process's own file descriptors.
@@ -340,8 +399,11 @@ class TestConfig:
         ({"thresholds_path": ["a"]}, "thresholds_path must be a string or null"),
         ({"timeout_s": "x"}, "timeout_s must be a number, got 'x'"),
         ({"timeout_s": True}, "timeout_s must be a number, got True"),
-        ({"mode": None}, "mode must be a string, got None"),
+        ({"timeout_s": 0}, "timeout_s must be finite and > 0, got 0"),
         ({"key_env": 3}, "key_env must be a string, got 3"),
+        ({"timeout_s": -1}, "timeout_s must be finite and > 0, got -1"),
+        ({"timeout_s": float("nan")},
+         "timeout_s must be finite and > 0, got nan"),
     ])
     def test_value_of_wrong_type_is_named(self, tmp_path, raw, message):
         config = tmp_path / "config.json"
@@ -351,11 +413,14 @@ class TestConfig:
 
     def test_values_of_right_type_load(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"timeout_s": 5, "library_path": None,
+        config.write_text(json.dumps({"base_url": "http://localhost:9/v1",
+                                      "model": "m", "timeout_s": 5,
+                                      "library_path": None,
                                       "thresholds_path": "t.json"}),
                           encoding="utf-8")
         assert cli.load_config(str(config)) == cli.Config(
-            timeout_s=5, thresholds_path="t.json")
+            base_url="http://localhost:9/v1", model="m", timeout_s=5,
+            thresholds_path="t.json")
 
     @pytest.mark.parametrize("command", ["detect", "bench"])
     def test_library_path_is_cited(self, tmp_path, cat_csv, capsys, command):

@@ -34,11 +34,10 @@ def columns(metric_id, scale):
 
 
 def graded(metric_id, scale):
-    return graded_value(metric_id,
-                        run_metric(metric_id, columns(metric_id, scale)).raw)
+    return graded_value(run_metric(metric_id, columns(metric_id, scale)))
 
 
-def cat_num_raw(metric_id, scale):
+def cat_num_result(metric_id, scale):
     """Two groups whose outcome means differ by 0.6, part of it through a
     mediator in the outcome's units (pse's only)."""
     rng = np.random.default_rng(3)
@@ -47,7 +46,7 @@ def cat_num_raw(metric_id, scale):
     y = 0.6 * t + 0.3 * m + rng.standard_normal(N)
     inputs = {"mediator": Column("m", scale * m)} if metric_id == "pse" else {}
     cols = [categorical("g", t, ("a", "b")), Column("y", scale * y)]
-    return run_metric(metric_id, cols, **inputs).raw
+    return run_metric(metric_id, cols, **inputs)
 
 
 @pytest.mark.parametrize("scale", [1e80, 1e160, 1e-160])
@@ -60,12 +59,13 @@ def test_extreme_units_read_as_ordinary_units(metric_id, scale):
 @pytest.mark.parametrize("scale", [1e160, 1e-160])
 @pytest.mark.parametrize("metric_id", CAT_NUM)
 def test_cat_num_in_extreme_units(metric_id, scale):
-    ordinary = cat_num_raw(metric_id, 1.0)
-    extreme = cat_num_raw(metric_id, scale)
-    assert graded_value(metric_id, extreme) == pytest.approx(
-        graded_value(metric_id, ordinary), rel=1e-6, abs=1e-9)
-    for key in {"ace", "ade", "aie", "total"} & set(ordinary):
-        assert extreme[key] == pytest.approx(scale * ordinary[key], rel=1e-6)
+    ordinary = cat_num_result(metric_id, 1.0)
+    extreme = cat_num_result(metric_id, scale)
+    assert graded_value(extreme) == pytest.approx(graded_value(ordinary),
+                                                  rel=1e-6, abs=1e-9)
+    for key in {"ace", "ade", "aie", "total"} & set(ordinary.raw):
+        assert extreme.raw[key] == pytest.approx(scale * ordinary.raw[key],
+                                                 rel=1e-6)
 
 
 def test_in_range_columns_keep_every_bit():
@@ -103,14 +103,13 @@ def test_a_column_that_is_mostly_zero_is_scaled_exactly():
 
 def test_a_nan_graded_value_has_no_level():
     with pytest.raises(NumericRangeError, match="kurtosis"):
-        graded_value("kurtosis", {"g2": float("nan")})
+        graded_value(MetricResult("kurtosis", {"g2": float("nan")}, N))
 
 
 def test_calibration_treats_a_nan_value_as_a_failure(monkeypatch):
     def nan_kurtosis(metric_id, cols):
         if metric_id == "kurtosis":
-            return MetricResult(metric_id, Scenario.NUM_DIST,
-                                {"g2": float("nan")}, N)
+            return MetricResult(metric_id, {"g2": float("nan")}, N)
         return run_metric(metric_id, cols)
 
     monkeypatch.setattr(synthgen, "run_metric", nan_kurtosis)

@@ -24,3 +24,9 @@ def test_monotone_maps_keep_the_rank_based_metrics():
     assert total == (len(invariance_suite.MONOTONE_TOL)
                      * invariance_suite.MONOTONE_TRIALS)
     assert violations == [], violations[:10]
+
+
+def test_second_tier_at_the_sizes_that_change_path():
+    total, violations = invariance_suite.run_large()
+    assert total == 165  # 55 metric-property pairs x 3 sizes
+    assert violations == [], violations[:10]

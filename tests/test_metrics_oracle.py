@@ -117,7 +117,6 @@ def test_metric_matches_oracle(metric_id):
         except MetricError:
             continue  # degenerate draw; try another
         assert result.metric_id == metric_id
-        assert result.scenario is METRICS[metric_id].scenario
         assert METRICS[metric_id].raw_key in result.raw
         expected = ORACLES[metric_id](*args)
         for key, want in expected.items():

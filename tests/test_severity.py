@@ -5,7 +5,7 @@ import math
 import pytest
 
 from biasaudit.errors import CalibrationError, UnknownMetricError
-from biasaudit.metrics import ALL_METRIC_IDS, MetricResult, Scenario
+from biasaudit.metrics import ALL_METRIC_IDS, MetricResult
 from biasaudit.severity import (
     DEFAULT_TABLE,
     LEVEL_LABELS,
@@ -16,8 +16,8 @@ from biasaudit.severity import (
 )
 
 
-def result(metric_id, raw, scenario=Scenario.CAT_DIST, n=100):
-    return MetricResult(metric_id, scenario, raw, n)
+def result(metric_id, raw, n=100):
+    return MetricResult(metric_id, raw, n)
 
 
 class TestLevels:
@@ -35,8 +35,7 @@ class TestLevels:
 
 class TestMapToLevel:
     def test_uniform_balance_is_level_one(self):
-        lvl = map_to_level("shannon_balance",
-                           result("shannon_balance", {"balance": 1.0}),
+        lvl = map_to_level(result("shannon_balance", {"balance": 1.0}),
                            DEFAULT_TABLE)
         assert lvl.value == 1
 
@@ -45,26 +44,22 @@ class TestMapToLevel:
         cases = [(150.0, 5), (100.5, 5), (100.0, 4), (50.0, 4), (10.0, 3),
                  (5.0, 3), (3.0, 2), (2.0, 2), (1.5, 1), (1.0, 1)]
         for ratio, want in cases:
-            lvl = map_to_level("max_min_ratio",
-                               result("max_min_ratio", {"ratio": ratio}),
+            lvl = map_to_level(result("max_min_ratio", {"ratio": ratio}),
                                DEFAULT_TABLE)
             assert lvl.value == want, f"ratio {ratio}"
 
     def test_infinite_value_is_level_five(self):
-        lvl = map_to_level("max_min_ratio",
-                           result("max_min_ratio", {"ratio": math.inf}),
+        lvl = map_to_level(result("max_min_ratio", {"ratio": math.inf}),
                            DEFAULT_TABLE)
         assert lvl.value == 5
 
     def test_cut_tie_maps_to_lower_level(self):
         for i, cut in enumerate(DEFAULT_TABLE.cuts("pearson"), start=1):
-            lvl = map_to_level("pearson", result("pearson", {"r": cut}),
-                               DEFAULT_TABLE)
+            lvl = map_to_level(result("pearson", {"r": cut}), DEFAULT_TABLE)
             assert lvl.value == i
 
     def test_abs_transform(self):
-        lvl = map_to_level("pearson", result("pearson", {"r": -0.9}),
-                           DEFAULT_TABLE)
+        lvl = map_to_level(result("pearson", {"r": -0.9}), DEFAULT_TABLE)
         assert lvl.value == 5
 
     def test_unknown_metric(self):

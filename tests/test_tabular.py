@@ -35,9 +35,9 @@ from biasaudit.tabular import (
 )
 
 
-def table_of(name, cols):
+def table_of(cols):
     """The table of ``(name, kind, cells)`` triples."""
-    return Table(name, tuple(Column.of(*col) for col in cols))
+    return Table(tuple(Column.of(*col) for col in cols))
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -116,7 +116,7 @@ class TestLoadTable:
         assert t.column("g").cells().count(None) == 2
 
     def test_roundtrip(self, tmp_path):
-        t = table_of("r", [("g", "categorical", ("a", None, "b")),
+        t = table_of([("g", "categorical", ("a", None, "b")),
                            ("x", "numerical", (1.5, 2.0, None))])
         p = tmp_path / "rt.csv"
         save_table(t, p)
@@ -126,7 +126,7 @@ class TestLoadTable:
 
     def test_save_table_writes_the_serialized_text(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tabular, "_CSV_BLOCK", 2)  # rows span blocks
-        t = table_of("s", [
+        t = table_of([
             ("g", "categorical", ("a,b", None, 'say "hi"', "two\nlines", "plain")),
             ("x", "numerical", (-0.0, 2.0, None, 1.5, 1e20)),
         ])
@@ -139,57 +139,57 @@ class TestLoadTable:
 
 class TestExtract:
     def test_single_column(self):
-        t = table_of("t", [("a", "categorical", ("x", "y")),
+        t = table_of([("a", "categorical", ("x", "y")),
                            ("b", "numerical", (1.0, 2.0))])
         sub = extract_columns(t, ["a"])
         assert sub.column_names == ["a"]
         assert sub.row_count == 2
 
     def test_unknown_column(self):
-        t = table_of("t", [("a", "categorical", ("x",))])
+        t = table_of([("a", "categorical", ("x",))])
         with pytest.raises(UnknownColumnError):
             extract_columns(t, ["nope"])
 
 
 class TestCleanMissing:
     def test_noop(self):
-        t = table_of("t", [("x", "numerical", (1.0, 2.0))])
+        t = table_of([("x", "numerical", (1.0, 2.0))])
         res = clean_missing(t, ["x"])
         assert res.cells_changed == 0 and res.rows_dropped == 0
         assert res.table.column("x").cells() == (1.0, 2.0)
 
     def test_fill_median(self):
-        t = table_of("t", [("x", "numerical", (1.0, 2.0, None, 4.0))])
+        t = table_of([("x", "numerical", (1.0, 2.0, None, 4.0))])
         res = clean_missing(t, ["x"], CleaningMode.FILL_MEDIAN)
         assert res.table.column("x").cells() == (1.0, 2.0, 2.0, 4.0)
         assert res.cells_changed == 1
 
     def test_drop_row(self):
-        t = table_of("t", [("x", "numerical", (1.0, None, 3.0)),
+        t = table_of([("x", "numerical", (1.0, None, 3.0)),
                            ("g", "categorical", ("a", "b", "c"))])
         res = clean_missing(t, ["x"])
         assert res.rows_dropped == 1
         assert res.table.column("g").cells() == ("a", "c")
 
     def test_all_rows_dropped(self):
-        t = table_of("t", [("x", "numerical", (None, None))])
+        t = table_of([("x", "numerical", (None, None))])
         with pytest.raises(AllRowsDroppedError):
             clean_missing(t, ["x"])
 
     def test_fill_median_on_categorical(self):
-        t = table_of("t", [("g", "categorical", ("a", None))])
+        t = table_of([("g", "categorical", ("a", None))])
         with pytest.raises(NonNumericalTargetError):
             clean_missing(t, ["g"], CleaningMode.FILL_MEDIAN)
 
 
 class TestNormalize:
     def test_normalize_unit_range(self):
-        t = table_of("t", [("x", "numerical", (0.0, 5.0, 10.0))])
+        t = table_of([("x", "numerical", (0.0, 5.0, 10.0))])
         out = normalize_or_standardize(t, "x", NormalizeMode.NORMALIZE)
         assert out.column("x").cells() == (0.0, 0.5, 1.0)
 
     def test_standardize_population_sd(self):
-        t = table_of("t", [("x", "numerical", (2.0, 4.0, 6.0))])
+        t = table_of([("x", "numerical", (2.0, 4.0, 6.0))])
         out = normalize_or_standardize(t, "x", NormalizeMode.STANDARDIZE)
         got = out.column("x").cells()
         assert got[1] == 0.0
@@ -197,27 +197,27 @@ class TestNormalize:
         assert got[2] == pytest.approx(1.224744871391589, abs=1e-12)
 
     def test_constant_column(self):
-        t = table_of("t", [("x", "numerical", (3.0, 3.0))])
+        t = table_of([("x", "numerical", (3.0, 3.0))])
         with pytest.raises(ConstantColumnError):
             normalize_or_standardize(t, "x", NormalizeMode.STANDARDIZE)
 
 
 class TestGroupAggregate:
     def test_mean(self):
-        t = table_of("t", [("g", "categorical", ("a", "a", "b")),
+        t = table_of([("g", "categorical", ("a", "a", "b")),
                            ("x", "numerical", (1.0, 3.0, 5.0))])
         out = group_and_aggregate(t, "g", "x", AggregateFn.MEAN)
         assert out.columns[0].cells() == ("a", "b")
         assert out.columns[1].cells() == (2.0, 5.0)
 
     def test_count_ignores_target_kind(self):
-        t = table_of("t", [("g", "categorical", ("a", "a", "b")),
+        t = table_of([("g", "categorical", ("a", "a", "b")),
                            ("o", "categorical", ("x", "y", "z"))])
         out = group_and_aggregate(t, "g", "o", AggregateFn.COUNT)
         assert out.columns[1].cells() == (2.0, 1.0)
 
     def test_single_group(self):
-        t = table_of("t", [("g", "categorical", ("a", "a")),
+        t = table_of([("g", "categorical", ("a", "a")),
                            ("x", "numerical", (1.0, 2.0))])
         out = group_and_aggregate(t, "g", "x", AggregateFn.SUM)
         assert out.row_count == 1
@@ -225,7 +225,7 @@ class TestGroupAggregate:
 
 class TestColumnView:
     def test_categorical_codes_in_label_order(self):
-        col = table_of("t", [("g", "categorical", ("b", None, "a", "b"))]).columns[0]
+        col = table_of([("g", "categorical", ("b", None, "a", "b"))]).columns[0]
         assert col.labels == ("a", "b")
         assert col.data.tolist() == [1, -1, 0, 1]
         assert col.present.tolist() == [True, False, True, True]
@@ -236,12 +236,12 @@ class TestColumnView:
         assert col.data.tolist() == [0, -1, 1, -1, 0]
 
     def test_numerical_missing_is_nan(self):
-        col = table_of("t", [("x", "numerical", (1.5, None))]).columns[0]
+        col = table_of([("x", "numerical", (1.5, None))]).columns[0]
         assert col.data[0] == 1.5
         assert col.present.tolist() == [True, False]
 
     def test_built_once_and_not_carried_to_copies(self):
-        col = table_of("t", [("g", "categorical", ("a", "b"))]).columns[0]
+        col = table_of([("g", "categorical", ("a", "b"))]).columns[0]
         assert col.data is col.data
         copy = col.subset(np.array([False, True]))
         assert copy.labels == ("b",) and col.labels == ("a", "b")
