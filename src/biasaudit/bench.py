@@ -135,10 +135,13 @@ class GroundTruth:
     y: int               # max of the oracle levels
 
 
-def ground_truth(task: TaskSpec,
-                 thresholds: ThresholdTable = DEFAULT_TABLE) -> GroundTruth:
-    """Oracle reference: run all five scenario metrics, take the max level."""
-    table = load_table(task.dataset)
+def ground_truth(task: TaskSpec, thresholds: ThresholdTable = DEFAULT_TABLE,
+                 table=None) -> GroundTruth:
+    """Oracle reference: run all five scenario metrics, take the max level.
+
+    ``table`` is the task's dataset as already loaded; None loads it."""
+    if table is None:
+        table = load_table(task.dataset)
     subset = extract_columns(table, task.features)
     cleaned = clean_missing(subset, subset.column_names).table
     cols = [cleaned.column(n) for n in task.features]
@@ -381,7 +384,7 @@ class BenchmarkReport:
 
 
 def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir,
-             library):
+             library, load, oracle):
     context = TaskContext(question=task.question, dataset=task.dataset,
                           features=task.features, bias_type=task.bias_type)
     task_dir = log_path = None
@@ -391,10 +394,10 @@ def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir,
         log_path = os.path.join(out_dir, f"{task.id}.log.jsonl")
     report, _ = run_session(context, planner_factory(), registry,
                             thresholds=thresholds, out_dir=task_dir,
-                            library=library, log_path=log_path)
+                            library=library, log_path=log_path, loader=load)
     if not report.complete or not report.findings:
         raise BiasAuditError("session produced no complete report")
-    truth = ground_truth(task, thresholds)
+    truth = oracle(task)
     return EndResultRecord(task_id=task.id,
                            predicted=report.headline.value,
                            truth=truth.y,
@@ -410,6 +413,12 @@ def run_benchmark(taskset, planner_factory, registry: ToolRegistry,
     per-session state. Every session cites from ``library``, the shipped
     method library if None. Per-task failures are reported, not raised;
     ``jobs`` below 1 raises InvalidJobsError.
+
+    Each dataset is loaded once per call, and its table is shared by every
+    session and oracle of the run, so a dataset rewritten during the run is
+    not read again. The oracle is computed once per (dataset, features).
+    A failed load or oracle is not kept: each task it concerns tries again
+    and fails with its own error.
     """
     if jobs < 1:
         raise InvalidJobsError(f"jobs must be >= 1, got {jobs}")
@@ -420,11 +429,26 @@ def run_benchmark(taskset, planner_factory, registry: ToolRegistry,
         library = methodlib.builtin_library()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+    # With jobs > 1 two tasks may both fill the same entry; the values
+    # they compute are equal.
+    tables = {}  # dataset path -> Table
+    truths = {}  # (dataset path, features) -> GroundTruth
+
+    def load(path):
+        if path not in tables:
+            tables[path] = load_table(path)
+        return tables[path]
+
+    def oracle(task):
+        key = (task.dataset, task.features)
+        if key not in truths:
+            truths[key] = ground_truth(task, thresholds, load(task.dataset))
+        return truths[key]
 
     def attempt(task):
         try:
             return task, _run_one(task, planner_factory, registry, thresholds,
-                                  out_dir, library), None
+                                  out_dir, library, load, oracle), None
         except BiasAuditError as exc:
             return task, None, f"{type(exc).__name__}: {exc}"
 

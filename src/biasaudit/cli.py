@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 from . import bench as benchmod
@@ -46,14 +47,19 @@ class Config:
             nullable = key.endswith("_path")
             if not (isinstance(value, str) or (nullable and value is None)):
                 raise BiasAuditError(
-                    f"config {key} must be a string{' or null' * nullable}, "
+                    f"{key} must be a string{' or null' * nullable}, "
                     f"got {value!r}")
         if isinstance(self.timeout_s, bool) or \
                 not isinstance(self.timeout_s, (int, float)):
             raise BiasAuditError(
-                f"config timeout_s must be a number, got {self.timeout_s!r}")
+                f"timeout_s must be a number, got {self.timeout_s!r}")
         if not 0 < self.timeout_s < float("inf"):  # NaN fails too
-            raise BiasAuditError(f"config timeout_s must be finite and > 0, "
+            raise BiasAuditError(f"timeout_s must be finite and > 0, "
+                                 f"got {self.timeout_s!r}")
+        # socket.settimeout raises OverflowError above this.
+        if self.timeout_s > threading.TIMEOUT_MAX:
+            raise BiasAuditError(f"timeout_s must be at most "
+                                 f"{threading.TIMEOUT_MAX!r}, "
                                  f"got {self.timeout_s!r}")
         if self.base_url and not self.model:
             raise BiasAuditError("chat mode requires base_url and model")
@@ -74,7 +80,10 @@ def load_config(path) -> Config:
     unknown = sorted(set(raw) - set(Config.__dataclass_fields__))
     if unknown:
         raise BiasAuditError(f"config {path}: unknown key(s) {unknown}")
-    config = Config(**raw)
+    try:
+        config = Config(**raw)
+    except BiasAuditError as exc:
+        raise BiasAuditError(f"config {path}: {exc}") from exc
     unread = [key for key in ("model", "key_env", "timeout_s") if key in raw]
     if unread and not config.base_url:
         raise BiasAuditError(f"config {path}: no base_url, so chat mode is "

@@ -310,6 +310,7 @@ class SessionState:
     thresholds: ThresholdTable
     out_dir: str | None
     library: list
+    loader: object = None  # callable(path) -> Table; None: load_table
     stage: Stage = Stage.USER_INPUT
     budget: int = 64
     table: Table | None = None
@@ -336,7 +337,8 @@ def _tool_get_csv_features(state: SessionState):
 
 
 def _tool_load_csv_file(state: SessionState):
-    table = state.table = state.working = load_table(state.task.dataset)
+    load = state.loader or load_table
+    table = state.table = state.working = load(state.task.dataset)
     return {"rows": table.row_count,
             "columns": [{"name": c.name, "kind": c.kind.value}
                         for c in table.columns]}
@@ -888,13 +890,17 @@ def _incomplete_report(state: SessionState) -> ReportDocument:
 
 def run_session(task: TaskContext, planner, registry: ToolRegistry,
                 budget: int = 64, thresholds: ThresholdTable = DEFAULT_TABLE,
-                out_dir=None, library=None, log_path=None):
+                out_dir=None, library=None, log_path=None, loader=None):
     """Drive one workflow session to a report and a structured log, which
-    is written to ``log_path``, if given, however the session ends."""
+    is written to ``log_path``, if given, however the session ends.
+
+    ``loader`` reads the dataset for ``load_csv_file`` (``load_table`` if
+    None); the table it returns is read, never changed."""
     if library is None:
         library = methodlib.builtin_library()
     state = SessionState(task=task, registry=registry, thresholds=thresholds,
-                         out_dir=out_dir, library=library, budget=budget)
+                         out_dir=out_dir, library=library, loader=loader,
+                         budget=budget)
     log = state.log
     log.append(Stage.USER_INPUT, "user", "task",
                {"question": task.question, "dataset": task.dataset,

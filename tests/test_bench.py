@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from biasaudit import bench, orchestrator
 from biasaudit.bench import (
     DIMENSIONS,
     BenchmarkReport,
@@ -20,7 +21,12 @@ from biasaudit.bench import (
     score_end_results,
     score_process,
 )
-from biasaudit.errors import EmptyRecordsError, MalformedLogError, SchemaError
+from biasaudit.errors import (
+    AllMetricsFailedError,
+    EmptyRecordsError,
+    MalformedLogError,
+    SchemaError,
+)
 from biasaudit.metrics import BiasType, Scenario
 from biasaudit.orchestrator import RulePlanner, SessionLog, build_registry, run_session, TaskContext
 from biasaudit.synthgen import SynthSpec, generate
@@ -291,3 +297,85 @@ class TestRunBenchmark:
                 (out / f"{task_id}.log.jsonl").read_text(encoding="utf-8"))
             assert log.events[-1].payload["tool"] == tool
             assert not log.events[-1].payload["ok"]
+
+
+def counted(monkeypatch, modules, name):
+    """Count the calls to ``name`` through each module's binding."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+
+        def wrapper(*args, _real=real, **kwargs):
+            calls.append(args[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestRunScopedSharing:
+    """One run_benchmark call loads each dataset once and computes each
+    (dataset, features) oracle once; failures are not shared."""
+
+    def test_shipped_taskset_loads_each_dataset_once(self, registry,
+                                                      monkeypatch):
+        path = resources.files("biasaudit.data").joinpath("sample_taskset.json")
+        tasks = load_taskset(str(path))
+        loads = counted(monkeypatch, (bench, orchestrator), "load_table")
+        oracles = counted(monkeypatch, (bench,), "ground_truth")
+        report = run_benchmark(tasks, RulePlanner, registry)
+        assert report.overall["s_avg"] == 100.0 and not report.failures
+        assert sorted(loads) == sorted({t.dataset for t in tasks})
+        assert len(oracles) == len({(t.dataset, t.features) for t in tasks})
+
+    def test_same_dataset_and_features_share_one_oracle(self, registry,
+                                                         tmp_path,
+                                                         monkeypatch):
+        path = synth_csv(tmp_path, Scenario.CAT_NUM, 0.7, "cn.csv")
+        tasks = [task(task_id, dataset=path, bias_type=BiasType.CORRELATION,
+                      features=("group", "value"))
+                 for task_id in ("T-1", "T-2")]
+        oracles = counted(monkeypatch, (bench,), "ground_truth")
+        report = run_benchmark(tasks, RulePlanner, registry)
+        first, second = report.records
+        assert (first.task_id, second.task_id) == ("T-1", "T-2")
+        assert first.oracle_levels == second.oracle_levels
+        assert first.truth == second.truth
+        assert len(oracles) == 1
+        assert ground_truth(tasks[1]) == ground_truth(tasks[0])
+
+    def test_failed_oracle_names_each_task(self, registry, tmp_path,
+                                           monkeypatch):
+        # Every oracle metric on the "category" column fails; the sessions,
+        # which run their metrics through the orchestrator, still complete.
+        real = bench.run_metric
+
+        def run_metric(metric_id, cols):
+            if cols[0].name == "category":
+                raise SchemaError(f"{metric_id} fails")
+            return real(metric_id, cols)
+        monkeypatch.setattr(bench, "run_metric", run_metric)
+        cat = synth_csv(tmp_path, Scenario.CAT_DIST, 0.7, "cat.csv")
+        num_num = synth_csv(tmp_path, Scenario.NUM_NUM, 0.7, "nn.csv")
+        tasks = [task(task_id, dataset=cat, features=("category",))
+                 for task_id in ("T-1", "T-2")]
+        tasks.append(task("T-ok", dataset=num_num,
+                          bias_type=BiasType.CORRELATION, features=("x", "y")))
+        report = run_benchmark(tasks, RulePlanner, registry)
+        assert [r.task_id for r in report.records] == ["T-ok"]
+        assert [f[0] for f in report.failures] == ["T-1", "T-2"]
+        for task_id, error in report.failures:
+            assert error.startswith(f"AllMetricsFailedError: task {task_id}: "
+                                    f"every scenario metric failed")
+
+    def test_missing_dataset_fails_each_of_its_tasks(self, registry,
+                                                     tmp_path):
+        absent = str(tmp_path / "absent.csv")
+        tasks = [task("T-1", dataset=absent), task("T-2", dataset=absent),
+                 small_taskset(tmp_path)[0]]
+        report = run_benchmark(tasks, RulePlanner, registry)
+        assert [r.task_id for r in report.records] == ["T-d"]
+        assert [f[0] for f in report.failures] == ["T-1", "T-2"]
+        first, second = (error for _, error in report.failures)
+        assert first == second
+        assert first.startswith(
+            "TableError: [Errno 2] No such file or directory")
