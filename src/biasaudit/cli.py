@@ -32,11 +32,9 @@ from .tabular import save_table, write_table
 
 
 @dataclass(frozen=True)
-class Config:
-    base_url: str = ""             # chat mode when non-empty, else offline
-    model: str = ""
-    key_env: str = "BIASAUDIT_API_KEY"
-    timeout_s: float = 30.0
+class Config(ChatConfig):
+    """The config file: the chat settings, chat mode being on when
+    ``base_url`` is set and off otherwise, and two data paths."""
     thresholds_path: str | None = None
     library_path: str | None = None
 
@@ -111,10 +109,7 @@ def _library(config: Config):
 
 def _planner(config: Config):
     if config.base_url:
-        return ChatPlanner(ChatConfig(base_url=config.base_url,
-                                      model=config.model,
-                                      key_env=config.key_env,
-                                      timeout_s=config.timeout_s))
+        return ChatPlanner(config)
     return RulePlanner()
 
 

@@ -1,8 +1,25 @@
-"""Shared types for the detection metrics."""
+"""Shared types for the detection metrics, and the memo of the first step
+the metrics of a scenario share.
+
+Every metric of a scenario starts from the same data: the paired rows, in
+float range, and for num_num each axis's sort order; num_dist's deviations
+from the mean and its sorted values; cat_num's usable groups; cat_cat's
+contingency table; cat_dist's category counts. :func:`shared` computes each
+such step once per ordered set of 1-2 ``Column`` objects and keeps it for as
+long as those objects live, and no longer: the memo holds the first column
+weakly, and under it the last column weakly. So the five metrics of a
+session's working table, of ``bench.ground_truth`` and of a calibration
+suite case share one first step, while a new load or ``generate`` makes new
+columns and starts afresh. A step that raises is not kept, so each metric
+still raises its own error. Kept arrays are read-only, and none depends on
+the order among tied values. Two threads may compute the same step twice,
+with equal results.
+"""
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,14 +75,47 @@ def classify_scenario(cols) -> Scenario:
     raise UnsupportedArityError(f"expected 1 or 2 columns, got {len(cols)}")
 
 
+# First column -> last column (the first itself when alone) ->
+# {(column count, step): value}.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def shared(cols, step: str, compute, *args):
+    """``compute(*args)``, the named step for this ordered set of 1-2
+    columns, computed the first time and kept while the columns live. The
+    value must not refer to the columns themselves."""
+    by_last = _MEMO.get(cols[0])
+    if by_last is None:
+        by_last = _MEMO.setdefault(cols[0], weakref.WeakKeyDictionary())
+    memo = by_last.get(cols[-1])
+    if memo is None:
+        memo = by_last.setdefault(cols[-1], {})
+    key = (len(cols), step)
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = compute(*args)
+        return value
+
+
+def readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def category_counts(col: Column) -> dict:
     """Counts of non-missing categories, keyed and ordered by label.
 
     A numerical column counts its distinct values, ordered by ``str``.
     """
+    labels, counts = shared((col,), "category counts", _category_counts, col)
+    return dict(zip(labels, counts))
+
+
+def _category_counts(col: Column):
     cats = col.categories()
     counts = np.bincount(cats.data[cats.present], minlength=len(cats.labels))
-    return dict(zip(cats.labels, counts.tolist()))
+    return cats.labels, tuple(counts.tolist())
 
 
 def paired(*cols: Column) -> list:

@@ -11,23 +11,28 @@ import numpy as np
 
 from ..errors import DegenerateTableError
 from ..tabular import Column
-from .base import MetricResult, paired
+from .base import MetricResult, paired, readonly, shared
 
 # elift skips cells with a joint count below this, to avoid ratio blow-ups.
 MIN_CELL_SUPPORT = 5
 
 
 def contingency(a: Column, b: Column):
-    """Contingency counts with rows/columns ordered by label."""
+    """Contingency counts with rows/columns ordered by label: the read-only
+    table, shared, and the labels of its rows and columns."""
+    return shared((a, b), "contingency", _contingency, a, b)
+
+
+def _contingency(a: Column, b: Column):
     ca, cb = paired(a, b)
     la, lb = a.labels, b.labels
     counts = np.bincount(ca * len(lb) + cb, minlength=len(la) * len(lb))
     table = counts.reshape(len(la), len(lb)).astype(float)
     used_r = table.sum(axis=1) > 0
     used_c = table.sum(axis=0) > 0
-    rows = [r for r, used in zip(la, used_r) if used]
-    cols = [c for c, used in zip(lb, used_c) if used]
-    return table[np.ix_(used_r, used_c)], rows, cols
+    rows = tuple(r for r, used in zip(la, used_r) if used)
+    cols = tuple(c for c, used in zip(lb, used_c) if used)
+    return readonly(table[np.ix_(used_r, used_c)]), rows, cols
 
 
 def _checked(a: Column, b: Column, metric_id: str):

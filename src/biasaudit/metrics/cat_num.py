@@ -10,6 +10,7 @@ scaled by an exact power of two before any arithmetic; ``ace``, ``ade``,
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from ..errors import (
     ZeroVarianceError,
 )
 from ..tabular import Column, Kind, split_by_code
-from .base import MetricResult, in_float_range, paired
+from .base import MetricResult, in_float_range, paired, readonly, shared
 
 
 def group_values(g: Column, y: Column):
@@ -36,25 +37,28 @@ def _grouped(labels, codes, ys):
 
 def _checked_groups(g: Column, y: Column, metric_id: str):
     """The groups with >= 2 observations of the outcome brought into float
-    range, and the exponent of the power of two it was scaled by."""
-    codes, ys = paired(g, y)
-    ys, shift = in_float_range(ys, metric_id)
-    groups = _grouped(g.labels, codes, ys)
-    usable = {k: v for k, v in groups.items() if v.size >= 2}
+    range, their values concatenated, and the exponent of the power of two
+    the outcome was scaled by; all shared."""
+    usable, all_y, shift = shared((g, y), "groups", _usable_groups, g, y,
+                                  metric_id)
     if len(usable) < 2:
         raise SingletonGroupError(
             f"{metric_id} needs >= 2 categories with >= 2 observations each")
-    return usable, shift
+    return usable, all_y, shift
 
 
-def _all_y(groups) -> np.ndarray:
-    return np.concatenate(list(groups.values()))
+def _usable_groups(g: Column, y: Column, metric_id: str):
+    codes, ys = paired(g, y)
+    ys, shift = in_float_range(ys, metric_id)
+    groups = _grouped(g.labels, codes, ys)
+    usable = {k: readonly(v) for k, v in groups.items() if v.size >= 2}
+    all_y = np.concatenate(list(usable.values())) if usable else ys[:0]
+    return MappingProxyType(usable), readonly(all_y), shift
 
 
 def max_abs_mean(g: Column, y: Column) -> MetricResult:
     """Largest |group mean| of the globally standardized outcome (N value)."""
-    groups, _ = _checked_groups(g, y, "max_abs_mean")
-    allv = _all_y(groups)
+    groups, allv, _ = _checked_groups(g, y, "max_abs_mean")
     sd = allv.std()
     if sd == 0:
         raise ZeroVarianceError("max_abs_mean undefined: outcome is constant")
@@ -80,8 +84,7 @@ def cohens_d(g: Column, y: Column) -> MetricResult:
 
 def standardized_difference(g: Column, y: Column) -> MetricResult:
     """Largest pairwise mean gap scaled by 1.4826 * MAD of all outcomes."""
-    groups, _ = _checked_groups(g, y, "standardized_difference")
-    allv = _all_y(groups)
+    groups, allv, _ = _checked_groups(g, y, "standardized_difference")
     med = np.median(allv)
     mad = float(np.median(np.abs(allv - med)))
     if mad == 0:
@@ -100,9 +103,8 @@ def causal_effect(g: Column, y: Column,
     second-largest group); with one, stratum mean differences are averaged
     weighted by stratum size. Also reported scaled by the outcome sd.
     """
-    groups, shift = _checked_groups(g, y, "causal_effect")
+    groups, allv, shift = _checked_groups(g, y, "causal_effect")
     keys = list(groups)[:2]
-    allv = _all_y(groups)
     sd = allv.std()
     if sd == 0:
         raise ZeroVarianceError("causal_effect undefined: outcome is constant")
@@ -154,7 +156,7 @@ def pse(g: Column, y: Column, mediator: Column | None = None) -> MetricResult:
         raise MissingMediatorError("pse requires a mediator column")
     if mediator.kind is not Kind.NUMERICAL:
         raise MissingMediatorError("pse mediator must be numerical")
-    groups, shift = _checked_groups(g, y, "pse")
+    groups, _, shift = _checked_groups(g, y, "pse")
     keys = list(groups)[:2]
     codes, yv, m = paired(g, y, mediator)
     m, _ = in_float_range(m, "pse")

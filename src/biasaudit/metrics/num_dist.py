@@ -10,23 +10,41 @@ import numpy as np
 
 from ..errors import ConstantColumnError, DegenerateIQRError, InsufficientSamplesError
 from ..tabular import Column
-from .base import MetricResult, in_float_range, paired
+from .base import MetricResult, in_float_range, paired, readonly, shared
 
 # Points farther than this many population sd from the mean are outliers.
 Z_CUTOFF = 3.0
 
 
 def _values(col: Column, metric_id: str) -> np.ndarray:
+    """The column's non-missing values in float range, shared."""
+    return shared((col,), "values", _checked_values, col, metric_id)
+
+
+def _checked_values(col: Column, metric_id: str) -> np.ndarray:
     (x,) = paired(col)
     if x.size < 3:
         raise InsufficientSamplesError(f"{metric_id} needs n >= 3, got {x.size}")
-    return in_float_range(x, metric_id)[0]
+    return readonly(in_float_range(x, metric_id)[0])
+
+
+def _deviations(col: Column, x: np.ndarray):
+    """d = x - mean and the second central moment mean(d^2), shared."""
+    def compute():
+        d = readonly(x - x.mean())
+        return d, np.mean(d ** 2)
+    return shared((col,), "deviations", compute)
+
+
+def _sorted(col: Column, x: np.ndarray) -> np.ndarray:
+    """x in increasing order, shared; the median and the quantiles are
+    order statistics, so they read the same from it."""
+    return shared((col,), "sorted", lambda: readonly(np.sort(x)))
 
 
 def skewness(col: Column) -> MetricResult:
     x = _values(col, "skewness")
-    d = x - x.mean()
-    m2 = np.mean(d ** 2)
+    d, m2 = _deviations(col, x)
     if m2 == 0:
         raise ConstantColumnError("skewness undefined for a constant column")
     g1 = np.mean(d ** 3) / m2 ** 1.5
@@ -36,8 +54,7 @@ def skewness(col: Column) -> MetricResult:
 def kurtosis(col: Column) -> MetricResult:
     """Excess kurtosis m4 / m2^2 - 3."""
     x = _values(col, "kurtosis")
-    d = x - x.mean()
-    m2 = np.mean(d ** 2)
+    d, m2 = _deviations(col, x)
     if m2 == 0:
         raise ConstantColumnError("kurtosis undefined for a constant column")
     g2 = np.mean(d ** 4) / m2 ** 2 - 3.0
@@ -50,7 +67,8 @@ def outlier(col: Column) -> MetricResult:
     sd = x.std()
     if sd == 0:
         raise ConstantColumnError("outlier fraction undefined for a constant column")
-    frac = float(np.mean(np.abs(x - x.mean()) / sd > Z_CUTOFF))
+    d, _ = _deviations(col, x)
+    frac = float(np.mean(np.abs(d) / sd > Z_CUTOFF))
     return MetricResult("outlier", {"fraction": frac}, x.size,
                         f"z_cutoff={Z_CUTOFF}")
 
@@ -58,7 +76,7 @@ def outlier(col: Column) -> MetricResult:
 def cohens_d_mad(col: Column) -> MetricResult:
     """Mean-median gap scaled by 1.4826 * MAD (robust asymmetry measure)."""
     x = _values(col, "cohens_d_mad")
-    med = float(np.median(x))
+    med = float(np.median(_sorted(col, x)))
     mad = float(np.median(np.abs(x - med)))
     if mad == 0:
         raise ConstantColumnError("cohens_d_mad undefined: MAD is zero")
@@ -69,7 +87,7 @@ def cohens_d_mad(col: Column) -> MetricResult:
 def quantile_deviation(col: Column) -> MetricResult:
     """|QD - 0.5| where QD = (Q3 - Q2) / (Q3 - Q1)."""
     x = _values(col, "quantile_deviation")
-    q1, q2, q3 = np.quantile(x, [0.25, 0.5, 0.75])
+    q1, q2, q3 = np.quantile(_sorted(col, x), [0.25, 0.5, 0.75])
     if q3 <= q1:
         raise DegenerateIQRError("quantile_deviation undefined: IQR is zero")
     qd = (q3 - q2) / (q3 - q1)

@@ -14,9 +14,13 @@ import math
 
 import numpy as np
 
-from ..errors import ConstantColumnError, InsufficientSamplesError
+from ..errors import (
+    ConstantColumnError,
+    InsufficientSamplesError,
+    NumericRangeError,
+)
 from ..tabular import Column
-from .base import MetricResult, in_float_range, paired
+from .base import MetricResult, in_float_range, paired, readonly, shared
 
 # Equal-frequency bins per axis for nmi and hgr_approximation, the side of
 # hgr_approximation's lattice over the empirical copula, and the number of
@@ -36,18 +40,34 @@ _BIN_BLOCK = 16384
 
 def _checked(x: Column, y: Column, metric_id: str,
              need_variance: bool = True, min_n: int | None = None):
-    xs, ys = paired(x, y)
+    cols = (x, y)
+    xs, ys = shared(cols, "paired",
+                    lambda: tuple(readonly(v) for v in paired(x, y)))
     # Binning metrics need enough points to fill their bins; the moment
     # and rank based metrics only need a handful.
     need = max(8, BINS) if min_n is None else min_n
     if xs.size < need:
         raise InsufficientSamplesError(
             f"{metric_id} needs n >= {need}, got {xs.size}")
-    xs, _ = in_float_range(xs, metric_id)
-    ys, _ = in_float_range(ys, metric_id)
-    if need_variance and (xs.std() == 0 or ys.std() == 0):
+    xs = shared(cols, "x in range", _in_range, xs, metric_id)
+    ys = shared(cols, "y in range", _in_range, ys, metric_id)
+    if need_variance and shared(cols, "constant",
+                                lambda: xs.std() == 0 or ys.std() == 0):
         raise ConstantColumnError(f"{metric_id} undefined for a constant column")
     return xs, ys
+
+
+def _in_range(v: np.ndarray, metric_id: str) -> np.ndarray:
+    return readonly(in_float_range(v, metric_id)[0])
+
+
+def _order(x: Column, y: Column, axis: int, v: np.ndarray) -> np.ndarray:
+    """The row indices that sort v, the checked values of axis 0 (x) or 1
+    (y), shared; int32, half the size of intp, below 2^31 rows."""
+    def compute():
+        order = np.argsort(v)
+        return readonly(order.astype(np.int32) if v.size < 2 ** 31 else order)
+    return shared((x, y), f"order {axis}", compute)
 
 
 def pearson(x: Column, y: Column) -> MetricResult:
@@ -58,14 +78,29 @@ def pearson(x: Column, y: Column) -> MetricResult:
     return MetricResult("pearson", {"r": max(-1.0, min(1.0, r))}, xs.size)
 
 
-def _equal_frequency_bins(v: np.ndarray, bins: int) -> np.ndarray:
-    """Bin indices from quantile edges; ties always share a bin."""
-    edges = np.quantile(v, np.arange(1, bins) / bins)
-    return np.searchsorted(edges, v, side="right")
+def _equal_frequency_bins(v: np.ndarray, order: np.ndarray,
+                          bins: int) -> np.ndarray:
+    """Bin indices from quantile edges, with ``order`` the indices that sort
+    v; ties always share a bin. A value's bin is the number of edges at or
+    below it, so over v in increasing order the bins are runs."""
+    dtype = np.min_scalar_type(bins)
+    b = np.empty(v.size, dtype=dtype)
+    b[order] = np.repeat(np.arange(bins, dtype=dtype),
+                         _run_lengths(v[order], bins))
+    return b
+
+
+def _run_lengths(ordered: np.ndarray, bins: int) -> np.ndarray:
+    """How many of the increasing values fall in each equal-frequency bin."""
+    edges = np.quantile(ordered, np.arange(1, bins) / bins)
+    starts = np.searchsorted(ordered, edges, side="left")
+    return np.diff(starts, prepend=0, append=ordered.size)
 
 
 def _joint_hist(bx: np.ndarray, by: np.ndarray, bins: int) -> np.ndarray:
-    counts = np.bincount(bx * bins + by, minlength=bins * bins)
+    cell = np.multiply(bx, bins, dtype=np.intp)
+    cell += by
+    counts = np.bincount(cell, minlength=bins * bins)
     return counts.reshape(bins, bins) / bx.size
 
 
@@ -77,8 +112,8 @@ def _entropy(p: np.ndarray) -> float:
 def nmi(x: Column, y: Column) -> MetricResult:
     """Normalized mutual information I / sqrt(H(X) H(Y)) over binned data."""
     xs, ys = _checked(x, y, "nmi", need_variance=False)
-    bx = _equal_frequency_bins(xs, BINS)
-    by = _equal_frequency_bins(ys, BINS)
+    bx = _equal_frequency_bins(xs, _order(x, y, 0, xs), BINS)
+    by = _equal_frequency_bins(ys, _order(x, y, 1, ys), BINS)
     joint = _joint_hist(bx, by, BINS)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
@@ -117,9 +152,11 @@ def hgr_approximation(x: Column, y: Column) -> MetricResult:
     memory O(n), with no O(n * KDE_GRID) buffer.
     """
     xs, ys = _checked(x, y, "hgr_approximation")
-    lattice = _linear_binned_joint(xs, ys, _copula_axis(xs, KDE_GRID),
-                                   _copula_axis(ys, KDE_GRID),
-                                   (KDE_GRID, KDE_GRID)) / xs.size
+    ox, oy = _order(x, y, 0, xs), _order(x, y, 1, ys)
+    lattice = _linear_binned_joint(
+        _positions(xs, ox, *_copula_axis(xs, ox, KDE_GRID)),
+        _positions(ys, oy, *_copula_axis(ys, oy, KDE_GRID)),
+        (KDE_GRID, KDE_GRID)) / xs.size
     joint = _aggregate_lattice(_smoothed(lattice, xs.size), BINS)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
@@ -136,14 +173,15 @@ def hgr_approximation(x: Column, y: Column) -> MetricResult:
                         xs.size, f"bins={BINS} grid={KDE_GRID}")
 
 
-def _copula_axis(v: np.ndarray, grid: int):
+def _copula_axis(v: np.ndarray, order: np.ndarray, grid: int):
     """Knots of v and their coordinates on a ``grid``-point lattice over
     (0, 1): the order statistics at ``COPULA_KNOTS`` evenly spaced ranks,
-    from the minimum at 0 to the maximum at grid - 1. Knots that share a
-    value are merged at the midpoint of their coordinates."""
+    from the minimum at 0 to the maximum at grid - 1, with ``order`` the
+    indices that sort v. Knots that share a value are merged at the
+    midpoint of their coordinates."""
     ranks = np.rint(np.linspace(0, v.size - 1, COPULA_KNOTS)).astype(np.intp)
     at = np.linspace(0, grid - 1, COPULA_KNOTS)
-    knots, first, count = np.unique(np.sort(v)[ranks], return_index=True,
+    knots, first, count = np.unique(v[order[ranks]], return_index=True,
                                     return_counts=True)
     return knots, (at[first] + at[first + count - 1]) / 2
 
@@ -175,10 +213,20 @@ def _aggregate_lattice(density: np.ndarray, bins: int) -> np.ndarray:
 def wasserstein(x: Column, y: Column) -> MetricResult:
     """W2 distance between the standardized marginal distributions."""
     xs, ys = _checked(x, y, "wasserstein", min_n=3)
-    xs = np.sort((xs - xs.mean()) / xs.std())
-    ys = np.sort((ys - ys.mean()) / ys.std())
-    w2 = float(np.sqrt(np.mean((xs - ys) ** 2)))
+    d = _sorted_standardized(xs, _order(x, y, 0, xs))
+    d -= _sorted_standardized(ys, _order(x, y, 1, ys))
+    w2 = float(np.sqrt(np.mean(np.square(d, out=d))))
     return MetricResult("wasserstein", {"w2": w2}, xs.size)
+
+
+def _sorted_standardized(v: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """(v - mean) / sd in increasing order, with ``order`` the indices that
+    sort v; standardizing is monotone, so it keeps that order."""
+    mean, sd = v.mean(), v.std()
+    z = v[order]
+    z -= mean
+    z /= sd
+    return z
 
 
 def hsic(x: Column, y: Column) -> MetricResult:
@@ -193,28 +241,38 @@ def hsic(x: Column, y: Column) -> MetricResult:
     """
     xs, ys = _checked(x, y, "hsic", min_n=4)
     n = xs.size
-    hxy, hxx, hyy = _binned_hsic_terms(xs, ys, HSIC_GRID)
+    # A zero bandwidth makes the terms NaN, which the check below reports.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hxy, hxx, hyy = _binned_hsic_terms(xs, _order(x, y, 0, xs), ys,
+                                           _order(x, y, 1, ys), HSIC_GRID)
     norm = math.sqrt(hxx * hyy)
+    if not (math.isfinite(norm) and math.isfinite(hxy)):
+        raise NumericRangeError(
+            "hsic: the kernel terms are not finite: the median-heuristic "
+            "bandwidth underflows to zero when one value lies too many "
+            "orders of magnitude from the rest")
     nh = max(0.0, min(1.0, hxy / norm)) if norm > 0 else 0.0
     return MetricResult("hsic",
                         {"hsic": n * n * hxy / (n - 1) ** 2, "nhsic": nh}, n,
                         f"grid={HSIC_GRID}")
 
 
-def _binned_hsic_terms(xs: np.ndarray, ys: np.ndarray, grid: int):
+def _binned_hsic_terms(xs: np.ndarray, ox: np.ndarray, ys: np.ndarray,
+                       oy: np.ndarray, grid: int):
     """HSIC(x, y), HSIC(x, x) and HSIC(y, y), each divided by n^2, from the
-    linearly binned joint distribution (Wand, JCGS 1994).
+    linearly binned joint distribution (Wand, JCGS 1994); ox and oy are the
+    indices that sort xs and ys.
 
     With p the binned joint and px, py its marginals, Kc and Lc are the
     lattice Gram matrices centered with px and py, and the three terms are
     sum((Kc p Lc) * p), px' (Kc * Kc) px and py' (Lc * Lc) py.
     """
-    gx = _lattice(xs, grid)
-    gy = _lattice(ys, grid)
-    counts = _linear_binned_joint(xs, ys,
-                                  (gx, np.arange(gx.size, dtype=float)),
-                                  (gy, np.arange(gy.size, dtype=float)),
-                                  (gx.size, gy.size))
+    gx = _lattice(xs, ox, grid)
+    gy = _lattice(ys, oy, grid)
+    counts = _linear_binned_joint(
+        _positions(xs, ox, gx, np.arange(gx.size, dtype=float)),
+        _positions(ys, oy, gy, np.arange(gy.size, dtype=float)),
+        (gx.size, gy.size))
     joint = counts / xs.size
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
@@ -226,32 +284,45 @@ def _binned_hsic_terms(xs: np.ndarray, ys: np.ndarray, grid: int):
     return hxy, hxx, hyy
 
 
-def _lattice(v: np.ndarray, grid: int) -> np.ndarray:
+def _lattice(v: np.ndarray, order: np.ndarray, grid: int) -> np.ndarray:
     """At most ``grid`` increasing points spanning [v.min(), v.max()]: half
-    evenly spaced and half at evenly spaced order statistics of v. These
-    keep the cells narrow where the rows are, so that one far outlier
-    cannot leave the bulk of v in a few cells."""
+    evenly spaced and half at evenly spaced order statistics of v, with
+    ``order`` the indices that sort v. These keep the cells narrow where
+    the rows are, so that one far outlier cannot leave the bulk of v in a
+    few cells."""
     half = grid // 2
     ranks = np.linspace(0, v.size - 1, half).astype(np.intp)
     return np.unique(np.concatenate([
-        np.linspace(v.min(), v.max(), half), np.sort(v)[ranks]]))
+        np.linspace(v.min(), v.max(), half), v[order[ranks]]]))
 
 
-def _linear_binned_joint(xs: np.ndarray, ys: np.ndarray, x_axis, y_axis,
+def _positions(v: np.ndarray, order: np.ndarray, knots: np.ndarray,
+               at: np.ndarray) -> np.ndarray:
+    """Each value's lattice coordinate: knots[k] lies at at[k], and a value
+    between two knots lies linearly between their coordinates. The values
+    are placed in increasing order, where ``np.interp`` finds each one's
+    knots fastest, a block at a time, and put back in row order."""
+    t = np.empty(v.size)
+    for start in range(0, v.size, _BIN_BLOCK):
+        rows = order[start:start + _BIN_BLOCK]
+        t[rows] = np.interp(v[rows], knots, at)
+    return t
+
+
+def _linear_binned_joint(tx: np.ndarray, ty: np.ndarray,
                          shape) -> np.ndarray:
     """Joint weights on a lattice of the given shape, summing to the row
-    count. Each axis is a pair (knots, at): value knots[k] lies at lattice
-    coordinate at[k], and a value between two knots lies linearly between
-    their coordinates. Each row splits its weight of 1 bilinearly over the
-    four lattice points around it."""
+    count, from each row's lattice coordinates tx and ty. Each row splits
+    its weight of 1 bilinearly over the four lattice points around it."""
     rows, cols = shape
     cells = rows * cols
     joint = np.zeros(cells)
-    for start in range(0, xs.size, _BIN_BLOCK):
+    for start in range(0, tx.size, _BIN_BLOCK):
         block = slice(start, start + _BIN_BLOCK)
-        ix, fx = _locate(*x_axis, xs[block], rows)
-        iy, fy = _locate(*y_axis, ys[block], cols)
-        cell = ix * cols + iy
+        cell, fx = _locate(tx[block], rows)
+        iy, fy = _locate(ty[block], cols)
+        cell *= cols
+        cell += iy
         ex = 1.0 - fx
         ey = 1.0 - fy
         joint += np.bincount(cell, ex * ey, cells)
@@ -261,12 +332,12 @@ def _linear_binned_joint(xs: np.ndarray, ys: np.ndarray, x_axis, y_axis,
     return joint.reshape(rows, cols)
 
 
-def _locate(knots: np.ndarray, at: np.ndarray, v: np.ndarray, size: int):
-    """Index of the cell of a ``size``-point lattice holding each value of
-    v, and how far across that cell the value lies (0 at its left point, 1
-    at its right)."""
-    t = np.interp(v, knots, at)
-    i = np.minimum(t.astype(np.intp), size - 2)
+def _locate(t: np.ndarray, size: int):
+    """Index of the cell of a ``size``-point lattice holding each lattice
+    coordinate t, and how far across that cell it lies (0 at its left
+    point, 1 at its right)."""
+    i = t.astype(np.intp)
+    np.minimum(i, size - 2, out=i)
     return i, t - i
 
 

@@ -736,8 +736,9 @@ MAX_RETRIES = 3
 
 @dataclass(frozen=True)
 class ChatConfig:
-    base_url: str
-    model: str
+    """The chat endpoint, and the environment variable holding its key."""
+    base_url: str = ""
+    model: str = ""
     key_env: str = "BIASAUDIT_API_KEY"
     timeout_s: float = 30.0
 

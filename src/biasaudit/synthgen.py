@@ -83,16 +83,80 @@ def _gen_cat_dist(spec, rng):
     return (categorical("category", codes, [f"c{i}" for i in range(spec.k)]),)
 
 
+# Wichura's AS241 (Appl. Statist. 1988) rational approximations of the
+# normal quantile, numerator and denominator with the highest power first:
+# for |p - 0.5| <= 0.425, then for the tails with r = sqrt(-log(min(p, 1 - p)))
+# at most 5 and above 5. These are the coefficients and the Horner order of
+# ``statistics.NormalDist.inv_cdf``.
+_AS241_CENTRAL = (
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4,
+     6.72657_70927_00870_0853e+4, 4.59219_53931_54987_1457e+4,
+     1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4,
+     3.93078_95800_09271_0610e+4, 2.12137_94301_58659_5867e+4,
+     5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0))
+_AS241_NEAR = (
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2,
+     2.41780_72517_74506_11770e-1, 1.27045_82524_52368_38258e+0,
+     3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4,
+     1.51986_66563_61645_71966e-2, 1.48103_97642_74800_74590e-1,
+     6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0))
+_AS241_FAR = (
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
+     1.24266_09473_88078_43860e-3, 2.65321_89526_57612_30930e-2,
+     2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7,
+     1.84631_83175_10054_68180e-5, 7.86869_13114_56132_59100e-4,
+     1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0))
+
+
+def _horner(coefficients, r: np.ndarray) -> np.ndarray:
+    acc = np.full_like(r, coefficients[0])
+    for c in coefficients[1:]:
+        acc *= r
+        acc += c
+    return acc
+
+
+def normal_quantiles(p: np.ndarray) -> np.ndarray:
+    """``statistics.NormalDist().inv_cdf`` of each p in (0, 1), bit for bit:
+    the same arithmetic in the same order, with ``math.log`` in the tails,
+    where ``np.log`` differs from it in the last bit of a few values."""
+    q = p - 0.5
+    r = 0.180625 - q * q
+    num, den = _AS241_CENTRAL
+    # Evaluated everywhere (its denominator stays above 0.002), then the
+    # tail cells are replaced.
+    z = _horner(num, r) * q / _horner(den, r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    qt = q[tail]
+    r = np.where(qt <= 0.0, p[tail], 1.0 - p[tail])
+    r = np.sqrt(-np.array(list(map(math.log, r.tolist()))))
+    x = np.empty_like(r)
+    near = r <= 5.0
+    for cell, coefficients, shift in ((near, _AS241_NEAR, 1.6),
+                                      (~near, _AS241_FAR, 5.0)):
+        num, den = coefficients
+        rc = r[cell] - shift
+        x[cell] = _horner(num, rc) / _horner(den, rc)
+    z[tail] = np.where(qt < 0.0, -x, x)
+    return z
+
+
 def _gen_num_dist(spec, rng):
     # Shifted log-normal shape: x = (exp(d z) - 1) / d with z standard
     # normal, symmetric at d = 0 and increasingly right-skewed and
     # heavy-tailed as the strength knob rises. Stratified quantile sampling
     # (shuffled) keeps the realized shape close to the target at any n.
-    from statistics import NormalDist
     d = _NUM_SHAPE * spec.strength
-    inv = NormalDist().inv_cdf
-    u = (np.arange(spec.n) + 0.5) / spec.n
-    z = np.array([inv(p) for p in u])
+    z = normal_quantiles((np.arange(spec.n) + 0.5) / spec.n)
     x = z if d < 1e-12 else (np.exp(d * z) - 1.0) / d
     # Plant a few explicit outliers at +-4 sd; the shape's own tail
     # fraction saturates at high strength, so without these the outlier

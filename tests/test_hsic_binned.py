@@ -4,6 +4,7 @@ V-statistic of the same rows."""
 import numpy as np
 import pytest
 
+from biasaudit.errors import NumericRangeError
 from biasaudit.metrics import num_num
 from biasaudit.metrics.num_num import HSIC_GRID, hsic
 from biasaudit.tabular import Column
@@ -75,6 +76,18 @@ def test_one_far_outlier_keeps_the_bulk_resolved():
     x, y = pair(N, 0.45)
     x[0] = 1000.0
     assert abs(run(x, y).raw["nhsic"] - exact(x, y)) <= 0.01
+
+
+def test_a_nan_kernel_term_is_an_error_not_level_one():
+    # Scaled into float range, the other rows lie near 1e-165, where the
+    # squared lattice differences underflow and the bandwidth is zero. This
+    # used to read hsic NaN and nhsic 0.0, the most balanced level.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(2000)
+    y = x + 0.3 * rng.standard_normal(2000)
+    x[0] = 1e165
+    with pytest.raises(NumericRangeError, match="^hsic: "):
+        run(x, y)
 
 
 def test_blocks_sum_to_the_one_block_lattice(monkeypatch):

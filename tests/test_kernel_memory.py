@@ -21,9 +21,10 @@ def _pair(n):
 
 
 # hgr and hsic bin rows in blocks onto a fixed lattice at every n, so their
-# peak is a few copies of the columns (the paired columns and one sorted
-# copy for the knots, 2.9 MiB for hgr at 100_000 rows), with no lattice * n
-# or n x n buffer; one 2000 x 2000 float64 array alone is 30.5 MiB.
+# peak is a few copies of the columns (each column's int32 sort order, which
+# stays shared while the columns live, and each row's lattice coordinate on
+# each axis: 3.5 MiB for hgr at 100_000 rows), with no lattice * n or n x n
+# buffer; one 2000 x 2000 float64 array alone is 30.5 MiB.
 @pytest.mark.parametrize("metric, n, limit_mb", [
     (hgr_approximation, 100_000, 4),
     (hsic, 2_000, 2),

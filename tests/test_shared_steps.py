@@ -1,0 +1,155 @@
+"""The first step a scenario's metrics share is computed once per set of
+columns, kept only while those columns live, and gives every metric the
+record or error it gives on columns of its own."""
+
+import gc
+import json
+import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from biasaudit.errors import BiasAuditError
+from biasaudit.metrics import (
+    SCENARIO_METRICS,
+    Scenario,
+    classify_scenario,
+    run_metric,
+)
+from biasaudit.metrics import base, cat_cat
+from biasaudit.synthgen import SynthSpec, generate
+from biasaudit.tabular import Column, categorical
+
+
+def outcome(metric_id, cols) -> str:
+    try:
+        return json.dumps(run_metric(metric_id, cols).to_record(),
+                          sort_keys=True)
+    except BiasAuditError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def copies(cols):
+    return [Column(c.name, c.data.copy(), c.labels) for c in cols]
+
+
+def variants(cols, rng):
+    """The columns as generated, then with ties, missing cells, extreme
+    units, one far value, and only five rows left."""
+    def numeric(f):
+        return [c if c.labels is not None else Column(c.name, f(c.data.copy()))
+                for c in cols]
+
+    def far(v):
+        v[0] = 1e165
+        return v
+
+    missing = []
+    for c in cols:
+        data = c.data.copy()
+        data[rng.choice(data.size, data.size // 10 + 1, replace=False)] = (
+            np.nan if c.labels is None else -1)
+        missing.append(Column(c.name, data) if c.labels is None
+                       else categorical(c.name, data, c.labels))
+    return {
+        "plain": cols,
+        "ties": numeric(lambda v: np.round(v, 1)),
+        "missing": missing,
+        "large units": numeric(lambda v: v * 1e160),
+        "small units": numeric(lambda v: v * 1e-200),
+        "far value": numeric(far),
+        "five rows": [c.subset(np.arange(c.data.size) < 5) for c in cols],
+    }
+
+
+CASES = [(scenario, n) for scenario in Scenario for n in (10, 65, 300, 2000)]
+
+
+@pytest.mark.parametrize("scenario, n", CASES,
+                         ids=[f"{s.value}-{n}" for s, n in CASES])
+def test_shared_columns_give_what_fresh_columns_give(scenario, n):
+    table = generate(SynthSpec(scenario, n, 0.5, k=3, seed=n))
+    rng = np.random.default_rng(n)
+    order = list(SCENARIO_METRICS[scenario])
+    for name, cols in variants(list(table.columns), rng).items():
+        fresh = {m: outcome(m, copies(cols)) for m in order}
+        random.Random(f"{scenario.value}-{n}-{name}").shuffle(order)
+        shared = copies(cols)
+        assert {m: outcome(m, shared) for m in order} == fresh, name
+
+
+def test_each_metric_keeps_its_own_error():
+    # Five rows spanning more orders of magnitude than float64 holds:
+    # pearson, wasserstein and hsic fail the range check, nmi and hgr the
+    # size check that comes first, in either order.
+    x = Column("x", np.array([1e-300, 2e-300, 3e-300, 4e-300, 1e300]))
+    y = Column("y", np.arange(5.0))
+    fresh = {m: outcome(m, [Column("x", x.data), y])
+             for m in SCENARIO_METRICS[Scenario.NUM_NUM]}
+    assert fresh["pearson"].startswith("NumericRangeError: pearson:")
+    assert fresh["nmi"] == "InsufficientSamplesError: nmi needs n >= 10, got 5"
+    for order in (SCENARIO_METRICS[Scenario.NUM_NUM],
+                  SCENARIO_METRICS[Scenario.NUM_NUM][::-1]):
+        cols = [Column("x", x.data), y]
+        assert {m: outcome(m, cols) for m in order} == fresh
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_columns_outlive_nothing(scenario):
+    cols = generate(SynthSpec(scenario, 500, 0.5, k=3, seed=1)).columns
+    for metric_id in SCENARIO_METRICS[scenario]:
+        outcome(metric_id, cols)
+    assert cols[0] in base._MEMO
+    refs = [weakref.ref(c) for c in cols]
+    del cols
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_each_second_column_has_its_own_memo_held_weakly():
+    a, b = generate(SynthSpec(Scenario.CAT_CAT, 500, 0.5, k=3)).columns
+    c = generate(SynthSpec(Scenario.CAT_CAT, 500, 0.9, k=3, seed=1)).columns[1]
+    fresh = [outcome("cramers_v", copies([a, other])) for other in (b, c)]
+    assert fresh[0] != fresh[1]
+    assert [outcome("cramers_v", [a, other]) for other in (b, c)] == fresh
+    ref = weakref.ref(b)
+    del b
+    gc.collect()
+    assert ref() is None
+    assert list(base._MEMO[a].keys()) == [c]
+
+
+def test_shared_arrays_are_read_only():
+    a, b = generate(SynthSpec(Scenario.CAT_CAT, 500, 0.5, k=3)).columns
+    table, rows, cols = cat_cat.contingency(a, b)
+    assert not table.flags.writeable
+    assert cat_cat.contingency(a, b)[0] is table
+
+
+def test_threads_on_the_same_columns_agree():
+    tables = [generate(SynthSpec(scenario, 2000, 0.5, k=3, seed=seed))
+              for scenario in Scenario for seed in range(3)]
+    expected = [{m: outcome(m, copies(t.columns))
+                 for m in SCENARIO_METRICS[classify_scenario(t.columns)]}
+                for t in tables]
+
+    def work(i, seed):
+        cols = tables[i].columns
+        order = list(expected[i])
+        random.Random(seed).shuffle(order)
+        return {m: outcome(m, cols) for m in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [(i, pool.submit(work, i, seed))
+                       for i in range(len(tables)) for seed in range(4)]
+            results = [(i, f.result(timeout=60)) for i, f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == expected[i] for i, got in results)
+
