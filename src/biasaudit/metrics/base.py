@@ -3,15 +3,15 @@ the metrics of a scenario share.
 
 Every metric of a scenario starts from the same data: the paired rows, in
 float range, and for num_num each axis's sort order; num_dist's deviations
-from the mean and its sorted values; cat_num's usable groups; cat_cat's
+from the mean and its sorted values; cat_num's groups; cat_cat's
 contingency table; cat_dist's category counts. :func:`shared` computes each
 such step once per ordered set of 1-2 ``Column`` objects and keeps it for as
 long as those objects live, and no longer: the memo holds the first column
-weakly, and under it the last column weakly. So the five metrics of a
-session's working table, of ``bench.ground_truth`` and of a calibration
-suite case share one first step, while a new load or ``generate`` makes new
-columns and starts afresh. A step that raises is not kept, so each metric
-still raises its own error. Kept arrays are read-only, and none depends on
+weakly, and under it the last column weakly. So the five metrics and the
+chart of a session's working table, and those of ``bench.ground_truth`` and
+of a calibration suite case, share one first step, while a new load or
+``generate`` makes new columns and starts afresh. A step that raises is not
+kept, so each metric still raises its own error. Kept arrays are read-only, and none depends on
 the order among tied values. Two threads may compute the same step twice,
 with equal results.
 """
@@ -115,7 +115,8 @@ def category_counts(col: Column) -> dict:
 def _category_counts(col: Column):
     cats = col.categories()
     counts = np.bincount(cats.data[cats.present], minlength=len(cats.labels))
-    return cats.labels, tuple(counts.tolist())
+    used = np.flatnonzero(counts).tolist()  # a label no code uses has no row
+    return tuple(map(cats.labels.__getitem__, used)), tuple(counts[used].tolist())
 
 
 def paired(*cols: Column) -> list:

@@ -24,23 +24,24 @@ from .base import MetricResult, in_float_range, paired, readonly, shared
 
 
 def group_values(g: Column, y: Column):
-    """Per-group value arrays for paired non-missing rows."""
-    return _grouped(g.labels, *paired(g, y))
+    """The paired outcome split by group: the non-empty groups, largest
+    first, in the outcome's own units; shared, so read-only."""
+    return shared((g, y), "groups", _grouped, g, y)
 
 
-def _grouped(labels, codes, ys):
-    parts = split_by_code(codes, ys, len(labels))
+def _grouped(g: Column, y: Column):
+    parts = split_by_code(*paired(g, y), len(g.labels))
     ordered = sorted((i for i, part in enumerate(parts) if part.size),
                      key=lambda i: (-parts[i].size, i))  # labels are str-sorted
-    return {labels[i]: parts[i] for i in ordered}
+    return MappingProxyType({g.labels[i]: readonly(parts[i]) for i in ordered})
 
 
 def _checked_groups(g: Column, y: Column, metric_id: str):
     """The groups with >= 2 observations of the outcome brought into float
     range, their values concatenated, and the exponent of the power of two
     the outcome was scaled by; all shared."""
-    usable, all_y, shift = shared((g, y), "groups", _usable_groups, g, y,
-                                  metric_id)
+    usable, all_y, shift = shared((g, y), "usable groups", _usable_groups,
+                                  g, y, metric_id)
     if len(usable) < 2:
         raise SingletonGroupError(
             f"{metric_id} needs >= 2 categories with >= 2 observations each")
@@ -48,11 +49,10 @@ def _checked_groups(g: Column, y: Column, metric_id: str):
 
 
 def _usable_groups(g: Column, y: Column, metric_id: str):
-    codes, ys = paired(g, y)
-    ys, shift = in_float_range(ys, metric_id)
-    groups = _grouped(g.labels, codes, ys)
-    usable = {k: readonly(v) for k, v in groups.items() if v.size >= 2}
-    all_y = np.concatenate(list(usable.values())) if usable else ys[:0]
+    shift = in_float_range(paired(g, y)[1], metric_id)[1]
+    usable = {k: v if shift == 0 else readonly(np.ldexp(v, shift))
+              for k, v in group_values(g, y).items() if v.size >= 2}
+    all_y = np.concatenate(list(usable.values()) or [np.empty(0)])
     return MappingProxyType(usable), readonly(all_y), shift
 
 
@@ -121,13 +121,10 @@ def causal_effect(g: Column, y: Column,
 
 
 def _stratified_ace(g: Column, y: Column, cov: Column, keys, shift: int):
-    codes, ys, strata = paired(g, y, cov)
-    ys = np.ldexp(ys, shift)
-    treated, control = (g.labels.index(k) for k in keys)
+    treated, ys, strata, arm = _two_largest(g, y, cov, keys, shift)
     if cov.kind is Kind.NUMERICAL:  # strata are the distinct values, by str
-        strata = Column.of(cov.name, Kind.CATEGORICAL, strata.tolist()).data
-    arm = (codes == treated) | (codes == control)
-    parts = split_by_code(strata[arm] * 2 + (codes[arm] == control), ys[arm])
+        strata = Column(cov.name, strata).categories().data
+    parts = split_by_code(strata[arm] * 2 + ~treated, ys)
     total = 0
     acc = 0.0
     used = 0
@@ -144,6 +141,15 @@ def _stratified_ace(g: Column, y: Column, cov: Column, keys, shift: int):
     return acc / total, used
 
 
+def _two_largest(g: Column, y: Column, other: Column, keys, shift: int):
+    """Of the paired rows, ``other`` and the mask ``arm`` of groups ``keys``;
+    on ``arm``, whether a row is in the first group, and y times 2**shift."""
+    codes, ys, others = paired(g, y, other)
+    treated, control = (g.labels.index(k) for k in keys)
+    arm = (codes == treated) | (codes == control)
+    return codes[arm] == treated, np.ldexp(ys[arm], shift), others, arm
+
+
 def pse(g: Column, y: Column, mediator: Column | None = None) -> MetricResult:
     """Path-specific effect via linear mediation on a binary-coded treatment.
 
@@ -158,13 +164,9 @@ def pse(g: Column, y: Column, mediator: Column | None = None) -> MetricResult:
         raise MissingMediatorError("pse mediator must be numerical")
     groups, _, shift = _checked_groups(g, y, "pse")
     keys = list(groups)[:2]
-    codes, yv, m = paired(g, y, mediator)
-    m, _ = in_float_range(m, "pse")
-    treated, control = (g.labels.index(k) for k in keys)
-    arm = (codes == treated) | (codes == control)
-    t = (codes[arm] == treated).astype(float)
-    m = m[arm]
-    yv = np.ldexp(yv[arm], shift)
+    t, yv, m, arm = _two_largest(g, y, mediator, keys, shift)
+    t = t.astype(float)
+    m = in_float_range(m, "pse")[0][arm]
     if t.size < 3 or t.var() == 0:
         raise SingletonGroupError("pse: treatment is constant after binarization")
     sd = yv.std()

@@ -432,13 +432,11 @@ def _chart_data(state: SessionState, kind: ChartKind) -> ChartSpec:
         return ChartSpec(kind, {"groups": groups}, title=title)
     # correlation heatmap over the numerical features
     nums = [c for c in cols if c.kind is Kind.NUMERICAL]
-    if len(nums) < 2:
-        raise ToolError("correlation heatmap needs two numerical features")
-    labels = [c.name for c in nums]
-    matrix = [[1.0 if i == j else
-               num_num.pearson(nums[i], nums[j]).raw["r"]
-               for j in range(len(nums))] for i in range(len(nums))]
-    return ChartSpec(kind, {"labels": labels, "matrix": matrix}, title=title)
+    if len(nums) != 2:
+        raise ToolError("correlation heatmap needs exactly two numerical features")
+    r = num_num.pearson(*nums).raw["r"]
+    return ChartSpec(kind, {"labels": [c.name for c in nums],
+                            "matrix": [[1.0, r], [r, 1.0]]}, title=title)
 
 
 def _make_chart_executor(kind):

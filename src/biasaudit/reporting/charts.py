@@ -366,8 +366,7 @@ def _box(spec):
     if not groups or any(len(v) == 0 for v in groups.values()):
         raise EmptyDataError("box: every group needs a non-empty numeric series")
     keys = sorted(groups, key=str)
-    values = {k: np.sort(np.asarray(groups[k], dtype=float), kind="stable")
-              for k in keys}
+    values = {k: np.sort(np.asarray(groups[k], dtype=float)) for k in keys}
     lo = min(v[0] for v in values.values())
     hi = max(v[-1] for v in values.values())
     span = (hi - lo) or 1.0

@@ -103,7 +103,14 @@ class Column:
         distinct values, each as first seen."""
         if self.labels is not None:
             return self
-        return Column.of(self.name, Kind.CATEGORICAL, self.cells())
+        present = self.present
+        values = self.data[present]
+        # The first index of each value, so -0.0 or 0.0 keeps its first sign.
+        _, first, inverse = np.unique(values, return_index=True,
+                                      return_inverse=True)
+        codes = np.full(self.data.size, -1, dtype=np.intp)
+        codes[present] = inverse
+        return categorical(self.name, codes, values[first].tolist())
 
     def subset(self, rows: np.ndarray) -> Column:
         """The rows picked by a boolean mask; a categorical column keeps the

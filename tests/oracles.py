@@ -500,6 +500,16 @@ def _try_parse_float(token):
     return v if math.isfinite(v) else None
 
 
+def categories(values):
+    """Reference ``Column.categories`` of a numerical column: each cell's
+    code (-1 for NaN) into the distinct values, each as first seen, sorted
+    by ``str``."""
+    seen = list(dict.fromkeys(v for v in values if not math.isnan(v)))
+    labels = sorted(seen, key=str)
+    index = {v: i for i, v in enumerate(labels)}
+    return [-1 if math.isnan(v) else index[v] for v in values], tuple(labels)
+
+
 def infer_kind(values, na_tokens):
     """Two-pass reference type inference: "numerical" or "categorical"."""
     na = set(na_tokens)

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from biasaudit.errors import RaggedRowError, UnknownMetricError, UnsupportedArityError
+from biasaudit.errors import (
+    RaggedRowError,
+    SingleCategoryError,
+    UnknownMetricError,
+    UnsupportedArityError,
+)
 from biasaudit.metrics import (
     Scenario,
     classify_scenario,
@@ -35,7 +40,7 @@ from biasaudit.metrics.num_dist import (
 from biasaudit.metrics import num_num
 from biasaudit.metrics.base import paired
 from biasaudit.metrics.num_num import hsic, nmi, pearson, wasserstein
-from biasaudit.tabular import Column, Kind
+from biasaudit.tabular import Column, Kind, categorical
 
 
 def cat(values, name="c"):
@@ -82,6 +87,20 @@ class TestCatDist:
         assert r.raw["rr_max"] == pytest.approx(1.2, abs=1e-12)
         assert r.raw["rr_min"] == pytest.approx(0.8, abs=1e-12)
         assert r.raw["max_abs_deviation"] == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("metric", [shannon_balance, entropy, max_min_ratio,
+                                        gini, relative_risk])
+    def test_a_label_no_code_uses_is_no_category(self, metric):
+        codes = np.array([0, 0, 0, 2, -1, 2])
+        with_unused = Column("c", codes, ("a", "b", "c"))
+        without = categorical("c", codes, ("a", "b", "c"))
+        assert without.labels == ("a", "c")
+        assert (metric(with_unused).to_record()
+                == metric(without).to_record())
+
+    def test_only_unused_labels_are_an_empty_column(self):
+        with pytest.raises(SingleCategoryError):
+            max_min_ratio(Column("c", np.array([-1, -1]), ("a", "b")))
 
 
 class TestNumDist:

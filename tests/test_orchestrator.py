@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biasaudit import bench, orchestrator
+from biasaudit import bench, orchestrator, tabular
 from biasaudit.errors import (
     EndOfInputError,
     MalformedLogError,
@@ -21,7 +21,7 @@ from biasaudit.errors import (
     ToolError,
     UnknownColumnError,
 )
-from biasaudit.metrics import BiasType, Scenario, run_metric
+from biasaudit.metrics import BiasType, Scenario, cat_num, run_metric
 from biasaudit.orchestrator import (
     CHART_TOOLS,
     DETECTION_TOOLS,
@@ -443,6 +443,66 @@ class TestRulePlanner:
         report, log = run_session(task, RulePlanner(), registry)
         assert report.complete
         assert report.charts and "correlation_heatmap" in report.charts[0]
+
+    @pytest.mark.parametrize("features", [("group", "score"),
+                                          ("score", "group")])
+    def test_cat_num_session_splits_the_rows_once(self, registry, cat_num_csv,
+                                                  monkeypatch, features):
+        # The five metrics and the box chart read one shared split.
+        calls = []
+        real_split = tabular.split_by_code
+
+        def split_by_code(*args):
+            calls.append(len(args[0]))
+            return real_split(*args)
+
+        monkeypatch.setattr(tabular, "split_by_code", split_by_code)
+        monkeypatch.setattr(cat_num, "split_by_code", split_by_code)
+        task = TaskContext(question="q", dataset=cat_num_csv,
+                           features=features)
+        report, _ = run_session(task, RulePlanner(), registry)
+        assert report.complete and len(report.findings) == 4  # pse: no mediator
+        assert calls == [60]
+
+    def test_box_chart_of_an_outcome_in_extreme_units_is_raw(
+            self, registry, tmp_path, monkeypatch):
+        path = tmp_path / "huge.csv"
+        path.write_text("group,score\n" + "".join(
+            f"{'ab'[i % 2]},{(i + 1) * 1e298}\n" for i in range(40)),
+            encoding="utf-8")
+        specs = []
+        monkeypatch.setattr(orchestrator, "render_chart",
+                            lambda spec, path: specs.append(spec))
+        task = TaskContext(question="q", dataset=str(path),
+                           features=("group", "score"))
+        report, _ = run_session(task, RulePlanner(), registry)
+        assert report.complete and len(report.findings) == 4  # pse: no mediator
+        [spec] = specs
+        groups = spec.data["groups"]
+        assert sorted(groups) == ["a", "b"]
+        assert groups["a"].tolist() == [(i + 1) * 1e298 for i in range(0, 40, 2)]
+        assert groups["b"].tolist() == [(i + 1) * 1e298 for i in range(1, 40, 2)]
+
+    def test_heatmap_of_three_features_is_a_failed_tool_call(self, registry,
+                                                             tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text("x,y,z\n" + "".join(
+            f"{i / 10},{(i * 7 % 13) / 10},{(i * 5 % 11) / 10}\n"
+            for i in range(40)), encoding="utf-8")
+        task = TaskContext(question="q", dataset=str(path),
+                           features=("x", "y", "z"))
+        script = [Action(ActionKind.TRANSITION, stage=Stage.PREPROCESSING),
+                  call("load_csv_file"),
+                  Action(ActionKind.TRANSITION, stage=Stage.DETECTION),
+                  Action(ActionKind.TRANSITION,
+                         stage=Stage.VISUALIZATION_SUMMARY),
+                  call("plot_correlation_heatmap"),
+                  Action(ActionKind.FINISH)]
+        _, log = run_session(task, ScriptedPlanner(script), registry)
+        [result] = [e.payload for e in log.events if e.action == "result"
+                    and e.payload["tool"] == "plot_correlation_heatmap"]
+        assert not result["ok"]
+        assert "exactly two numerical features" in result["error"]
 
     def test_log_is_byte_identical_across_runs(self, registry, cat_csv):
         _, log1 = run_session(cat_task(cat_csv), RulePlanner(), registry)

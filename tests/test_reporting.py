@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biasaudit.errors import ArityMismatchError, EmptyDataError, NoFindingsError
 from biasaudit.metrics import Scenario
@@ -147,6 +149,21 @@ class TestBox:
         arrays = {k: np.array(v, dtype=float) for k, v in groups.items()}
         assert (render_chart(spec(ChartKind.BOX, groups=arrays))
                 == render_chart(spec(ChartKind.BOX, groups=groups)))
+
+
+BOX_VALUE = st.one_of(st.sampled_from([-0.0, 0.0, 1.5, -2.0]),
+                      st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(BOX_VALUE, min_size=1, max_size=12), min_size=1,
+                max_size=4), st.randoms(use_true_random=False))
+def test_box_markup_does_not_depend_on_row_order(groups, rng):
+    # Duplicates, -0.0/0.0 ties and one-row groups included.
+    ordered = {f"g{i}": v for i, v in enumerate(groups)}
+    shuffled = {k: rng.sample(v, len(v)) for k, v in ordered.items()}
+    assert (render_chart(spec(ChartKind.BOX, groups=shuffled))
+            == render_chart(spec(ChartKind.BOX, groups=ordered)))
 
 
 class TestRenderDeterminism:

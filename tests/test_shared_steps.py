@@ -19,7 +19,7 @@ from biasaudit.metrics import (
     classify_scenario,
     run_metric,
 )
-from biasaudit.metrics import base, cat_cat
+from biasaudit.metrics import base, cat_cat, cat_num
 from biasaudit.synthgen import SynthSpec, generate
 from biasaudit.tabular import Column, categorical
 
@@ -153,3 +153,26 @@ def test_threads_on_the_same_columns_agree():
         sys.setswitchinterval(interval)
     assert all(got == expected[i] for i, got in results)
 
+
+
+@pytest.mark.parametrize("units", [1.0, 1e300])
+def test_cat_num_metrics_and_box_chart_share_one_split(units):
+    g, y = generate(SynthSpec(Scenario.CAT_NUM, 500, 0.5, k=3, seed=2)).columns
+    y = Column(y.name, y.data * units)
+    groups = cat_num.group_values(g, y)
+    assert list(groups) == sorted(groups, key=lambda k: -groups[k].size)
+    assert not any(v.flags.writeable for v in groups.values())
+    for metric_id in SCENARIO_METRICS[Scenario.CAT_NUM]:
+        outcome(metric_id, [g, y])
+    assert cat_num.group_values(g, y) is groups
+    # The box chart reads the groups in the outcome's own units.
+    assert np.concatenate(list(groups.values())).max() == y.data.max()
+    usable, _, shift = cat_num._checked_groups(g, y, "cohens_d")
+    assert list(usable) == list(groups)
+    if units == 1.0:
+        assert shift == 0
+        assert all(usable[k] is groups[k] for k in groups)
+    else:
+        assert shift < 0
+        assert all(np.array_equal(usable[k], np.ldexp(groups[k], shift))
+                   for k in groups)

@@ -1,10 +1,15 @@
 """Loading, type inference, and preprocessing of delimited tables."""
 
 import io
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from biasaudit import tabular
 from biasaudit.errors import (
@@ -259,3 +264,24 @@ class TestColumnView:
         t = load_table(write(tmp_path, "g,x\na,1.5\nb,2.5\n"))
         cleaned = clean_missing(t, ["g", "x"]).table
         assert all(a is b for a, b in zip(cleaned.columns, t.columns))
+
+
+# NaN, signed zeros, values whose str order is not their numeric order,
+# integers above 2^53 and subnormals, mixed with arbitrary floats.
+NUMERIC_CELL = st.one_of(
+    st.sampled_from([math.nan, -0.0, 0.0, 10.0, 2.0, 2.0 ** 53 + 2,
+                     -(2.0 ** 60), 5e-324, 1e-310, -1e-310]),
+    st.floats(width=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NUMERIC_CELL, max_size=40))
+@example([-0.0, 0.0, math.nan, -0.0])
+@example([0.0, -0.0, math.nan, 0.0])
+@example([10.0, 2.0, 2.0, 10.0])
+@example([])
+def test_numerical_categories_match_the_per_cell_reference(cells):
+    cats = Column("x", np.array(cells, dtype=float)).categories()
+    codes, labels = oracles.categories(cells)
+    assert cats.data.tolist() == codes
+    assert list(map(repr, cats.labels)) == list(map(repr, labels))
