@@ -150,11 +150,12 @@ class SessionLog:
 
     def append(self, stage: Stage, actor: str, action: str, payload: dict) -> None:
         self.events.append(LogEvent(len(self.events), stage.value, actor,
-                                    action, _jsonable(payload), 0))
+                                    action, payload, 0))
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(e.to_record(), sort_keys=True) + "\n"
-                       for e in self.events)
+        # A value JSON cannot hold is written as its str.
+        return "".join(json.dumps(e.to_record(), sort_keys=True, default=str)
+                       + "\n" for e in self.events)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SessionLog":
@@ -171,14 +172,6 @@ class SessionLog:
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise MalformedLogError(f"log line {lineno}: {exc}") from exc
         return cls(events=events)
-
-
-def _jsonable(obj):
-    try:
-        json.dumps(obj)
-        return obj
-    except (TypeError, ValueError):
-        return json.loads(json.dumps(obj, default=str))
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +404,9 @@ def _chart_data(state: SessionState, kind: ChartKind) -> ChartSpec:
     title = f"{kind.value}: {', '.join(state.task.features)}"
     if kind in (ChartKind.BAR, ChartKind.PIE, ChartKind.HORIZONTAL_BAR,
                 ChartKind.TREEMAP, ChartKind.HEATMAP):
-        col = next((c for c in cols if c.kind is Kind.CATEGORICAL), cols[0])
+        col = next((c for c in cols if c.kind is Kind.CATEGORICAL), None)
+        if col is None:
+            raise ToolError(f"{kind.value} chart needs a categorical feature")
         return ChartSpec(kind, {"series": base.category_counts(col)}, title=title)
     if kind in (ChartKind.STACKED_BAR, ChartKind.GROUPED_BAR):
         if len(cols) != 2 or any(c.kind is not Kind.CATEGORICAL for c in cols):

@@ -5,16 +5,17 @@ new table. Each :class:`Column` is one read-only numpy array: float64
 with NaN for missing, or int codes with -1 for missing into labels sorted
 by ``str``. Its kind follows from its labels: it is categorical iff it has
 them. Cleaning, the metrics and the charts share the array, and
-:func:`load_table` parses each block of CSV rows straight into it. A file
-without quotes is split by numpy from its raw bytes, each column of a block
-into one fixed-width bytes array, with no Python object per cell (a column
-whose block has one far longer cell is kept as str instead); any file
-it cannot split exactly as ``csv.reader`` would is read by ``csv.reader``.
+:func:`load_table` parses each block of CSV rows straight into it. numpy
+splits each block from its raw bytes, each column into one fixed-width bytes
+array with no Python object per cell (a column whose block has one far
+longer cell is kept as str instead), until a block it cannot split exactly
+as ``csv.reader`` would; ``csv.reader`` reads the rest from there.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import statistics
 from dataclasses import dataclass
@@ -214,8 +215,7 @@ class _ColumnParser:
             finite = np.isfinite(block)
             if self.small_ints is not None:
                 numbers = set(block[finite].tolist()) | self.small_ints
-                self.small_ints = numbers if len(numbers) <= INTEGER_CODE_MAX_DISTINCT \
-                    and all(map(float.is_integer, numbers)) else None
+                self.small_ints = numbers if _small_code(numbers) else None
             if self.small_ints is None:
                 block[~finite] = np.nan
                 self.parts.append(block)
@@ -255,9 +255,7 @@ class _ColumnParser:
         numeric = self.numeric + int(counts[finite].sum())
         if not present or numeric / present < NUMERIC_PARSE_THRESHOLD:
             return Kind.CATEGORICAL
-        numbers = set(self.value[finite].tolist())
-        if self.small_ints is not None and len(numbers) <= INTEGER_CODE_MAX_DISTINCT \
-                and all(map(float.is_integer, numbers)):
+        if self.small_ints is not None and _small_code(set(self.value[finite].tolist())):
             return Kind.CATEGORICAL
         return Kind.NUMERICAL
 
@@ -278,6 +276,11 @@ class _ColumnParser:
         labels = [None if m else text for text, m in zip(self.texts, self.missing)]
         codes = np.concatenate([np.empty(0, dtype=np.intp), *self.parts])
         return categorical(name, codes, labels)
+
+
+def _small_code(numbers: set) -> bool:
+    """Whether ``numbers`` may be an integer code: a few integers."""
+    return len(numbers) <= INTEGER_CODE_MAX_DISTINCT and all(map(float.is_integer, numbers))
 
 
 def _distinct(cells: np.ndarray) -> tuple:
@@ -319,6 +322,10 @@ def split_by_code(codes: np.ndarray, values: np.ndarray, k: int = 0) -> list:
 
 
 def _unreadable(path, exc) -> ParseError:
+    if isinstance(exc, UnicodeDecodeError):
+        # Its position counts from the start of the decoder's last read.
+        bad = " ".join(map("0x{:02x}".format, exc.object[exc.start:exc.end]))
+        exc = f"'{exc.encoding}' codec can't decode {bad}: {exc.reason}"
     return ParseError(f"{path}: cannot read as UTF-8 CSV: {exc}")
 
 
@@ -344,22 +351,18 @@ def list_features(path) -> list:
     return _checked_header(path, header)
 
 
-def _csv_blocks(path, width: int):
-    """Each column's cells in blocks of at most ``_CSV_BLOCK`` rows after
-    the header, split by ``csv.reader``; a row of another width raises
-    :class:`RaggedRowError`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rownum = 2
-        while block := list(islice(reader, _CSV_BLOCK)):
-            if set(map(len, block)) != {width}:
-                bad = next(i for i, row in enumerate(block) if len(row) != width)
-                raise RaggedRowError(
-                    f"{path}: row {rownum + bad} has {len(block[bad])} fields, "
-                    f"expected {width}")
-            yield [np.array(cells, dtype=object) for cells in zip(*block)]
-            rownum += len(block)
+def _csv_blocks(path, rows, width: int, rownum: int):
+    """Each column's cells in blocks of at most ``_CSV_BLOCK`` rows of the
+    ``csv.reader`` ``rows``, the first of them row ``rownum`` of the file;
+    a row of another width raises :class:`RaggedRowError`."""
+    while block := list(islice(rows, _CSV_BLOCK)):
+        if set(map(len, block)) != {width}:
+            bad = next(i for i, row in enumerate(block) if len(row) != width)
+            raise RaggedRowError(
+                f"{path}: row {rownum + bad} has {len(block[bad])} fields, "
+                f"expected {width}")
+        yield [np.array(cells, dtype=object) for cells in zip(*block)]
+        rownum += len(block)
 
 
 class _Unsplittable(Exception):
@@ -376,20 +379,6 @@ def _check_plain(raw: bytes) -> None:
             raw.decode("utf-8")
         except UnicodeDecodeError:
             raise _Unsplittable from None
-
-
-def _byte_header(path) -> list:
-    """The header names, split from the first line's bytes."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-    _check_plain(line)
-    # csv.reader reports an empty file; a "\r" must end the line.
-    if not line or line.count(b"\r") != line.endswith(b"\r\n"):
-        raise _Unsplittable
-    header = line.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8").split(",")
-    if max(map(len, header)) >= csv.field_size_limit():
-        raise _Unsplittable  # csv.reader's error
-    return _checked_header(path, header)
 
 
 def _line_blocks(fh):
@@ -477,14 +466,34 @@ def _windows(buf: np.ndarray, w: int) -> np.ndarray:
     return np.ndarray((buf.size - w + 1,), dtype=f"S{w}", buffer=buf, strides=(1,))
 
 
-def _byte_blocks(path, width: int):
+def _blocks(path, width: int):
     """Each column's cells in blocks of at most ``_CSV_BLOCK`` rows after
-    the header, split from the file's bytes; raises :class:`_Unsplittable`
-    where ``csv.reader`` could split them otherwise."""
+    the header. numpy splits the file's bytes up to the first block it
+    cannot split as ``csv.reader`` would, and ``csv.reader`` reads the rest
+    from that block's first byte."""
     with open(path, "rb") as fh:
-        fh.readline()  # header
-        for raw in _line_blocks(fh):
-            yield _split_block(raw, width)
+        line = fh.readline()
+        start, rownum = 0, 2
+        # Unless csv.reader's header is the first line, it reads every row.
+        if b'"' not in line and line.count(b"\r") == line.endswith(b"\r\n"):
+            start = len(line)
+            for raw in _line_blocks(fh):
+                try:
+                    block = _split_block(raw, width)
+                except _Unsplittable:
+                    break
+                yield block
+                start += len(raw)
+                rownum += len(block[0])
+            else:
+                return
+        # Every row before start is one line with no quote: none is open.
+        fh.seek(start)
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            rows = csv.reader(text)
+            if not start:
+                next(rows)  # the header
+            yield from _csv_blocks(path, rows, width, rownum)
 
 
 def load_table(path) -> Table:
@@ -492,38 +501,31 @@ def load_table(path) -> Table:
 
     Column kinds are inferred by :meth:`_ColumnParser.kind`; cells of a
     numerical column that do not parse are marked missing, as are
-    ``NA_TOKENS`` anywhere. A file with no quote, NUL or bare ``\r``, valid
-    UTF-8 and every row of the header's width is split by numpy from its
-    bytes; any other is read again, whole, by ``csv.reader``, which also
-    words every error. Both read and parse ``_CSV_BLOCK`` rows at a time, so
-    only about one block of raw text is alive at once. A file that cannot
-    be opened or read raises :class:`TableError` with the OS error's text.
+    ``NA_TOKENS`` anywhere. numpy splits the rows from the file's bytes up
+    to the first block with a quote, NUL or bare ``\r``, invalid UTF-8 or a
+    row not of the header's width; ``csv.reader`` reads the header and the
+    rest from that block's first byte, and words every error. Both read
+    and parse ``_CSV_BLOCK`` rows at a time, so only about one block of raw
+    text is alive at once. A file that cannot be opened or read raises
+    :class:`TableError` with the OS error's text.
     """
-    try:
-        try:
-            return _load(path, _byte_header, _byte_blocks)
-        except _Unsplittable:
-            return _load(path, list_features, _csv_blocks)
-    except OSError as exc:
-        raise TableError(str(exc)) from exc
-
-
-def _load(path, header_of, blocks_of) -> Table:
-    header = header_of(path)
+    header = list_features(path)
     parsers = [_ColumnParser() for _ in header]
     try:
         # numpy warns when a text overflows to inf, as "1e400" does.
         with np.errstate(over="ignore"):
-            for block in blocks_of(path, len(header)):
+            for block in _blocks(path, len(header)):
                 for parser, cells in zip(parsers, block):
                     parser.add(cells)
+        columns = []
+        for i, name in enumerate(header):
+            columns.append(parsers[i].column(name, lambda i=i: (
+                block[i] for block in _blocks(path, len(header)))))
+            parsers[i] = None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise _unreadable(path, exc) from exc
-    columns = []
-    for i, name in enumerate(header):
-        columns.append(parsers[i].column(name, lambda i=i: (
-            block[i] for block in blocks_of(path, len(header)))))
-        parsers[i] = None
+    except OSError as exc:
+        raise TableError(str(exc)) from exc
     return Table(tuple(columns))
 
 

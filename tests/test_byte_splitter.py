@@ -1,21 +1,26 @@
-"""The numpy byte splitter loads every file it accepts exactly as the
-csv.reader path does, hands every other file to that path, and serves the
-unquoted files the program writes and ships."""
+"""The numpy byte splitter loads every block it accepts exactly as the
+csv.reader path does, hands the rest of the file to that path at the first
+block it cannot split, and serves the unquoted files the program writes and
+ships."""
 
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from biasaudit import synthgen, tabular
 from biasaudit.metrics import Scenario
 from biasaudit.tabular import load_table, save_table
+from splitters import load_by
 
 SAMPLE = os.path.join(os.path.dirname(tabular.__file__), "data", "sample.csv")
 
 # Rows that put a cell in a late block at the default block size.
 LATE = "".join(f"{i}.5,g{i % 3}\n" for i in range(2 * 4096 + 10))
 
-# (id, file bytes, whether the byte splitter serves it)
+# (id, file bytes, whether no block is handed to csv.reader)
 CASES = [
     ("lf", b"g,x\na,1.5\nb,2.5\na,NA\n", True),
     ("crlf", b"g,x\r\na,1.5\r\nb,\r\n", True),
@@ -47,9 +52,10 @@ CASES = [
     # line follows it.
     ("cr-at-end-of-file", b"g,x\na,1\r", True),
     ("nul", b"g,x\na\x00,1\nb,2\n", False),
-    ("invalid-utf8-header", b"g\xff,x\na,1\n", False),
+    # csv.reader reads every header, so its errors come before any block.
+    ("invalid-utf8-header", b"g\xff,x\na,1\n", True),
     ("invalid-utf8-last-block", b"x,g\n" + LATE.encode() + b"1.5,\xff\n", False),
-    ("empty-file", b"", False),
+    ("empty-file", b"", True),
     ("blank-header", b"\na,1\n", True),
     ("duplicate-header", b"g,g\na,1\n", True),
     # A column with one cell far longer than its others is split as str.
@@ -62,8 +68,8 @@ CASES = [
     # csv.reader's default field size limit is 131072 characters.
     ("cell-at-csv-field-limit", b"g\n" + b"b" * 131072 + b"\n", False),
     ("cell-over-csv-field-limit", b"g\n" + b"b" * 131073 + b"\n", False),
-    ("header-at-csv-field-limit", b"g" * 131072 + b",x\na,1\n", False),
-    ("header-over-csv-field-limit", b"g" * 131073 + b"\na\n", False),
+    ("header-at-csv-field-limit", b"g" * 131072 + b",x\na,1\n", True),
+    ("header-over-csv-field-limit", b"g" * 131073 + b"\na\n", True),
 ]
 
 
@@ -80,11 +86,9 @@ def _outcome(load):
 def test_byte_splitter_matches_the_csv_path(tmp_path, raw, by_bytes):
     path = tmp_path / "t.csv"
     path.write_bytes(raw)
-    by_csv = _outcome(lambda: tabular._load(path, tabular.list_features,
-                                            tabular._csv_blocks))
+    by_csv = _outcome(lambda: load_by(path, "csv"))
     assert _outcome(lambda: load_table(path)) == by_csv
-    by_splitter = _outcome(lambda: tabular._load(path, tabular._byte_header,
-                                                  tabular._byte_blocks))
+    by_splitter = _outcome(lambda: load_by(path, "bytes"))
     assert by_splitter == (by_csv if by_bytes else ("_Unsplittable", ""))
 
 
@@ -93,6 +97,93 @@ def test_ragged_row_in_a_late_block_names_its_row(tmp_path):
     path.write_bytes(b"x,g\n" + LATE.encode() + b"1.5\n")
     with pytest.raises(tabular.RaggedRowError, match=f"row {2 * 4096 + 12} has 1 fields"):
         load_table(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_ragged_row_after_a_hand_off_names_its_row(tmp_path, end):
+    # The quote's block goes to csv.reader, which counts on from row 8204.
+    path = tmp_path / "t.csv"
+    path.write_bytes(("x,g\n" + LATE + '1.5,"q"\n' + "2.5,a\n" * 8000
+                      + "3.5\n").replace("\n", end).encode())
+    with pytest.raises(tabular.RaggedRowError,
+                       match=f"row {2 * 4096 + 12 + 8001} has 1 fields"):
+        load_table(path)
+
+
+def test_a_late_quote_hands_off_only_its_block(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x,g\n" + LATE.encode() + b'1.5,"q"\n')
+    split, rows = [], []
+    real_split, real_reader = tabular._split_block, tabular.csv.reader
+
+    def split_block(raw, width):
+        split.append(raw.count(b"\n"))
+        return real_split(raw, width)
+
+    def reader(*args, **kwargs):
+        for row in real_reader(*args, **kwargs):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(tabular, "_split_block", split_block)
+    monkeypatch.setattr(tabular.csv, "reader", reader)
+    table = load_table(path)
+    assert table.row_count == 2 * 4096 + 11
+    # numpy splits each block once and refuses the last, whose 11 rows
+    # csv.reader reads after the header.
+    assert split == [4096, 4096, 11]
+    assert rows == [["x", "g"]] + [row.split(",") for row in LATE.split()[8192:]] \
+        + [["1.5", "q"]]
+
+
+# Rows that each send their block to csv.reader.
+DEFECTS = [
+    '1.5,"a,b"\n',  # quoted comma
+    '1.5,"a""b"\n',  # doubled quote
+    '1.5,"a\nb"\n',  # newline inside quotes
+    '"2.5",c\n',  # a quoted number
+    "1.5\n",  # short row
+    "1.5,a,b\n",  # long row
+    "1.5,a\rb\n",  # lone "\r"
+    "1.5,a\0\n",  # NUL
+    "1.5,\udcff\n",  # invalid UTF-8: the lone byte 0xff
+]
+
+
+@st.composite
+def late_defects(draw, block):
+    """A file whose first defect sits in a block after the first."""
+    def plain(n):
+        return [f"{draw(st.sampled_from(['1.5', '-2', 'NA', '0.25', '']))},"
+                f"{draw(st.sampled_from(['a', 'b', '7', 'ü']))}\n" for _ in range(n)]
+
+    rows = [f"{i}.5,g{i % 3}\n" for i in range(draw(st.integers(block, 2 * block + 5)))]
+    for _ in range(draw(st.integers(1, 3))):
+        rows += [draw(st.sampled_from(DEFECTS))] + plain(draw(st.integers(0, 5)))
+    text = "x,g\n" + "".join(rows).replace("\n", draw(st.sampled_from(["\n", "\r\n"])))
+    if draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("block, examples", [(3, 150), (4096, 15)])
+def test_a_late_defect_loads_as_the_csv_path(tmp_path, block, examples):
+    path = tmp_path / "t.csv"
+
+    @settings(max_examples=examples, derandomize=True, deadline=None)
+    @given(late_defects(block))
+    def check(raw):
+        path.write_bytes(raw)
+        by_csv = _outcome(lambda: load_by(path, "csv"))
+        assert _outcome(lambda: load_table(path)) == by_csv
+        if isinstance(by_csv, list):
+            expected = oracles.load_columns(path, tabular.NA_TOKENS)
+            assert [(name, kind, cells) for name, kind, _, cells in by_csv] \
+                == [(name, kind, repr(cells)) for name, kind, cells in expected]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tabular, "_CSV_BLOCK", block)
+        check()
 
 
 def test_unicode_digits_parse_as_float_does(tmp_path):
@@ -112,13 +203,12 @@ def test_unquoted_files_never_reach_csv_reader(tmp_path, monkeypatch):
     assert b"\r\n" in sample and b",," in sample and b",NA" in sample
     assert b"\r" not in synth.read_bytes()
     paths = (SAMPLE, synth)
-    expected = [_outcome(lambda: tabular._load(p, tabular.list_features,
-                                               tabular._csv_blocks)) for p in paths]
+    expected = [_outcome(lambda: load_by(p, "csv")) for p in paths]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("csv.reader read an unquoted file")
+        raise AssertionError("csv.reader read a block of an unquoted file")
 
-    monkeypatch.setattr(tabular.csv, "reader", refuse)
+    monkeypatch.setattr(tabular, "_csv_blocks", refuse)
     assert [_outcome(lambda: load_table(p)) for p in paths] == expected
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from biasaudit import tabular
 from biasaudit.tabular import NA_TOKENS, load_table
+from splitters import load_by
 
 PADDING = st.sampled_from(["", "", " ", "  ", "\t"])
 NON_FINITE = ["inf", "-inf", "nan", "NaN", "Infinity", "1e400", "-1e999"]
@@ -76,7 +77,7 @@ def test_load_table_matches_reference(cols):
         loaded = load_table(path)
         expected = oracles.load_columns(path, NA_TOKENS)
     # csv.writer quotes only a cell that holds ",": only such a file, or a
-    # one-column file with an empty cell, is left to csv.reader.
+    # one-column file with an empty cell, hands a block to csv.reader.
     assert (by_bytes is None) == quoted
     for table in (loaded, by_bytes, by_csv):
         if table is not None:
@@ -86,13 +87,13 @@ def test_load_table_matches_reference(cols):
 
 
 def _load_both(path):
-    """The table by the byte splitter (None if it cannot split the file)
+    """The table by the byte splitter (None if it cannot split every block)
     and by csv.reader."""
     try:
-        by_bytes = tabular._load(path, tabular._byte_header, tabular._byte_blocks)
+        by_bytes = load_by(path, "bytes")
     except tabular._Unsplittable:
         by_bytes = None
-    return by_bytes, tabular._load(path, tabular.list_features, tabular._csv_blocks)
+    return by_bytes, load_by(path, "csv")
 
 
 def test_load_table_matches_reference_across_blocks(monkeypatch):

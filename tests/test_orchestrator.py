@@ -504,6 +504,30 @@ class TestRulePlanner:
         assert not result["ok"]
         assert "exactly two numerical features" in result["error"]
 
+    def test_bar_chart_of_a_numerical_feature_is_a_failed_tool_call(
+            self, registry, tmp_path):
+        # One bar per distinct value would be one per row here.
+        path = tmp_path / "num.csv"
+        path.write_text("x\n" + "".join(f"{i * 0.37}\n" for i in range(40)),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        task = TaskContext(question="q", dataset=str(path), features=("x",))
+        script = [Action(ActionKind.TRANSITION, stage=Stage.PREPROCESSING),
+                  call("load_csv_file"),
+                  Action(ActionKind.TRANSITION, stage=Stage.DETECTION),
+                  Action(ActionKind.TRANSITION,
+                         stage=Stage.VISUALIZATION_SUMMARY),
+                  call("plot_bar_chart"),
+                  Action(ActionKind.FINISH)]
+        report, log = run_session(task, ScriptedPlanner(script), registry,
+                                  out_dir=str(out))
+        [result] = [e.payload for e in log.events if e.action == "result"
+                    and e.payload["tool"] == "plot_bar_chart"]
+        assert not result["ok"]
+        assert result["error"] == "bar chart needs a categorical feature"
+        assert not report.charts and not list(out.glob("*.svg"))
+
     def test_log_is_byte_identical_across_runs(self, registry, cat_csv):
         _, log1 = run_session(cat_task(cat_csv), RulePlanner(), registry)
         _, log2 = run_session(cat_task(cat_csv), RulePlanner(), registry)
@@ -893,6 +917,18 @@ class TestSessionLog:
         back = SessionLog.from_jsonl(log.to_jsonl())
         assert [e.to_record() for e in back.events] \
             == [e.to_record() for e in log.events]
+
+    def test_a_value_json_cannot_hold_is_written_as_its_str(self, registry,
+                                                             cat_csv):
+        script = [Action(ActionKind.CONSULT_ADVISOR, payload={
+            "kind": "plan", "tags": {"b"}, "ids": (1,)})]
+        _, log = run_session(cat_task(cat_csv), ScriptedPlanner(script),
+                             registry, library=[])
+        assert log.to_jsonl().splitlines()[1] == (
+            '{"action": "action", "actor": "primary", "payload": '
+            '{"kind": "consult_advisor", "payload": {"ids": [1], "kind": "plan", '
+            '"tags": "{\'b\'}"}, "rationale": ""}, "seq": 1, '
+            '"stage": "user_input", "wall_ms": 0}')
 
     def test_malformed_line_rejected(self):
         with pytest.raises(MalformedLogError):
