@@ -139,7 +139,10 @@ def ground_truth(task: TaskSpec, thresholds: ThresholdTable = DEFAULT_TABLE,
                  table=None) -> GroundTruth:
     """Oracle reference: run all five scenario metrics, take the max level.
 
-    ``table`` is the task's dataset as already loaded; None loads it."""
+    ``table`` is the task's dataset as already loaded; None loads it. On a
+    loaded table whose features a session has already cleaned and graded,
+    drop_row returns that session's cut columns and ``run_metric`` the
+    results it kept on them, so the oracle computes nothing again."""
     if table is None:
         table = load_table(task.dataset)
     subset = extract_columns(table, task.features)
@@ -419,6 +422,12 @@ def run_benchmark(taskset, planner_factory, registry: ToolRegistry,
     not read again. The oracle is computed once per (dataset, features).
     A failed load or oracle is not kept: each task it concerns tries again
     and fails with its own error.
+
+    While the run holds a table, each (dataset, features) keeps its drop_row
+    cut, the metrics' shared steps on it and their results
+    (``tabular.shared``): the oracle, and every later session on the same
+    features, read the first session's results, and each metric runs once
+    per feature set unless it raises. All of it goes with the run's tables.
     """
     if jobs < 1:
         raise InvalidJobsError(f"jobs must be >= 1, got {jobs}")

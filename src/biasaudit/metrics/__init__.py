@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import UnknownMetricError
-from ..tabular import Kind
+from ..tabular import Kind, shared
 from . import cat_cat, cat_dist, cat_num, num_dist, num_num
 from .base import (
     BiasType,
@@ -74,7 +74,12 @@ def run_metric(metric_id: str, cols, **inputs) -> MetricResult:
     categorical column is passed as the group for cat/num metrics. The
     column kinds must match the metric's scenario. Keyword inputs are
     passed on to the metric: ``covariate=`` for causal_effect and
-    ``mediator=`` for pse.
+    ``mediator=`` for pse; an input of None is no input.
+
+    Each result is computed once per set of columns, the ordered columns
+    and the input columns, and kept while they live (``tabular.shared``),
+    so a session's detection, its charts and ``bench.ground_truth`` on the
+    same columns read one result. A metric that raises is not kept.
     """
     try:
         spec = METRICS[metric_id]
@@ -84,12 +89,14 @@ def run_metric(metric_id: str, cols, **inputs) -> MetricResult:
     if len(cols) not in (1, 2) or classify_scenario(cols) is not scenario:
         raise UnknownMetricError(f"{metric_id} is a {scenario.value} metric; "
                                  f"got {[c.kind.value for c in cols]} columns")
-    if len(cols) == 1:
-        return spec.fn(cols[0], **inputs)
-    a, b = cols
-    if scenario is Scenario.CAT_NUM and a.kind is not Kind.CATEGORICAL:
-        a, b = b, a
-    return spec.fn(a, b, **inputs)
+    cols = tuple(cols)
+    if scenario is Scenario.CAT_NUM and cols[0].kind is not Kind.CATEGORICAL:
+        cols = cols[::-1]
+    inputs = {k: v for k, v in inputs.items() if v is not None}
+    names = sorted(inputs)
+    return shared(cols + tuple(inputs[k] for k in names),
+                  f"result {metric_id} {' '.join(names)}",
+                  lambda: spec.fn(*cols, **inputs))
 
 
 __all__ = [

@@ -1,32 +1,31 @@
-"""Shared types for the detection metrics, and the memo of the first step
-the metrics of a scenario share.
+"""Shared types for the detection metrics, and the first step the metrics
+of a scenario share.
 
 Every metric of a scenario starts from the same data: the paired rows, in
 float range, and for num_num each axis's sort order; num_dist's deviations
 from the mean and its sorted values; cat_num's groups; cat_cat's
-contingency table; cat_dist's category counts. :func:`shared` computes each
-such step once per ordered set of 1-2 ``Column`` objects and keeps it for as
-long as those objects live, and no longer: the memo holds the first column
-weakly, and under it the last column weakly. So the five metrics and the
-chart of a session's working table, and those of ``bench.ground_truth`` and
-of a calibration suite case, share one first step, while a new load or
-``generate`` makes new columns and starts afresh. A step that raises is not
-kept, so each metric still raises its own error. Kept arrays are read-only, and none depends on
-the order among tied values. Two threads may compute the same step twice,
-with equal results.
+contingency table; cat_dist's category counts. ``tabular.shared`` computes
+each such step once per ordered set of ``Column`` objects and keeps it for
+as long as those objects live, and no longer; ``run_metric`` keeps each
+result there too. So the five metrics and the chart of a session's working
+table, and those of ``bench.ground_truth`` and of a calibration suite case,
+share one first step, while a new load or ``generate`` makes new columns
+and starts afresh. Kept arrays are read-only, and none depends on the order
+among tied values.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import NumericRangeError, UnsupportedArityError
-from ..tabular import Column, Kind, present_rows
+from ..tabular import Column, Kind, present_rows, shared
 
 
 class Scenario(str, Enum):
@@ -45,10 +44,15 @@ class BiasType(str, Enum):
 
 @dataclass(frozen=True)
 class MetricResult:
+    """One metric's values; ``raw`` is read-only, since ``run_metric`` keeps
+    each result for every later caller on the same columns."""
     metric_id: str
-    raw: dict
+    raw: Mapping
     n: int
     details: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "raw", MappingProxyType(self.raw))
 
     def to_record(self) -> dict:
         raw = {k: ("inf" if math.isinf(v) else v) for k, v in self.raw.items()}
@@ -73,34 +77,6 @@ def classify_scenario(cols) -> Scenario:
             return Scenario.CAT_NUM
         return Scenario.NUM_NUM
     raise UnsupportedArityError(f"expected 1 or 2 columns, got {len(cols)}")
-
-
-# First column -> last column (the first itself when alone) ->
-# {(column count, step): value}.
-_MEMO = weakref.WeakKeyDictionary()
-
-
-def shared(cols, step: str, compute, *args):
-    """``compute(*args)``, the named step for this ordered set of 1-2
-    columns, computed the first time and kept while the columns live. The
-    value must not refer to the columns themselves."""
-    by_last = _MEMO.get(cols[0])
-    if by_last is None:
-        by_last = _MEMO.setdefault(cols[0], weakref.WeakKeyDictionary())
-    memo = by_last.get(cols[-1])
-    if memo is None:
-        memo = by_last.setdefault(cols[-1], {})
-    key = (len(cols), step)
-    try:
-        return memo[key]
-    except KeyError:
-        value = memo[key] = compute(*args)
-        return value
-
-
-def readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def category_counts(col: Column) -> dict:

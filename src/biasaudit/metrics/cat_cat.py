@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateTableError
-from ..tabular import Column
-from .base import MetricResult, paired, readonly, shared
+from ..tabular import Column, readonly, shared
+from .base import MetricResult, paired
 
 # elift skips cells with a joint count below this, to avoid ratio blow-ups.
 MIN_CELL_SUPPORT = 5

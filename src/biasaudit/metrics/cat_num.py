@@ -19,8 +19,8 @@ from ..errors import (
     SingletonGroupError,
     ZeroVarianceError,
 )
-from ..tabular import Column, Kind, split_by_code
-from .base import MetricResult, in_float_range, paired, readonly, shared
+from ..tabular import Column, Kind, readonly, shared, split_by_code
+from .base import MetricResult, in_float_range, paired
 
 
 def group_values(g: Column, y: Column):

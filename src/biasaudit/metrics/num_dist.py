@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConstantColumnError, DegenerateIQRError, InsufficientSamplesError
-from ..tabular import Column
-from .base import MetricResult, in_float_range, paired, readonly, shared
+from ..tabular import Column, readonly, shared
+from .base import MetricResult, in_float_range, paired
 
 # Points farther than this many population sd from the mean are outliers.
 Z_CUTOFF = 3.0

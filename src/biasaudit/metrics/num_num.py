@@ -19,8 +19,8 @@ from ..errors import (
     InsufficientSamplesError,
     NumericRangeError,
 )
-from ..tabular import Column
-from .base import MetricResult, in_float_range, paired, readonly, shared
+from ..tabular import Column, readonly, shared
+from .base import MetricResult, in_float_range, paired
 
 # Equal-frequency bins per axis for nmi and hgr_approximation, the side of
 # hgr_approximation's lattice over the empirical copula, and the number of

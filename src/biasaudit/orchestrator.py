@@ -40,7 +40,6 @@ from .metrics import (
     cat_cat,
     cat_num,
     classify_scenario,
-    num_num,
     run_metric,
 )
 from .reporting import ChartKind, ChartSpec, Finding, assemble_report, render_chart
@@ -429,7 +428,7 @@ def _chart_data(state: SessionState, kind: ChartKind) -> ChartSpec:
     nums = [c for c in cols if c.kind is Kind.NUMERICAL]
     if len(nums) != 2:
         raise ToolError("correlation heatmap needs exactly two numerical features")
-    r = num_num.pearson(*nums).raw["r"]
+    r = run_metric("pearson", nums).raw["r"]  # the detection tool's result
     return ChartSpec(kind, {"labels": [c.name for c in nums],
                             "matrix": [[1.0, r], [r, 1.0]]}, title=title)
 
@@ -939,6 +938,10 @@ def _next_action(planner, state: SessionState, log: SessionLog) -> Action:
 
 
 def _illegal(action: Action, state: SessionState):
+    # The log sorts each dict's keys, which only str keys allow.
+    for field_name in ("args", "payload"):
+        if _has_non_str_key(getattr(action, field_name)):
+            return f"{field_name} has a key that is not a str"
     if action.kind is ActionKind.INVOKE_TOOL:
         if action.tool not in state.registry:
             return f"unknown tool {action.tool!r}"
@@ -947,6 +950,16 @@ def _illegal(action: Action, state: SessionState):
             return (f"illegal transition {state.stage.value} -> "
                     f"{action.stage.value if action.stage else None}")
     return None
+
+
+def _has_non_str_key(value) -> bool:
+    """Whether a dict at any depth of ``value`` has a key that is not a str."""
+    if isinstance(value, dict):
+        return any(not isinstance(k, str) or _has_non_str_key(v)
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_non_str_key, value))
+    return False
 
 
 def _execute(action: Action, state: SessionState, log: SessionLog):

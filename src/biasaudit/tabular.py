@@ -10,6 +10,10 @@ splits each block from its raw bytes, each column into one fixed-width bytes
 array with no Python object per cell (a column whose block has one far
 longer cell is kept as str instead), until a block it cannot split exactly
 as ``csv.reader`` would; ``csv.reader`` reads the rest from there.
+
+:func:`shared` keeps a value computed from an ordered set of columns for as
+long as those columns live, and no longer: the metrics keep their first
+steps and results there, and :func:`clean_missing` its drop_row cut.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import csv
 import io
 import math
 import statistics
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, filterfalse, islice
@@ -121,6 +126,37 @@ class Column:
         return categorical(self.name, self.data[rows], self.labels)
 
 
+# Column -> (its steps, the next column -> ...): the steps of an ordered set
+# of columns sit under the last, each column held weakly.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def shared(cols: Sequence[Column], step, compute, *args):
+    """``compute(*args)``, the named step for this ordered set of columns,
+    computed the first time and kept while every one of them lives.
+
+    The value must not refer to the columns themselves, or it keeps them
+    alive. A step that raises is not kept, so each caller still raises its
+    own error. Two threads may compute the same step twice, with equal
+    results."""
+    children = _MEMO
+    for c in cols:
+        node = children.get(c)
+        if node is None:
+            node = children.setdefault(c, ({}, weakref.WeakKeyDictionary()))
+        steps, children = node
+    try:
+        return steps[step]
+    except KeyError:
+        value = steps[step] = compute(*args)
+        return value
+
+
+def readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def categorical(name: str, codes: np.ndarray, labels: Sequence) -> Column:
     """The categorical column of int ``codes`` into ``labels``. It keeps the
     labels some code uses, re-coded in ``str`` order; code -1 and a ``None``
@@ -192,9 +228,9 @@ class _ColumnParser:
     distinct texts, each decoded, checked and parsed once, by :meth:`kind`.
     """
 
-    def __init__(self):
+    def __init__(self, parse_floats: bool = True):
         # Off when a categorical column's texts are read again.
-        self.parse_floats = True
+        self.parse_floats = parse_floats
         self.texts: dict = {}
         self.parts: list = []
         self.present = self.numeric = 0  # cells of the float blocks
@@ -259,20 +295,15 @@ class _ColumnParser:
             return Kind.CATEGORICAL
         return Kind.NUMERICAL
 
-    def column(self, name: str, reread) -> Column:
-        """The finished column. A categorical column some of whose blocks
-        were kept as floats is built again from the blocks of text that
-        ``reread()`` yields."""
+    def column(self, name: str) -> Column | None:
+        """The finished column, or None for a categorical column some of
+        whose blocks were kept as floats: its texts must be read again."""
         if self.kind() is Kind.NUMERICAL:
             return Column(name, np.concatenate([np.empty(0), *(
                 part if part.dtype == np.float64 else self.value[part]
                 for part in self.parts)]))
         if any(part.dtype == np.float64 for part in self.parts):
-            again = _ColumnParser()
-            again.parse_floats = False
-            for cells in reread():
-                again.add(cells)
-            return again.column(name, reread)
+            return None
         labels = [None if m else text for text, m in zip(self.texts, self.missing)]
         codes = np.concatenate([np.empty(0, dtype=np.intp), *self.parts])
         return categorical(name, codes, labels)
@@ -519,9 +550,18 @@ def load_table(path) -> Table:
                     parser.add(cells)
         columns = []
         for i, name in enumerate(header):
-            columns.append(parsers[i].column(name, lambda i=i: (
-                block[i] for block in _blocks(path, len(header)))))
+            columns.append(parsers[i].column(name))
             parsers[i] = None
+        # One more pass reads the texts of every categorical column some of
+        # whose blocks were kept as floats.
+        again = {i: _ColumnParser(parse_floats=False)
+                 for i, c in enumerate(columns) if c is None}
+        if again:
+            for block in _blocks(path, len(header)):
+                for i, parser in again.items():
+                    parser.add(block[i])
+            for i, parser in again.items():
+                columns[i] = parser.column(header[i])
     except (UnicodeDecodeError, csv.Error) as exc:
         raise _unreadable(path, exc) from exc
     except OSError as exc:
@@ -568,7 +608,12 @@ def extract_columns(table: Table, names: Sequence[str]) -> Table:
 
 def clean_missing(table: Table, columns: Sequence[str],
                   mode: CleaningMode = CleaningMode.DROP_ROW) -> CleaningResult:
-    """Remove or fill missing values in the named columns."""
+    """Remove or fill missing values in the named columns.
+
+    drop_row keeps its cut of the table's columns while they live, so two
+    cleanings of the same columns return the same cut ``Column`` objects,
+    and the metrics keep their results on them. A cut that drops nothing is
+    the table's own columns."""
     targets = [table.column(n) for n in columns]
     if mode is CleaningMode.DROP_ROW:
         keep = present_rows(targets, table.row_count)
@@ -576,8 +621,11 @@ def clean_missing(table: Table, columns: Sequence[str],
             raise AllRowsDroppedError(
                 f"cleaning {list(columns)} with drop_row removed every row")
         dropped = table.row_count - int(keep.sum())
-        new_cols = table.columns if not dropped else tuple(
-            c.subset(keep) for c in table.columns)
+        new_cols = table.columns
+        if dropped:
+            where = sorted({table.columns.index(c) for c in targets})
+            new_cols = shared(new_cols, f"drop rows missing in {where}",
+                              lambda: tuple(c.subset(keep) for c in table.columns))
         return CleaningResult(Table(new_cols), 0, dropped)
 
     changed = 0

@@ -1,12 +1,17 @@
 """Benchmark harness: tasksets, oracle, level scoring, process rubric."""
 
+import dataclasses
+import functools
+import gc
 import json
 import os
+import weakref
+from collections import Counter
 from importlib import resources
 
 import pytest
 
-from biasaudit import bench, orchestrator
+from biasaudit import bench, metrics, orchestrator
 from biasaudit.bench import (
     DIMENSIONS,
     BenchmarkReport,
@@ -27,10 +32,10 @@ from biasaudit.errors import (
     MalformedLogError,
     SchemaError,
 )
-from biasaudit.metrics import BiasType, Scenario
+from biasaudit.metrics import SCENARIO_METRICS, BiasType, Scenario, classify_scenario
 from biasaudit.orchestrator import RulePlanner, SessionLog, build_registry, run_session, TaskContext
 from biasaudit.synthgen import SynthSpec, generate
-from biasaudit.tabular import save_table
+from biasaudit.tabular import load_table, save_table
 
 
 @pytest.fixture(scope="module")
@@ -312,20 +317,89 @@ def counted(monkeypatch, modules, name):
     return calls
 
 
+SHIPPED_TASKSET = str(resources.files("biasaudit.data")
+                      .joinpath("sample_taskset.json"))
+
+
 class TestRunScopedSharing:
     """One run_benchmark call loads each dataset once and computes each
-    (dataset, features) oracle once; failures are not shared."""
+    (dataset, features) oracle once, on the metric results its sessions
+    keep; failures are not shared."""
 
     def test_shipped_taskset_loads_each_dataset_once(self, registry,
                                                       monkeypatch):
-        path = resources.files("biasaudit.data").joinpath("sample_taskset.json")
-        tasks = load_taskset(str(path))
+        tasks = load_taskset(SHIPPED_TASKSET)
         loads = counted(monkeypatch, (bench, orchestrator), "load_table")
         oracles = counted(monkeypatch, (bench,), "ground_truth")
         report = run_benchmark(tasks, RulePlanner, registry)
         assert report.overall["s_avg"] == 100.0 and not report.failures
         assert sorted(loads) == sorted({t.dataset for t in tasks})
         assert len(oracles) == len({(t.dataset, t.features) for t in tasks})
+
+    def test_shipped_taskset_runs_each_metric_once_per_feature_set(
+            self, registry, monkeypatch):
+        # Sessions and oracles on the same (dataset, features) read one kept
+        # result; a metric that raises (pse: no task names a mediator) is
+        # not kept, so its session and its oracle each run it.
+        tasks = load_taskset(SHIPPED_TASKSET)
+        runs, raised = Counter(), Counter()
+
+        def counting(metric_id, fn):
+            @functools.wraps(fn)
+            def wrapper(*cols, **inputs):
+                key = (metric_id, tuple(c.name for c in cols))
+                try:
+                    result = fn(*cols, **inputs)
+                except Exception:
+                    raised[key] += 1
+                    raise
+                runs[key] += 1
+                return result
+            return wrapper
+
+        for metric_id, spec in metrics.METRICS.items():
+            monkeypatch.setitem(metrics.METRICS, metric_id, dataclasses.replace(
+                spec, fn=counting(metric_id, spec.fn)))
+        report = run_benchmark(tasks, RulePlanner, registry)
+        assert report.overall["s_avg"] == 100.0 and not report.failures
+        table = load_table(tasks[0].dataset)
+        feature_sets = {t.features for t in tasks}
+        assert {t.dataset for t in tasks} == {tasks[0].dataset}
+        assert len(feature_sets) < len(tasks)
+        expected = sum(len(SCENARIO_METRICS[classify_scenario(
+            [table.column(f) for f in features])]) for features in feature_sets)
+        assert len(runs) + len(raised) == expected
+        assert set(runs.values()) == {1}
+        assert {m for m, _ in raised} == {"pse"}
+        assert set(raised.values()) == {2}
+
+    def test_nothing_outlives_the_run(self, registry, monkeypatch):
+        # gender has missing cells, so drop_row cuts new columns, on which
+        # the sessions and the oracle keep their results.
+        tasks = [t for t in load_taskset(SHIPPED_TASKSET)
+                 if t.features == ("gender",)]
+        refs = []
+
+        def keep_refs(name, pick=lambda value: value):
+            real = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                value = real(*args, **kwargs)
+                refs.append(weakref.ref(pick(value)))
+                return value
+            monkeypatch.setattr(bench, name, wrapper)
+
+        def cut_column(cleaned):
+            assert cleaned.rows_dropped
+            return cleaned.table.columns[0]
+
+        keep_refs("load_table")
+        keep_refs("run_metric")
+        keep_refs("clean_missing", cut_column)
+        assert len(run_benchmark(tasks, RulePlanner, registry).records) == 2
+        assert len(refs) == 1 + 5 + 1
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
 
     def test_same_dataset_and_features_share_one_oracle(self, registry,
                                                          tmp_path,

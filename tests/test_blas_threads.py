@@ -43,17 +43,17 @@ def pair(n):
 
 
 for n in (400, 3048, 20_000):
-    out[f"hsic n={n}"] = run_metric("hsic", pair(n)).raw
+    out[f"hsic n={n}"] = dict(run_metric("hsic", pair(n)).raw)
 for n in (400, 5000, 200_000):
-    out[f"hgr_approximation n={n}"] = run_metric("hgr_approximation",
-                                                 pair(n)).raw
+    out[f"hgr_approximation n={n}"] = dict(run_metric("hgr_approximation",
+                                                      pair(n)).raw)
 rng = np.random.default_rng(7)
 g = rng.integers(0, 2, 200_000)
 m = 0.8 * g + rng.standard_normal(g.size)
 y = 0.5 * g + 0.7 * m + rng.standard_normal(g.size)
-out["pse n=200000"] = run_metric(
+out["pse n=200000"] = dict(run_metric(
     "pse", [categorical("g", g, ["a", "b"]), Column("y", y)],
-    mediator=Column("m", m)).raw
+    mediator=Column("m", m)).raw)
 print(json.dumps(out))
 """
 

@@ -186,6 +186,29 @@ def test_a_late_defect_loads_as_the_csv_path(tmp_path, block, examples):
         check()
 
 
+def test_late_categorical_columns_share_one_reread(tmp_path, monkeypatch):
+    # Both label columns read as floats in the first block and as words
+    # after it, so their texts are read again: in one pass for both.
+    rows = [f"{i}.5,3.5,2.5\n" if i < 4096 else f"{i}.5,a{i % 3},b{i % 2}\n"
+            for i in range(2 * 4096 + 10)]
+    path = tmp_path / "t.csv"
+    path.write_text("x,g,h\n" + "".join(rows))
+    expected = _outcome(lambda: load_by(path, "csv"))
+    passes = []
+    blocks = tabular._blocks
+
+    def counted(*args):
+        passes.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(tabular, "_blocks", counted)
+    got = _outcome(lambda: load_table(path))
+    assert len(passes) == 2
+    assert got == expected
+    assert [kind for _, kind, _, _ in got] == [
+        "numerical", "categorical", "categorical"]
+
+
 def test_unicode_digits_parse_as_float_does(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes("x\n١٢\n3.5\n\xa04.5\n".encode())

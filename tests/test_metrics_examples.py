@@ -304,6 +304,12 @@ def test_run_metric_forwards_the_mediator():
     direct = pse(g, y, mediator=m)
     assert via_run == direct
     assert via_run.details == "treatment='a' mediator='m'"
+    # Kept per set of columns, the mediator included; None is no input.
+    assert run_metric("pse", [g, y], mediator=m) is via_run
+    shifted = num([1, 2, 1, 2, 1, 3, 2, 5, 2, 4, 3, 3, 1], "m")
+    assert run_metric("pse", [g, y], mediator=shifted) != via_run
+    assert (run_metric("causal_effect", [y, g], covariate=None)
+            is run_metric("causal_effect", [g, y]))
 
 
 def test_mediator_of_another_length_is_a_table_error():

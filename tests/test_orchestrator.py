@@ -930,6 +930,22 @@ class TestSessionLog:
             '"tags": "{\'b\'}"}, "rationale": ""}, "seq": 1, '
             '"stage": "user_input", "wall_ms": 0}')
 
+    @pytest.mark.parametrize("action", [
+        Action(ActionKind.CONSULT_ADVISOR, payload={"kind": "plan", 2: (1,)}),
+        Action(ActionKind.INVOKE_TOOL, tool="load_csv_file",
+               args={"x": [{"kind": "plan"}, {(1,): 1}]}),
+    ], ids=["payload", "nested-args"])
+    def test_a_non_str_key_is_a_planner_error(self, registry, cat_csv,
+                                              tmp_path, action):
+        # The log cannot sort such keys; the action is refused, retried
+        # once, and the log written on the way out still serializes.
+        path = tmp_path / "session.log.jsonl"
+        with pytest.raises(PlannerError, match="has a key that is not a str"):
+            run_session(cat_task(cat_csv), ScriptedPlanner([action, action]),
+                        registry, library=[], log_path=str(path))
+        log = SessionLog.from_jsonl(path.read_text(encoding="utf-8"))
+        assert [e.action for e in log.events] == ["task", "planner_error"]
+
     def test_malformed_line_rejected(self):
         with pytest.raises(MalformedLogError):
             SessionLog.from_jsonl('{"seq": 0}\nnot json at all\n')

@@ -1,6 +1,7 @@
-"""The first step a scenario's metrics share is computed once per set of
-columns, kept only while those columns live, and gives every metric the
-record or error it gives on columns of its own."""
+"""The first step a scenario's metrics share, each metric's result and
+drop_row's cut are computed once per set of columns, kept only while those
+columns live, and give every caller the record or error it gets on columns
+of its own."""
 
 import gc
 import json
@@ -19,9 +20,10 @@ from biasaudit.metrics import (
     classify_scenario,
     run_metric,
 )
-from biasaudit.metrics import base, cat_cat, cat_num
+from biasaudit import tabular
+from biasaudit.metrics import cat_cat, cat_num
 from biasaudit.synthgen import SynthSpec, generate
-from biasaudit.tabular import Column, categorical
+from biasaudit.tabular import Column, Table, categorical, clean_missing
 
 
 def outcome(metric_id, cols) -> str:
@@ -36,6 +38,23 @@ def copies(cols):
     return [Column(c.name, c.data.copy(), c.labels) for c in cols]
 
 
+def with_missing(cols, rng):
+    """The columns with a tenth of each one's cells missing."""
+    missing = []
+    for c in cols:
+        data = c.data.copy()
+        data[rng.choice(data.size, data.size // 10 + 1, replace=False)] = (
+            np.nan if c.labels is None else -1)
+        missing.append(Column(c.name, data) if c.labels is None
+                       else categorical(c.name, data, c.labels))
+    return missing
+
+
+def cut(cols):
+    """drop_row's cut of the columns: the rows where none is missing."""
+    return clean_missing(Table(tuple(cols)), [c.name for c in cols]).table.columns
+
+
 def variants(cols, rng):
     """The columns as generated, then with ties, missing cells, extreme
     units, one far value, and only five rows left."""
@@ -47,17 +66,10 @@ def variants(cols, rng):
         v[0] = 1e165
         return v
 
-    missing = []
-    for c in cols:
-        data = c.data.copy()
-        data[rng.choice(data.size, data.size // 10 + 1, replace=False)] = (
-            np.nan if c.labels is None else -1)
-        missing.append(Column(c.name, data) if c.labels is None
-                       else categorical(c.name, data, c.labels))
     return {
         "plain": cols,
         "ties": numeric(lambda v: np.round(v, 1)),
-        "missing": missing,
+        "missing": with_missing(cols, rng),
         "large units": numeric(lambda v: v * 1e160),
         "small units": numeric(lambda v: v * 1e-200),
         "far value": numeric(far),
@@ -99,12 +111,21 @@ def test_each_metric_keeps_its_own_error():
 
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_columns_outlive_nothing(scenario):
-    cols = generate(SynthSpec(scenario, 500, 0.5, k=3, seed=1)).columns
+    generated = generate(SynthSpec(scenario, 500, 0.5, k=3, seed=1)).columns
+    cols = with_missing(generated, np.random.default_rng(1))
+    del generated
+    rows = cut(cols)
+    kept = []
     for metric_id in SCENARIO_METRICS[scenario]:
         outcome(metric_id, cols)
-    assert cols[0] in base._MEMO
-    refs = [weakref.ref(c) for c in cols]
-    del cols
+        try:
+            kept.append(run_metric(metric_id, rows))
+        except BiasAuditError:
+            pass
+    assert kept
+    assert cols[0] in tabular._MEMO and rows[0] in tabular._MEMO
+    refs = [weakref.ref(x) for x in (*cols, *rows, *kept)]
+    del cols, rows, kept
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
 
@@ -119,28 +140,45 @@ def test_each_second_column_has_its_own_memo_held_weakly():
     del b
     gc.collect()
     assert ref() is None
-    assert list(base._MEMO[a].keys()) == [c]
+    _, after_a = tabular._MEMO[a]
+    assert list(after_a.keys()) == [c]
 
 
 def test_shared_arrays_are_read_only():
     a, b = generate(SynthSpec(Scenario.CAT_CAT, 500, 0.5, k=3)).columns
-    table, rows, cols = cat_cat.contingency(a, b)
-    assert not table.flags.writeable
-    assert cat_cat.contingency(a, b)[0] is table
+    counts, _, _ = cat_cat.contingency(a, b)
+    assert not counts.flags.writeable
+    assert cat_cat.contingency(a, b)[0] is counts
+    result = run_metric("cramers_v", [a, b])
+    assert run_metric("cramers_v", (a, b)) is result
+    with pytest.raises(TypeError):
+        result.raw["v"] = 0.0
+    # A cut of three columns, on the rows where the two targets are present.
+    x = Column("x", np.where(np.arange(500) % 7, 1.0, np.nan))
+    table = Table((*with_missing([a, b], np.random.default_rng(0)), x))
+    names = [a.name, b.name]
+    cleaned = clean_missing(table, names).table
+    assert clean_missing(table, names[::-1]).table.columns is cleaned.columns
+    assert clean_missing(table, names[:1]).table.columns is not cleaned.columns
+    assert cleaned.row_count < 500 and np.isnan(cleaned.column("x").data).any()
+    assert not any(c.data.flags.writeable for c in cleaned.columns)
+    assert clean_missing(cleaned, names).table.columns is cleaned.columns
 
 
 def test_threads_on_the_same_columns_agree():
-    tables = [generate(SynthSpec(scenario, 2000, 0.5, k=3, seed=seed))
+    rng = np.random.default_rng(0)
+    tables = [with_missing(generate(SynthSpec(scenario, 2000, 0.5, k=3,
+                                              seed=seed)).columns, rng)
               for scenario in Scenario for seed in range(3)]
-    expected = [{m: outcome(m, copies(t.columns))
-                 for m in SCENARIO_METRICS[classify_scenario(t.columns)]}
-                for t in tables]
+    expected = [{m: outcome(m, cut(copies(cols)))
+                 for m in SCENARIO_METRICS[classify_scenario(cols)]}
+                for cols in tables]
 
     def work(i, seed):
-        cols = tables[i].columns
+        rows = cut(tables[i])
         order = list(expected[i])
         random.Random(seed).shuffle(order)
-        return {m: outcome(m, cols) for m in order}
+        return {m: outcome(m, rows) for m in order}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -152,7 +190,6 @@ def test_threads_on_the_same_columns_agree():
     finally:
         sys.setswitchinterval(interval)
     assert all(got == expected[i] for i, got in results)
-
 
 
 @pytest.mark.parametrize("units", [1.0, 1e300])
