@@ -1,11 +1,15 @@
 """Distribution-bias metrics for a single categorical column.
 
-All entropies use natural log; normalized quantities are base-free.
+All entropies use natural log; normalized quantities are base-free. Float
+terms are added left to right from 0.0 by ``reduce``, as Python's ``sum``
+added them up to 3.11; from 3.12 ``sum`` compensates and can round otherwise.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 from ..errors import SingleCategoryError
 from ..tabular import Column
@@ -26,7 +30,7 @@ def _entropy(col: Column, metric_id: str):
     """Shannon entropy H, its normalized form H / ln k, n and k."""
     counts = _counts(col, True, metric_id)
     n = sum(counts.values())
-    h = -sum((c / n) * math.log(c / n) for c in counts.values() if c > 0)
+    h = -reduce(add, ((c / n) * math.log(c / n) for c in counts.values()), 0.0)
     return h, h / math.log(len(counts)), n, len(counts)
 
 
@@ -66,7 +70,7 @@ def gini(col: Column) -> MetricResult:
     n = sum(counts.values())
     k = len(counts)
     q = [(c + 1) / (n + k) for c in counts.values()]
-    g = 1.0 - sum(x * x for x in q)
+    g = 1.0 - reduce(add, (x * x for x in q), 0.0)
     return MetricResult("gini", {"G": g, "G_norm": g / (1.0 - 1.0 / k)}, n,
                         f"k={k}")
 

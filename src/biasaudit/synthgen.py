@@ -164,11 +164,21 @@ def _gen_num_dist(spec, rng):
     planted = int(round(spec.n * 0.01 * spec.strength ** 2))
     if planted:
         amp = 4.0 * float(np.std(x))
-        central = np.argsort(np.abs(x - np.median(x)))[:planted]
+        central = _nearest_to_median(x, planted)
         x[central] = amp
         x[central[1::2]] = -amp
     rng.shuffle(x)
     return (Column("value", x),)
+
+
+def _nearest_to_median(x: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` rows of a strictly increasing ``x`` nearest its median,
+    nearest first and a tie to the lower row, as a stable sort orders them
+    on every host (numpy's default sort may not). They lie within ``k`` rows
+    of the middle one, so only those are sorted."""
+    lo = max(x.size // 2 - k, 0)
+    near = np.abs(x[lo:x.size // 2 + k + 1] - np.median(x))
+    return lo + np.argsort(near, kind="stable")[:k]
 
 
 def _gen_cat_cat(spec, rng):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +35,7 @@ from .errors import (
     DuplicateHeaderError,
     EmptyFileError,
     NonNumericalTargetError,
+    NumericRangeError,
     ParseError,
     RaggedRowError,
     TableError,
@@ -345,11 +345,13 @@ def present_rows(cols: Sequence[Column], n: int) -> np.ndarray:
 
 
 def split_by_code(codes: np.ndarray, values: np.ndarray, k: int = 0) -> list:
-    """``values`` split by code into parts 0, 1, ... (at least ``k``), each
-    in row order."""
+    """``values`` split by code into parts 0, 1, ... (at least ``k``, and
+    none if there are no codes and ``k`` is 0), each in row order."""
     sizes = np.bincount(codes, minlength=k)
-    return np.split(values[np.argsort(codes, kind="stable")],
-                    np.cumsum(sizes)[:-1])
+    # numpy sorts integers of up to 16 bits stably by radix, in linear time.
+    order = np.argsort(codes.astype(np.min_scalar_type(sizes.size)),
+                       kind="stable")
+    return np.split(values[order], np.cumsum(sizes)[:-1])[:sizes.size]
 
 
 def _unreadable(path, exc) -> ParseError:
@@ -642,7 +644,7 @@ def clean_missing(table: Table, columns: Sequence[str],
             if c.kind is not Kind.NUMERICAL:
                 raise NonNumericalTargetError(
                     f"fill_median requires a numerical column, got {c.name!r}")
-            fill = statistics.median(c.data[present].tolist())
+            fill = _median(c.data[present])
         else:  # FILL_MODE: the most frequent value, ties to the first label
             cats = c.categories()
             fill = int(np.bincount(cats.data[cats.present]).argmax())
@@ -674,23 +676,26 @@ def normalize_or_standardize(table: Table, column: str,
     if mode is NormalizeMode.NORMALIZE:
         # Of tied extremes (-0.0 and 0.0) take the first in row order: the sign
         # of lo can reach the result.
-        lo, hi = present[present.argmin()], present[present.argmax()]
+        lo, hi = present[[present.argmin(), present.argmax()]].tolist()
         scale = hi - lo
-        if scale == 0:
-            raise ConstantColumnError(f"{column!r} is constant")
+        if math.isinf(scale):
+            raise NumericRangeError(
+                f"normalize: the range of {column!r} exceeds float64")
         new = (data - lo) / scale
     else:
-        # Python sums in row order, so the result does not depend on numpy's
-        # pairwise summation.
-        cells = present.tolist()
-        mean = sum(cells) / len(cells)
-        var = sum((v - mean) ** 2 for v in cells) / len(cells)
+        # Row-order sums, as Python 3.11 adds floats; squares by the C
+        # library's pow, as ** takes them (np.square may differ in the last bit).
+        with np.errstate(over="ignore"):
+            mean = np.cumsum(present)[-1] / present.size
+            var = np.cumsum(np.float_power(present - mean, 2))[-1] / present.size
+        if not math.isfinite(var):
+            raise NumericRangeError(
+                f"standardize: the variance of {column!r} exceeds float64")
         if var == 0:
             raise ConstantColumnError(f"{column!r} has zero variance")
         new = (data - mean) / math.sqrt(var)
-    new_cols = tuple(Column(column, new) if c.name == column else c
-                     for c in table.columns)
-    return Table(new_cols)
+    return Table(tuple(Column(column, new) if c.name == column else c
+                       for c in table.columns))
 
 
 class AggregateFn(str, Enum):
@@ -710,21 +715,34 @@ def group_and_aggregate(table: Table, by: str, target: str,
             f"{fn.value} requires a numerical target, got {target!r}")
     groups = by_col.categories()
     keys = groups.labels
-    sizes = np.bincount(groups.data[groups.present], minlength=len(keys))
-    keep = groups.present & target_col.present
-    parts = split_by_code(groups.data[keep], target_col.data[keep], len(keys))
-    out = []
-    for size, part in zip(sizes.tolist(), parts):
-        vals = part.tolist()
-        if fn is AggregateFn.COUNT:
-            out.append(float(size))
-        elif not vals:
-            out.append(None)
-        elif fn is AggregateFn.MEAN:
-            out.append(sum(vals) / len(vals))
-        elif fn is AggregateFn.SUM:
-            out.append(float(sum(vals)))
-        else:
-            out.append(float(statistics.median(vals)))
+    keep = groups.present & (target_col.present | (fn is AggregateFn.COUNT))
+    codes, values = groups.data[keep], target_col.data[keep]
+    sizes = np.bincount(codes, minlength=len(keys))
+    if fn is AggregateFn.MEDIAN:
+        out = np.array([_median(part) if part.size else np.nan
+                        for part in split_by_code(codes, values, len(keys))])
+    else:
+        # Each group's rows, or its values added in row order from 0.0 as
+        # Python 3.11 sums them.
+        out = np.bincount(codes, None if fn is AggregateFn.COUNT else values,
+                          len(keys)).astype(np.float64)
+        if np.isinf(out).any():
+            raise NumericRangeError(f"group_and_aggregate: a sum of "
+                                    f"{target!r} by {by!r} exceeds float64")
+        if fn is AggregateFn.MEAN:
+            out /= np.maximum(sizes, 1)
+    out[sizes == 0] = np.nan
     return Table((Column.of(by, by_col.kind, keys),
-                  Column.of(f"{fn.value}_{target}", Kind.NUMERICAL, out)))
+                  Column(f"{fn.value}_{target}", out)))
+
+
+def _median(v: np.ndarray) -> float:
+    """``statistics.median`` of a non-empty array, bit for bit where finite:
+    its stable sort keeps tied zeros in row order, so the k-th has its sign."""
+    i, j = (v.size - 1) // 2, v.size // 2
+    middle = np.partition(v, (i, j))[[i, j]]
+    zero = middle == 0
+    middle[zero] = v[v == 0][np.array((i, j))[zero] - np.count_nonzero(v < 0)]
+    lo, hi = middle.tolist()
+    mid = (lo + hi) / 2
+    return mid if math.isfinite(mid) else lo / 2 + hi / 2

@@ -7,6 +7,7 @@ equivalent. Each function returns a dict matching the metric's raw keys.
 """
 
 import math
+import statistics
 from statistics import NormalDist  # noqa: F401  (kept for parity with generators)
 
 import numpy as np
@@ -545,3 +546,61 @@ def load_columns(path, na_tokens, delimiter=","):
             cells = tuple(None if v.strip() in na else v for v in raw)
         out.append((name, kind, cells))
     return out
+
+
+# ------------------------------------------------------------ data tools
+# The session data tools cell by cell. Float sums run left to right from int
+# 0, as Python's sum added floats up to 3.11, so a sum of -0.0 reads 0.0.
+# Each raises ValueError where the tool raises a typed error for a constant
+# or empty column, and may raise OverflowError or return non-finite cells
+# where float64 runs out.
+
+def _row_sum(xs):
+    total = 0
+    for x in xs:
+        total += x
+    return total
+
+
+def standardize(values):
+    """Each cell minus the mean, over the population sd; None stays None."""
+    present = drop_missing(values)
+    if len(set(present)) < 2:
+        raise ValueError("fewer than 2 distinct values")
+    mean = _row_sum(present) / len(present)
+    var = _row_sum((v - mean) ** 2 for v in present) / len(present)
+    if var == 0:
+        raise ValueError("zero variance")
+    sd = math.sqrt(var)
+    return [None if v is None else (v - mean) / sd for v in values]
+
+
+def fill_median(values):
+    """Each missing cell filled with ``statistics.median`` of the others."""
+    present = drop_missing(values)
+    if not present:
+        raise ValueError("no values")
+    fill = statistics.median(present)
+    return [fill if v is None else v for v in values]
+
+
+def group_and_aggregate(keys, values, fn):
+    """The groups of ``keys`` (None missing) sorted by ``str``, and per group
+    the count of its rows, or the mean, sum or median of its present values
+    (None if it has none)."""
+    groups = sorted({k for k in keys if k is not None}, key=str)
+    out = []
+    for g in groups:
+        rows = [v for k, v in zip(keys, values) if k == g]
+        vals = drop_missing(rows)
+        if fn == "count":
+            out.append(float(len(rows)))
+        elif not vals:
+            out.append(None)
+        elif fn == "mean":
+            out.append(_row_sum(vals) / len(vals))
+        elif fn == "sum":
+            out.append(float(_row_sum(vals)))
+        else:
+            out.append(float(statistics.median(vals)))
+    return groups, out

@@ -15,6 +15,7 @@ from biasaudit.synthgen import (
     GRADE_SIZES,
     LEVEL_STRENGTHS,
     SynthSpec,
+    _nearest_to_median,
     collect_calibration_samples,
     generate,
     grade_suite,
@@ -126,6 +127,16 @@ def test_pinned_output(spec, digest):
 def test_labels_in_use_sorted_by_str():
     column = generate(PINNED[1][0]).columns[0]
     assert column.labels == ("c0", "c1", "c10", *(f"c{i}" for i in range(2, 10)))
+
+
+@pytest.mark.parametrize("n", [10, 11, 500, 5001])
+def test_nearest_rows_to_the_median_break_ties_by_row(n):
+    # A symmetric increasing column: every distance to the median is tied.
+    half = np.cumsum(np.random.default_rng(n).random(n // 2) + 0.1)
+    x = np.concatenate([-half[::-1], [0.0] * (n % 2), half])
+    for k in range(1, n // 10 + 2):
+        want = np.argsort(np.abs(x - np.median(x)), kind="stable")[:k]
+        np.testing.assert_array_equal(_nearest_to_median(x, k), want)
 
 
 def _bits(values) -> np.ndarray:
