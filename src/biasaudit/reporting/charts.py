@@ -367,14 +367,18 @@ def _box(spec):
         raise EmptyDataError("box: every group needs a non-empty numeric series")
     keys = sorted(groups, key=str)
     values = {k: np.sort(np.asarray(groups[k], dtype=float)) for k in keys}
-    lo = min(v[0] for v in values.values())
-    hi = max(v[-1] for v in values.values())
+    lo = float(min(v[0] for v in values.values()))
+    hi = float(max(v[-1] for v in values.values()))
     span = (hi - lo) or 1.0
     svg = _Svg(spec.title)
     plot_h = HEIGHT - 2 * MARGIN
     slot = (WIDTH - 2 * MARGIN) / len(keys)
+    # Where the span or a scaled offset would overflow, halves do not.
+    halved = not math.isfinite(plot_h * span)
 
     def ypos(v):
+        if halved:
+            return HEIGHT - MARGIN - plot_h * ((v / 2 - lo / 2) / (hi / 2 - lo / 2))
         return HEIGHT - MARGIN - plot_h * (v - lo) / span
 
     def quantile(sorted_v, q):

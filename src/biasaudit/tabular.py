@@ -5,11 +5,13 @@ new table. Each :class:`Column` is one read-only numpy array: float64
 with NaN for missing, or int codes with -1 for missing into labels sorted
 by ``str``. Its kind follows from its labels: it is categorical iff it has
 them. Cleaning, the metrics and the charts share the array, and
-:func:`load_table` parses each block of CSV rows straight into it. numpy
-splits each block from its raw bytes, each column into one fixed-width bytes
-array with no Python object per cell (a column whose block has one far
-longer cell is kept as str instead), until a block it cannot split exactly
-as ``csv.reader`` would; ``csv.reader`` reads the rest from there.
+:func:`load_table` parses each block of CSV rows straight into it: the
+whole lines of one read of about 64 KiB. numpy splits each block from its
+raw bytes, each column into one fixed-width bytes array with no Python
+object per cell (a column whose block has one far longer cell is kept as str
+instead), until a block it cannot split exactly as ``csv.reader`` would;
+``csv.reader`` reads the rest from there, 4096 rows at a time. A numeric
+block with missing cells is parsed by the same numpy cast as one without.
 
 :func:`shared` keeps a value computed from an ordered set of columns for as
 long as those columns live, and no longer: the metrics keep their first
@@ -24,7 +26,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, filterfalse, islice
+from itertools import islice
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -49,8 +51,11 @@ NA_TOKENS = frozenset({"", "NA", "N/A", "?", "null"})
 # unless it looks like an integer code with few distinct values.
 NUMERIC_PARSE_THRESHOLD = 0.95
 INTEGER_CODE_MAX_DISTINCT = 10
-# CSV rows are read, parsed and written this many at a time.
+# csv.reader reads and parses, and write_table writes, this many rows at a
+# time.
 _CSV_BLOCK = 4096
+# The byte splitter reads whole lines of about this many bytes at a time.
+_LINE_BYTES = 64 * 1024
 
 
 class Kind(str, Enum):
@@ -220,12 +225,13 @@ class _ColumnParser:
     A block is one numpy array of the column's cells: fixed-width UTF-8
     bytes (``S``) from the byte splitter, or ``str`` objects from
     ``csv.reader`` and from the byte splitter's long-celled columns. A cell
-    is missing if its stripped text is in ``NA_TOKENS``; a present cell is
-    numeric if it parses as a finite real. A block whose cells all parse is
-    kept as float64 (non-finite values missing), unless every value so far
-    is one of a few integers: a possible integer code, whose labels are its
-    texts. Every other block is kept as codes into one dict of the column's
-    distinct texts, each decoded, checked and parsed once, by :meth:`kind`.
+    is missing if :func:`_missing` says so; a present cell is numeric if it
+    parses as a finite real. A block whose present cells all parse is kept
+    as float64 (missing and non-finite values NaN), unless every value so
+    far is one of a few integers: a possible integer code, whose labels are
+    its texts. Every other block is kept as codes into one dict of the
+    column's distinct texts, each decoded, checked and parsed once, by
+    :meth:`kind`.
     """
 
     def __init__(self, parse_floats: bool = True):
@@ -244,7 +250,7 @@ class _ColumnParser:
             # bytes of non-ASCII digits and spaces: such a block takes the
             # text path, where kind() parses the decoded text.
             try:
-                block = cells.astype(np.float64)
+                block, present = _floats(cells)
             except ValueError:
                 pass
         if block is not None:
@@ -255,18 +261,13 @@ class _ColumnParser:
             if self.small_ints is None:
                 block[~finite] = np.nan
                 self.parts.append(block)
-                self.present += block.size
+                self.present += present
                 self.numeric += int(np.count_nonzero(finite))
                 return
         keys, inverse = _distinct(cells)
         texts = self.texts
-        fresh = list(filterfalse(texts.__contains__, keys))
-        texts.update(zip(fresh, count(len(texts))))
-        if len(fresh) == len(keys):  # all new: their codes follow the keys'
-            self.parts.append(inverse + (len(texts) - len(keys)))
-        else:
-            self.parts.append(np.array(list(map(texts.__getitem__, keys)),
-                                       dtype=np.intp)[inverse])
+        codes = [texts.setdefault(key, len(texts)) for key in keys]
+        self.parts.append(np.array(codes, dtype=np.intp)[inverse])
 
     def kind(self) -> Kind:
         """The kind of every cell added.
@@ -276,18 +277,15 @@ class _ColumnParser:
         all-integer values), so demographic codes like ``sex in {0, 1}``
         stay categorical.
         """
-        self.missing = [text.strip() in NA_TOKENS for text in self.texts]
-        cells = ["nan" if m else text for text, m in zip(self.texts, self.missing)]
-        try:
-            self.value = np.array(cells, dtype=np.float64)
-        except ValueError:
-            self.value = np.array(list(map(_parse, cells)), dtype=np.float64)
+        texts = np.array(list(self.texts), dtype=object)
+        self.missing = _missing(texts)
+        self.value = np.array(list(map(_parse, texts)), dtype=np.float64)
         finite = np.isfinite(self.value)
         self.value[~finite] = np.nan  # per distinct text, NaN unless numeric
-        counts = sum((np.bincount(part, minlength=len(cells))
+        counts = sum((np.bincount(part, minlength=texts.size)
                       for part in self.parts if part.dtype == np.intp),
-                     np.zeros(len(cells), dtype=np.intp))
-        present = self.present + int(counts[~np.array(self.missing, dtype=bool)].sum())
+                     np.zeros(texts.size, dtype=np.intp))
+        present = self.present + int(counts[~self.missing].sum())
         numeric = self.numeric + int(counts[finite].sum())
         if not present or numeric / present < NUMERIC_PARSE_THRESHOLD:
             return Kind.CATEGORICAL
@@ -307,6 +305,35 @@ class _ColumnParser:
         labels = [None if m else text for text, m in zip(self.texts, self.missing)]
         codes = np.concatenate([np.empty(0, dtype=np.intp), *self.parts])
         return categorical(name, codes, labels)
+
+
+def _missing(cells: np.ndarray) -> np.ndarray:
+    """Whether each cell is missing: its stripped text is in ``NA_TOKENS``.
+
+    ``S`` cells are stripped as bytes are, of the six ASCII spaces
+    ``bytes.strip`` knows. One with other space around a token, such as
+    U+00A0 or U+001C, reads as present, and parses as no number either, so
+    its block takes the text path."""
+    if cells.dtype == object:  # str
+        return np.array([t.strip() in NA_TOKENS for t in cells.tolist()], dtype=bool)
+    return np.isin(np.char.strip(cells), [token.encode() for token in NA_TOKENS])
+
+
+def _floats(cells: np.ndarray) -> tuple:
+    """A block's cells as float64, NaN where missing, and how many are
+    present; ValueError if a present cell does not parse. Only a block the
+    plain cast refuses is checked for missing cells."""
+    try:
+        return cells.astype(np.float64), cells.size
+    except ValueError:
+        # A block of words fails on its first cell: raise before every
+        # cell is checked.
+        if not _missing(cells[:1]).all():
+            cells[:1].astype(np.float64)
+        present = ~_missing(cells)
+    block = np.full(cells.size, np.nan)
+    block[present] = cells[present].astype(np.float64)
+    return block, int(np.count_nonzero(present))
 
 
 def _small_code(numbers: set) -> bool:
@@ -415,26 +442,18 @@ def _check_plain(raw: bytes) -> None:
 
 
 def _line_blocks(fh):
-    """The rest of a binary file in blocks of ``_CSV_BLOCK`` lines, the last
-    one shorter; every block ends in a newline."""
-    rest = b""
-    size = 64 * _CSV_BLOCK  # bytes to read: about one block, once one is cut
-    while True:
-        more = fh.read(size)
-        end = len(more) < size
+    """The rest of a binary file in blocks of whole lines, each from one
+    read of about ``_LINE_BYTES``; every block ends in a newline."""
+    rest, size = b"", _LINE_BYTES
+    # At the end of the file, a last line without a newline gets one.
+    while more := fh.read(size) or (rest and b"\n"):
         buf = rest + more
-        newlines = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 10)
-        start = 0
-        for cut in (newlines[_CSV_BLOCK - 1::_CSV_BLOCK] + 1).tolist():
-            yield buf[start:cut]
-            size, start = cut - start, cut
-        rest = buf[start:]
-        if end:
-            if rest:
-                yield rest if rest.endswith(b"\n") else rest + b"\n"
-            return
-        if not start:
-            size *= 2  # long lines
+        cut = buf.rfind(b"\n") + 1
+        if cut:
+            yield buf[:cut]
+        rest = buf[cut:]
+        # A line longer than one read doubles the next.
+        size = _LINE_BYTES if cut else 2 * size
 
 
 # A column whose fixed-width cells would take more than this many bytes per
@@ -500,10 +519,10 @@ def _windows(buf: np.ndarray, w: int) -> np.ndarray:
 
 
 def _blocks(path, width: int):
-    """Each column's cells in blocks of at most ``_CSV_BLOCK`` rows after
-    the header. numpy splits the file's bytes up to the first block it
-    cannot split as ``csv.reader`` would, and ``csv.reader`` reads the rest
-    from that block's first byte."""
+    """Each column's cells in blocks after the header. numpy splits the
+    file's bytes, one ``_line_blocks`` block at a time, up to the first block
+    it cannot split as ``csv.reader`` would, and ``csv.reader`` reads the
+    rest from that block's first byte, ``_CSV_BLOCK`` rows at a time."""
     with open(path, "rb") as fh:
         line = fh.readline()
         start, rownum = 0, 2
@@ -534,13 +553,14 @@ def load_table(path) -> Table:
 
     Column kinds are inferred by :meth:`_ColumnParser.kind`; cells of a
     numerical column that do not parse are marked missing, as are
-    ``NA_TOKENS`` anywhere. numpy splits the rows from the file's bytes up
-    to the first block with a quote, NUL or bare ``\r``, invalid UTF-8 or a
-    row not of the header's width; ``csv.reader`` reads the header and the
-    rest from that block's first byte, and words every error. Both read
-    and parse ``_CSV_BLOCK`` rows at a time, so only about one block of raw
-    text is alive at once. A file that cannot be opened or read raises
-    :class:`TableError` with the OS error's text.
+    ``NA_TOKENS`` anywhere, which in a numeric block the float cast reads
+    as NaN. numpy splits the rows from the file's bytes, the whole lines of
+    one read of about ``_LINE_BYTES`` at a time, up to the first block with
+    a quote, NUL or bare ``\r``, invalid UTF-8 or a row not of the header's
+    width; ``csv.reader`` reads the header and the rest from that block's
+    first byte, ``_CSV_BLOCK`` rows at a time, and words every error. So
+    only about one block of raw text is alive at once. A file that cannot
+    be opened or read raises :class:`TableError` with the OS error's text.
     """
     header = list_features(path)
     parsers = [_ColumnParser() for _ in header]
@@ -645,11 +665,14 @@ def clean_missing(table: Table, columns: Sequence[str],
                 raise NonNumericalTargetError(
                     f"fill_median requires a numerical column, got {c.name!r}")
             fill = _median(c.data[present])
-        else:  # FILL_MODE: the most frequent value, ties to the first label
-            cats = c.categories()
-            fill = int(np.bincount(cats.data[cats.present]).argmax())
-            if c.labels is None:
-                fill = cats.labels[fill]
+        elif c.labels is None:
+            # FILL_MODE: the most frequent value, of ties the first by str;
+            # a zero has the sign it has where first seen.
+            values = c.data[present]
+            _, first, counts = np.unique(values, return_index=True, return_counts=True)
+            fill = min(values[first[counts == counts.max()]].tolist(), key=str)
+        else:  # FILL_MODE: the most frequent label, ties to the first
+            fill = int(np.bincount(c.data[present]).argmax())
         changed += len(present) - int(present.sum())
         new_cols.append(Column(c.name, np.where(present, c.data, fill), c.labels))
     return CleaningResult(Table(tuple(new_cols)), changed, 0)
@@ -707,7 +730,9 @@ class AggregateFn(str, Enum):
 
 def group_and_aggregate(table: Table, by: str, target: str,
                         fn: AggregateFn) -> Table:
-    """Aggregate ``target`` per group of ``by``; groups in ascending order."""
+    """Aggregate ``target`` per group of ``by``, one row per group in ``str``
+    order of its label or value, so a numerical ``by`` of 2.0, 10.0 and 1.5
+    gives groups 1.5, 10.0, 2.0."""
     by_col = table.column(by)
     target_col = table.column(target)
     if fn is not AggregateFn.COUNT and target_col.kind is not Kind.NUMERICAL:

@@ -34,6 +34,9 @@ CASES = [
     ("unicode-digits", "x\n١٢\n3.5\n\xa04.5\n".encode(), True),
     ("unicode-digits-mixed", "x\n1.5\n١٢\nfoo\n".encode(), True),
     ("overflow", b"x\n1e400\n-1e999\n2.5\n", True),
+    # Bytes lose only the ASCII spaces bytes.strip knows: these tokens are
+    # missing on the text path, which strips the decoded text.
+    ("token-in-other-space", "x\n1.5\n\xa0NA\n\x1cnull\n2.5\n".encode(), True),
     ("late-rows", b"x,g\n" + LATE.encode(), True),
     ("blank-line-1-column", b"x\n1\n\n2\n", False),
     ("blank-crlf-line-1-column", b"x\r\n1\r\n\r\n2\r\n", False),
@@ -127,13 +130,14 @@ def test_a_late_quote_hands_off_only_its_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tabular, "_split_block", split_block)
     monkeypatch.setattr(tabular.csv, "reader", reader)
+    monkeypatch.setattr(tabular, "_LINE_BYTES", 2 ** 14)  # blocks of ~1700 rows
     table = load_table(path)
     assert table.row_count == 2 * 4096 + 11
-    # numpy splits each block once and refuses the last, whose 11 rows
+    # numpy splits each block once and refuses the last, whose rows
     # csv.reader reads after the header.
-    assert split == [4096, 4096, 11]
-    assert rows == [["x", "g"]] + [row.split(",") for row in LATE.split()[8192:]] \
-        + [["1.5", "q"]]
+    assert len(split) > 2 and sum(split) == 2 * 4096 + 11
+    late = LATE.split()[2 * 4096 + 11 - split[-1]:]
+    assert rows == [["x", "g"]] + [row.split(",") for row in late] + [["1.5", "q"]]
 
 
 # Rows that each send their block to csv.reader.
@@ -166,8 +170,11 @@ def late_defects(draw, block):
     return text.encode("utf-8", "surrogateescape")
 
 
-@pytest.mark.parametrize("block, examples", [(3, 150), (4096, 15)])
-def test_a_late_defect_loads_as_the_csv_path(tmp_path, block, examples):
+# csv.reader's rows and the byte splitter's bytes per block: a few rows
+# each, or the row count in use and blocks of ~1700 rows.
+@pytest.mark.parametrize("block, line_bytes, examples", [
+    (3, 16, 150), (4096, 2 ** 14, 15)], ids=["3-150", "4096-15"])
+def test_a_late_defect_loads_as_the_csv_path(tmp_path, block, line_bytes, examples):
     path = tmp_path / "t.csv"
 
     @settings(max_examples=examples, derandomize=True, deadline=None)
@@ -183,12 +190,14 @@ def test_a_late_defect_loads_as_the_csv_path(tmp_path, block, examples):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tabular, "_CSV_BLOCK", block)
+        mp.setattr(tabular, "_LINE_BYTES", line_bytes)
         check()
 
 
 def test_late_categorical_columns_share_one_reread(tmp_path, monkeypatch):
-    # Both label columns read as floats in the first block and as words
-    # after it, so their texts are read again: in one pass for both.
+    # Both label columns read as floats in the first blocks and as words
+    # after them, so their texts are read again: in one pass for both.
+    monkeypatch.setattr(tabular, "_LINE_BYTES", 2 ** 14)  # blocks of ~1100 rows
     rows = [f"{i}.5,3.5,2.5\n" if i < 4096 else f"{i}.5,a{i % 3},b{i % 2}\n"
             for i in range(2 * 4096 + 10)]
     path = tmp_path / "t.csv"
@@ -207,6 +216,21 @@ def test_late_categorical_columns_share_one_reread(tmp_path, monkeypatch):
     assert got == expected
     assert [kind for _, kind, _, _ in got] == [
         "numerical", "categorical", "categorical"]
+
+
+def test_missing_cells_stay_on_the_float_path(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x,y\n1.5,a\n,b\nNA,a\nnull,b\n NA ,a\n\t?,b\n2.5,a\n")
+    expected = _outcome(lambda: load_by(path, "csv"))
+    distinct = tabular._distinct
+
+    def labels_only(cells):
+        assert cells[0] == b"a", "a numeric block reached the text path"
+        return distinct(cells)
+
+    monkeypatch.setattr(tabular, "_distinct", labels_only)
+    assert _outcome(lambda: load_table(path)) == expected
+    assert expected[0] == ("x", "numerical", None, repr((1.5,) + (None,) * 5 + (2.5,)))
 
 
 def test_unicode_digits_parse_as_float_does(tmp_path):

@@ -20,14 +20,23 @@ def _floats(rng, n):
     return [(repr(a), repr(b)) for a, b in rng.normal(size=(n, 2)).tolist()]
 
 
+def _floats_with_blanks(rng, n):
+    # About 1% of cells are "" or "NA", so every block holds some.
+    cells = np.array(_floats(rng, n), dtype=object)
+    blank = rng.random(size=cells.shape) < 0.01
+    cells[blank] = rng.choice(["", "NA"], size=int(blank.sum()))
+    return cells.tolist()
+
+
 def _labels(rng, n):
     return [(f"a{a}", f"b{b}") for a, b in rng.integers(0, 4, size=(n, 2)).tolist()]
 
 
 # Two float columns take 1.5 MiB as float64, two categorical ones 1.5 MiB
-# as intp codes.
+# as intp codes. Missing cells among the floats cost nothing more.
 @pytest.mark.parametrize("cells, peak_mb, retained_mb", [
     (_floats, 6, 2),
+    (_floats_with_blanks, 6, 2),
     (_labels, 6, None),
 ])
 def test_load_memory(tmp_path, cells, peak_mb, retained_mb):

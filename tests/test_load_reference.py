@@ -56,7 +56,7 @@ def csv_table(draw):
 @example([["1.5"] * 19 + ["inf", ""]])
 # Ten distinct integer codes stay categorical, eleven do not.
 @example([[str(i % 10) for i in range(30)], [str(i % 11) for i in range(30)]])
-# With 3-row blocks (see below): junk and a blank cell in later blocks of a
+# With small blocks (see below): junk and a blank cell in later blocks of a
 # numeric column; "1" and "1.0" in different blocks of an integer code; a
 # column whose first blocks parse as floats but which is categorical.
 @example([[f"{i}.5" if i not in (10, 20) else ("junk" if i == 10 else "")
@@ -97,9 +97,10 @@ def _load_both(path):
 
 
 def test_load_table_matches_reference_across_blocks(monkeypatch):
-    # Every case above, read three rows at a time by either splitter, so
-    # cases span blocks.
+    # Every case above, read three rows at a time by csv.reader and in
+    # blocks of about eight bytes by the byte splitter, so cases span blocks.
     monkeypatch.setattr(tabular, "_CSV_BLOCK", 3)
+    monkeypatch.setattr(tabular, "_LINE_BYTES", 8)
     test_load_table_matches_reference()
 
 

@@ -142,6 +142,15 @@ class TestBox:
         with pytest.raises(EmptyDataError):
             render_chart(spec(ChartKind.BOX, groups={}))
 
+    @pytest.mark.parametrize("groups", [
+        {"a": [1.0, -1.7e308, 1.7e308, 2.0], "b": [0.5]},
+        {"a": [0.0, 1e307], "b": [5e306]},  # a finite span too wide to scale
+    ])
+    def test_values_near_the_float64_limits_place_finitely(self, groups):
+        markup = render_chart(spec(ChartKind.BOX, groups=groups))
+        assert "nan" not in markup and "inf" not in markup
+        assert labeled_rects(markup) == ["a", "b"]
+
     def test_array_groups_render_as_lists(self):
         # Unsorted, with -0.0/0.0 ties whose order can reach a quantile's sign.
         groups = {"a": [3.0, -0.0, 0.0, -1.5, 0.0, -0.0, 2.25],

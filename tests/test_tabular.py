@@ -227,6 +227,13 @@ class TestGroupAggregate:
         out = group_and_aggregate(t, "g", "x", AggregateFn.SUM)
         assert out.row_count == 1
 
+    def test_numerical_groups_in_str_order(self):
+        t = table_of([("g", "numerical", (2.0, 10.0, 2.0, 1.5)),
+                      ("x", "numerical", (1.0, 2.0, 3.0, 4.0))])
+        out = group_and_aggregate(t, "g", "x", AggregateFn.SUM)
+        assert out.columns[0].cells() == (1.5, 10.0, 2.0)
+        assert out.columns[1].cells() == (4.0, 2.0, 4.0)
+
 
 class TestColumnView:
     def test_categorical_codes_in_label_order(self):
@@ -285,3 +292,22 @@ def test_numerical_categories_match_the_per_cell_reference(cells):
     codes, labels = oracles.categories(cells)
     assert cats.data.tolist() == codes
     assert list(map(repr, cats.labels)) == list(map(repr, labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NUMERIC_CELL, min_size=1, max_size=40))
+@example([10.0, 2.0, 2.0, 10.0, math.nan])  # a tie: "10.0" sorts before "2.0"
+@example([-0.0, 0.0, 5.0, 5.0, math.nan])  # -0.0 seen first, tied with 5.0
+@example([0.0, -0.0, -0.0, 1e-310, 1e-310, 1e-310])  # +0.0 first, tied
+@example([math.nan, math.nan])
+def test_numerical_fill_mode_is_the_mode_of_its_categories(cells):
+    col = Column("x", np.array(cells, dtype=float))
+    table = Table((col,))
+    if not col.present.any():
+        with pytest.raises(AllRowsDroppedError):
+            clean_missing(table, ["x"], CleaningMode.FILL_MODE)
+        return
+    cats = col.categories()
+    mode = cats.labels[int(np.bincount(cats.data[cats.present]).argmax())]
+    filled = clean_missing(table, ["x"], CleaningMode.FILL_MODE).table.column("x")
+    assert filled.data.tobytes() == np.where(col.present, col.data, mode).tobytes()
