@@ -1,10 +1,16 @@
 """Distribution-bias metrics for a single numerical column.
 
 Moments are population moments about the mean; quantiles use linear
-interpolation (numpy's default, type 7).
+interpolation (numpy's default, type 7). The third and fourth powers of
+the deviations are products, not numpy's ``pow``: each step that reaches
+g1 or g2 is one IEEE 754 multiply, divide or square root, so the moments
+read the same bits whichever SIMD kernels numpy dispatches to on an
+x86-64 host (``tests/test_cpu_dispatch.py``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,7 +53,9 @@ def skewness(col: Column) -> MetricResult:
     d, m2 = _deviations(col, x)
     if m2 == 0:
         raise ConstantColumnError("skewness undefined for a constant column")
-    g1 = np.mean(d ** 3) / m2 ** 1.5
+    cube = d * d
+    cube *= d
+    g1 = np.mean(cube) / (m2 * math.sqrt(m2))
     return MetricResult("skewness", {"g1": float(g1)}, x.size)
 
 
@@ -57,17 +65,19 @@ def kurtosis(col: Column) -> MetricResult:
     d, m2 = _deviations(col, x)
     if m2 == 0:
         raise ConstantColumnError("kurtosis undefined for a constant column")
-    g2 = np.mean(d ** 4) / m2 ** 2 - 3.0
+    fourth = d * d
+    fourth *= fourth
+    g2 = np.mean(fourth) / (m2 * m2) - 3.0
     return MetricResult("kurtosis", {"g2": float(g2)}, x.size)
 
 
 def outlier(col: Column) -> MetricResult:
     """Fraction of points farther than ``Z_CUTOFF`` population sd from the mean."""
     x = _values(col, "outlier")
-    sd = x.std()
+    d, m2 = _deviations(col, x)
+    sd = math.sqrt(m2)
     if sd == 0:
         raise ConstantColumnError("outlier fraction undefined for a constant column")
-    d, _ = _deviations(col, x)
     frac = float(np.mean(np.abs(d) / sd > Z_CUTOFF))
     return MetricResult("outlier", {"fraction": frac}, x.size,
                         f"z_cutoff={Z_CUTOFF}")
@@ -76,7 +86,8 @@ def outlier(col: Column) -> MetricResult:
 def cohens_d_mad(col: Column) -> MetricResult:
     """Mean-median gap scaled by 1.4826 * MAD (robust asymmetry measure)."""
     x = _values(col, "cohens_d_mad")
-    med = float(np.median(_sorted(col, x)))
+    s = _sorted(col, x)
+    med = float(np.mean(s[(x.size - 1) // 2:x.size // 2 + 1]))
     mad = float(np.median(np.abs(x - med)))
     if mad == 0:
         raise ConstantColumnError("cohens_d_mad undefined: MAD is zero")

@@ -351,7 +351,7 @@ def _centered_lattice_gram(points: np.ndarray, p: np.ndarray,
     weight below a pair is exactly half. When every row is a lattice point
     the weights are whole row counts, so that comparison is exact."""
     d2 = np.square(np.subtract.outer(points, points))
-    upper = np.triu_indices(points.size, k=1)
+    upper = np.triu(np.ones(d2.shape, dtype=bool), 1)
     pair_d2 = d2[upper]
     order = np.argsort(pair_d2)
     weight = np.outer(rows, rows)[upper][order]

@@ -177,7 +177,8 @@ def _nearest_to_median(x: np.ndarray, k: int) -> np.ndarray:
     on every host (numpy's default sort may not). They lie within ``k`` rows
     of the middle one, so only those are sorted."""
     lo = max(x.size // 2 - k, 0)
-    near = np.abs(x[lo:x.size // 2 + k + 1] - np.median(x))
+    median = np.mean(x[(x.size - 1) // 2:x.size // 2 + 1])
+    near = np.abs(x[lo:x.size // 2 + k + 1] - median)
     return lo + np.argsort(near, kind="stable")[:k]
 
 

@@ -78,7 +78,7 @@ DETECT = {
         "report.md":
             "666ecfbe6530664183644e9f819c359d524475c57258a0147dbf6da3c17633b3",
         "session.log.jsonl":
-            "d70d198c48188598b5818dd2de985e078007f2eba729d427d7b4d44eec42dae8",
+            "7077f4effececd4ef9c1d9ed4404db2170301e7eb64e82d7c162fcfd97dc581b",
     },
 }
 
@@ -110,7 +110,7 @@ BENCH = {
     "T-03/report.md":
         "3df9ee6100efb7a3d79b40f13231f80027aa34a50d3d1615618d5cc3c9969b15",
     "T-04.log.jsonl":
-        "5bd981e751bbcbf8f89d7683c8e13fb937aff804ab41972e5583cacf22521368",
+        "e3d316189a34158d9e4c5df3c76e29466be36843c0b75d641431570383ffd43e",
     "T-04/chart_00_box.svg":
         "69cfc046eb706391274b72872d994e80ca072a71d57daa8d7ae37124e6032b71",
     "T-04/findings.json":
@@ -118,7 +118,7 @@ BENCH = {
     "T-04/report.md":
         "af6d997d256041682214e6c26ff602fd9e921795455474375bb084005aee376e",
     "T-05.log.jsonl":
-        "222bd2e251cac142d5c63c1f5551d929e898f09456406a6f9f71da1947d45bf4",
+        "fd653f4a30adaee5cc4bd556a9370f4e265886c5e68980149bbeb14501a3ec32",
     "T-05/chart_00_box.svg":
         "8cfd6a58502ba05561743780d042da157cb82efc0b36bc4ff4d3206bebc63c07",
     "T-05/findings.json":
@@ -126,7 +126,7 @@ BENCH = {
     "T-05/report.md":
         "25cc7d5b89d14326fc2b83227443e3ddad674d0a6c6c4f3444fa9269701f9a4e",
     "T-06.log.jsonl":
-        "1b057ee283bff68e92e2c9d123911881193864235b083431dbc8708039c87b82",
+        "0c52d42f6df9d010a75f17c22129f86592bea1e7723156f3db67c8fe356b7849",
     "T-06/chart_00_box.svg":
         "042ef1659679ad3021fe2912ac1723d1457f8af3c8bb9eee184bcd46e270f20a",
     "T-06/findings.json":

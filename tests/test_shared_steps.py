@@ -5,6 +5,7 @@ of its own."""
 
 import gc
 import json
+import math
 import random
 import sys
 import weakref
@@ -21,7 +22,7 @@ from biasaudit.metrics import (
     run_metric,
 )
 from biasaudit import tabular
-from biasaudit.metrics import cat_cat, cat_num
+from biasaudit.metrics import cat_cat, cat_num, num_dist
 from biasaudit.synthgen import SynthSpec, generate
 from biasaudit.tabular import Column, Table, categorical, clean_missing
 
@@ -213,3 +214,25 @@ def test_cat_num_metrics_and_box_chart_share_one_split(units):
         assert shift < 0
         assert all(np.array_equal(usable[k], np.ldexp(groups[k], shift))
                    for k in groups)
+
+
+@pytest.mark.parametrize("n", [3, 4, 58, 59, 500, 5000, 5001])
+@pytest.mark.parametrize("units", [1.0, 1e-200, 1e160])
+def test_num_dist_steps_read_what_numpy_recomputes(n, units):
+    # outlier's sd is the square root of the shared second moment, and
+    # cohens_d_mad's median the mean of the shared sorted middle one or two:
+    # both bit-equal to numpy's own std and median, ties included.
+    rng = np.random.default_rng(n)
+    for data in (rng.standard_normal(n), np.round(rng.standard_normal(n), 1)):
+        col = Column("x", data * units)
+        x = num_dist._values(col, "outlier")  # in float range, as scored
+        d, m2 = num_dist._deviations(col, x)
+        s = num_dist._sorted(col, x)
+        assert math.sqrt(m2) == x.std()
+        assert np.mean(s[(n - 1) // 2:n // 2 + 1]) == np.median(x)
+        assert run_metric("outlier", [col]).raw["fraction"] == float(
+            np.mean(np.abs(d) / x.std() > num_dist.Z_CUTOFF))
+        med = float(np.median(x))
+        mad = float(np.median(np.abs(x - med)))
+        assert run_metric("cohens_d_mad", [col]).raw["d"] == (
+            (float(x.mean()) - med) / (1.4826 * mad))
