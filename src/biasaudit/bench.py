@@ -104,7 +104,11 @@ def load_taskset(path) -> list:
                 raise SchemaError(f"taskset entry {i}: bias_type must be one "
                                   f"of {list(_BIAS_TYPE_IN)}, got "
                                   f"{rec['bias_type']!r}")
-            dataset = str(rec["dataset"])
+            dataset, question = rec["dataset"], rec["question"]
+            for name, value in (("dataset", dataset), ("question", question)):
+                if not isinstance(value, str):
+                    raise SchemaError(f"taskset entry {i}: {name} must be a "
+                                      f"string, got {value!r}")
             if not os.path.isabs(dataset):
                 dataset = os.path.join(base, dataset)
             features = rec["features"]
@@ -119,7 +123,7 @@ def load_taskset(path) -> list:
                                   f"usable as a file name, got {task_id!r}")
             tasks.append(TaskSpec(
                 id=task_id, dataset=dataset,
-                question=str(rec["question"]), bias_type=bias_type,
+                question=question, bias_type=bias_type,
                 features=tuple(features)))
         except KeyError as exc:
             raise SchemaError(f"taskset entry {i}: missing field {exc}") from exc
@@ -387,7 +391,7 @@ class BenchmarkReport:
 
 
 def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir,
-             library, load, oracle):
+             library, load):
     context = TaskContext(question=task.question, dataset=task.dataset,
                           features=task.features, bias_type=task.bias_type)
     task_dir = log_path = None
@@ -400,7 +404,7 @@ def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir,
                             library=library, log_path=log_path, loader=load)
     if not report.complete or not report.findings:
         raise BiasAuditError("session produced no complete report")
-    truth = oracle(task)
+    truth = ground_truth(task, thresholds, load(task.dataset))
     return EndResultRecord(task_id=task.id,
                            predicted=report.headline.value,
                            truth=truth.y,
@@ -417,17 +421,15 @@ def run_benchmark(taskset, planner_factory, registry: ToolRegistry,
     method library if None. Per-task failures are reported, not raised;
     ``jobs`` below 1 raises InvalidJobsError.
 
-    Each dataset is loaded once per call, and its table is shared by every
-    session and oracle of the run, so a dataset rewritten during the run is
-    not read again. The oracle is computed once per (dataset, features).
-    A failed load or oracle is not kept: each task it concerns tries again
-    and fails with its own error.
-
-    While the run holds a table, each (dataset, features) keeps its drop_row
-    cut, the metrics' shared steps on it and their results
-    (``tabular.shared``): the oracle, and every later session on the same
-    features, read the first session's results, and each metric runs once
-    per feature set unless it raises. All of it goes with the run's tables.
+    The run keeps one thing of its own: each dataset's table, loaded once
+    and shared by every session and oracle, so a dataset rewritten during
+    the run is not read again. Everything derived from a table's columns
+    is kept by ``tabular.shared`` while the run holds it: each (dataset,
+    features) keeps its drop_row cut and every metric result on it, so the
+    oracle and every later session read the first session's results, and
+    each metric runs once per feature set unless it raises. All of it goes
+    with the run's tables. A failed load is not kept: each task on that
+    dataset tries again and fails with its own error.
     """
     if jobs < 1:
         raise InvalidJobsError(f"jobs must be >= 1, got {jobs}")
@@ -441,23 +443,16 @@ def run_benchmark(taskset, planner_factory, registry: ToolRegistry,
     # With jobs > 1 two tasks may both fill the same entry; the values
     # they compute are equal.
     tables = {}  # dataset path -> Table
-    truths = {}  # (dataset path, features) -> GroundTruth
 
     def load(path):
         if path not in tables:
             tables[path] = load_table(path)
         return tables[path]
 
-    def oracle(task):
-        key = (task.dataset, task.features)
-        if key not in truths:
-            truths[key] = ground_truth(task, thresholds, load(task.dataset))
-        return truths[key]
-
     def attempt(task):
         try:
             return task, _run_one(task, planner_factory, registry, thresholds,
-                                  out_dir, library, load, oracle), None
+                                  out_dir, library, load), None
         except BiasAuditError as exc:
             return task, None, f"{type(exc).__name__}: {exc}"
 

@@ -88,7 +88,8 @@ class UnknownMetricError(MetricError):
 class NumericRangeError(MetricError):
     """Values beyond what float64 arithmetic can carry: a column whose
     middle half underflows once its largest value is scaled to 1, a
-    metric value that computes as NaN, or a data tool's sum, variance or
+    metric value that computes as NaN, a cat_num effect that exceeds
+    float64 in the outcome's units, or a data tool's sum, variance or
     range of finite cells that overflows."""
 
 

@@ -80,19 +80,16 @@ def classify_scenario(cols) -> Scenario:
 
 
 def category_counts(col: Column) -> dict:
-    """Counts of non-missing categories, keyed and ordered by label.
-
-    A numerical column counts its distinct values, ordered by ``str``.
-    """
+    """Counts of a categorical column's non-missing categories, keyed and
+    ordered by label."""
     labels, counts = shared((col,), "category counts", _category_counts, col)
     return dict(zip(labels, counts))
 
 
 def _category_counts(col: Column):
-    cats = col.categories()
-    counts = np.bincount(cats.data[cats.present], minlength=len(cats.labels))
+    counts = np.bincount(col.data[col.present], minlength=len(col.labels))
     used = np.flatnonzero(counts).tolist()  # a label no code uses has no row
-    return tuple(map(cats.labels.__getitem__, used)), tuple(counts[used].tolist())
+    return tuple(map(col.labels.__getitem__, used)), tuple(counts[used].tolist())
 
 
 def paired(*cols: Column) -> list:

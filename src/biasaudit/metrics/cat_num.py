@@ -4,7 +4,8 @@ Rows where either cell is missing are dropped pairwise. Groups are ordered
 by descending size with label order breaking ties, so "the two largest
 categories" is deterministic. An outcome (or mediator) in extreme units is
 scaled by an exact power of two before any arithmetic; ``ace``, ``ade``,
-``aie`` and ``total`` are reported in the outcome's own units.
+``aie`` and ``total`` are reported in the outcome's own units, and one that
+exceeds float64 there raises NumericRangeError.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from ..errors import (
     MissingMediatorError,
+    NumericRangeError,
     SingletonGroupError,
     ZeroVarianceError,
 )
@@ -115,9 +117,25 @@ def causal_effect(g: Column, y: Column,
         ace, strata = _stratified_ace(g, y, covariate, keys, shift)
         details = (f"treatment={keys[0]!r} control={keys[1]!r} "
                    f"stratified on {covariate.name!r} ({strata} strata)")
-    return MetricResult("causal_effect", {"ace": math.ldexp(ace, -shift),
-                                          "ace_std": ace / float(sd)},
+    return MetricResult("causal_effect",
+                        {"ace": _in_outcome_units("causal_effect", "ace", ace,
+                                                  shift),
+                         "ace_std": ace / float(sd)},
                         allv.size, details)
+
+
+def _in_outcome_units(metric_id: str, key: str, value: float,
+                      shift: int) -> float:
+    """``value``, computed on the outcome times 2**shift, in the outcome's
+    own units; NumericRangeError if it exceeds float64 there."""
+    try:
+        value = math.ldexp(value, -shift)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise NumericRangeError(
+            f"{metric_id}: {key} exceeds float64 in the outcome's units")
+    return value
 
 
 def _stratified_ace(g: Column, y: Column, cov: Column, keys, shift: int):
@@ -186,8 +204,10 @@ def pse(g: Column, y: Column, mediator: Column | None = None) -> MetricResult:
         ade = float(coef[1])
         aie = a1 * float(coef[2])
     raw = max(abs(ade), abs(aie)) / float(sd)
-    ade, aie = math.ldexp(ade, -shift), math.ldexp(aie, -shift)
+    ade = _in_outcome_units("pse", "ade", ade, shift)
+    aie = _in_outcome_units("pse", "aie", aie, shift)
+    total = _in_outcome_units("pse", "total", ade + aie, 0)
     return MetricResult("pse",
-                        {"ade": ade, "aie": aie, "total": ade + aie,
+                        {"ade": ade, "aie": aie, "total": total,
                          "pse": raw}, t.size,
                         f"treatment={keys[0]!r} mediator={mediator.name!r}")

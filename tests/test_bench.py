@@ -5,6 +5,7 @@ import functools
 import gc
 import json
 import os
+import re
 import weakref
 from collections import Counter
 from importlib import resources
@@ -102,6 +103,19 @@ class TestLoadTaskset:
         path = tmp_path / "tasks.json"
         path.write_text(json.dumps([rec]), encoding="utf-8")
         with pytest.raises(SchemaError, match="entry 0: id"):
+            load_taskset(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("question", None), ("question", 3), ("dataset", 3),
+        ("dataset", None), ("dataset", ["d.csv"])])
+    def test_text_field_that_is_not_a_string_rejected(self, tmp_path, field,
+                                                       value):
+        rec = {"id": "T-1", "dataset": "d.csv", "question": "q",
+               "bias_type": "distribution", "features": ["a"], field: value}
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps([rec]), encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"taskset entry 0: {field} must be a string, got {value!r}")):
             load_taskset(path)
 
     def test_missing_field_rejected(self, tmp_path):
@@ -317,14 +331,37 @@ def counted(monkeypatch, modules, name):
     return calls
 
 
+def counted_metric_runs(monkeypatch):
+    """Count each metric's runs and raises by (metric_id, column names)."""
+    runs, raised = Counter(), Counter()
+
+    def counting(metric_id, fn):
+        @functools.wraps(fn)
+        def wrapper(*cols, **inputs):
+            key = (metric_id, tuple(c.name for c in cols))
+            try:
+                result = fn(*cols, **inputs)
+            except Exception:
+                raised[key] += 1
+                raise
+            runs[key] += 1
+            return result
+        return wrapper
+
+    for metric_id, spec in metrics.METRICS.items():
+        monkeypatch.setitem(metrics.METRICS, metric_id, dataclasses.replace(
+            spec, fn=counting(metric_id, spec.fn)))
+    return runs, raised
+
+
 SHIPPED_TASKSET = str(resources.files("biasaudit.data")
                       .joinpath("sample_taskset.json"))
 
 
 class TestRunScopedSharing:
-    """One run_benchmark call loads each dataset once and computes each
-    (dataset, features) oracle once, on the metric results its sessions
-    keep; failures are not shared."""
+    """One run_benchmark call loads each dataset once; every oracle reads
+    the drop_row cut and metric results the run's sessions keep, so each
+    metric runs once per (dataset, features); failures are not shared."""
 
     def test_shipped_taskset_loads_each_dataset_once(self, registry,
                                                       monkeypatch):
@@ -334,7 +371,7 @@ class TestRunScopedSharing:
         report = run_benchmark(tasks, RulePlanner, registry)
         assert report.overall["s_avg"] == 100.0 and not report.failures
         assert sorted(loads) == sorted({t.dataset for t in tasks})
-        assert len(oracles) == len({(t.dataset, t.features) for t in tasks})
+        assert oracles == tasks
 
     def test_shipped_taskset_runs_each_metric_once_per_feature_set(
             self, registry, monkeypatch):
@@ -342,24 +379,7 @@ class TestRunScopedSharing:
         # result; a metric that raises (pse: no task names a mediator) is
         # not kept, so its session and its oracle each run it.
         tasks = load_taskset(SHIPPED_TASKSET)
-        runs, raised = Counter(), Counter()
-
-        def counting(metric_id, fn):
-            @functools.wraps(fn)
-            def wrapper(*cols, **inputs):
-                key = (metric_id, tuple(c.name for c in cols))
-                try:
-                    result = fn(*cols, **inputs)
-                except Exception:
-                    raised[key] += 1
-                    raise
-                runs[key] += 1
-                return result
-            return wrapper
-
-        for metric_id, spec in metrics.METRICS.items():
-            monkeypatch.setitem(metrics.METRICS, metric_id, dataclasses.replace(
-                spec, fn=counting(metric_id, spec.fn)))
+        runs, raised = counted_metric_runs(monkeypatch)
         report = run_benchmark(tasks, RulePlanner, registry)
         assert report.overall["s_avg"] == 100.0 and not report.failures
         table = load_table(tasks[0].dataset)
@@ -375,7 +395,7 @@ class TestRunScopedSharing:
 
     def test_nothing_outlives_the_run(self, registry, monkeypatch):
         # gender has missing cells, so drop_row cuts new columns, on which
-        # the sessions and the oracle keep their results.
+        # the sessions and the oracles keep their results.
         tasks = [t for t in load_taskset(SHIPPED_TASKSET)
                  if t.features == ("gender",)]
         refs = []
@@ -397,7 +417,8 @@ class TestRunScopedSharing:
         keep_refs("run_metric")
         keep_refs("clean_missing", cut_column)
         assert len(run_benchmark(tasks, RulePlanner, registry).records) == 2
-        assert len(refs) == 1 + 5 + 1
+        # One load; each of the two oracles grades five metrics on one cut.
+        assert len(refs) == 1 + 2 * 5 + 2
         gc.collect()
         assert [r() for r in refs] == [None] * len(refs)
 
@@ -409,12 +430,19 @@ class TestRunScopedSharing:
                       features=("group", "value"))
                  for task_id in ("T-1", "T-2")]
         oracles = counted(monkeypatch, (bench,), "ground_truth")
+        runs, raised = counted_metric_runs(monkeypatch)
         report = run_benchmark(tasks, RulePlanner, registry)
         first, second = report.records
         assert (first.task_id, second.task_id) == ("T-1", "T-2")
         assert first.oracle_levels == second.oracle_levels
         assert first.truth == second.truth
-        assert len(oracles) == 1
+        assert oracles == tasks
+        # Both sessions and both oracles read the first session's results;
+        # only pse, which raises without a mediator, runs each time.
+        features = ("group", "value")
+        assert runs == {(m, features): 1 for m in SCENARIO_METRICS[
+            Scenario.CAT_NUM] if m != "pse"}
+        assert raised == {("pse", features): 4}
         assert ground_truth(tasks[1]) == ground_truth(tasks[0])
 
     def test_failed_oracle_names_each_task(self, registry, tmp_path,

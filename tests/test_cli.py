@@ -70,6 +70,26 @@ class TestDetect:
                   if e.action == "result" and not e.payload["ok"]]
         assert [p["tool"] for p in failed] == ["extract_single_column"] * 2
 
+    def test_an_effect_beyond_float64_is_a_metric_error(self, tmp_path,
+                                                        capsys):
+        # The group means differ by about 2e308: causal_effect's ace cannot
+        # be stated in the outcome's units, the other metrics still grade.
+        path = tmp_path / "far.csv"
+        rows = [f"{g},{sign}{1e308 - i * 1e305!r}" for i in range(6)
+                for g, sign in (("a", ""), ("b", "-"))]
+        path.write_text("\n".join(["group,value", *rows]) + "\n",
+                        encoding="utf-8")
+        code = main(["detect", str(path), "--features", "group", "value"])
+        report = capsys.readouterr().out
+        assert code == 0
+        assert ("- categorical_numerical_correlation_causal_effect: "
+                "causal_effect: ace exceeds float64 in the outcome's units\n"
+                in report)
+        graded = [line.split(" | ")[0] for line in report.splitlines()
+                  if line.startswith("| ") and line.endswith(" |")][1:]
+        assert graded == ["| max_abs_mean", "| cohens_d",
+                          "| standardized_difference"]
+
     def test_missing_dataset_exit_one(self, tmp_path, capsys):
         code = main(["detect", str(tmp_path / "absent.csv"),
                      "--features", "group"])

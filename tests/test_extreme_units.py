@@ -116,3 +116,38 @@ def test_calibration_treats_a_nan_value_as_a_failure(monkeypatch):
     suite = synthgen.grade_suite(Scenario.NUM_DIST, levels=[1, 5])[:2]
     samples = synthgen.collect_calibration_samples(suite)
     assert "kurtosis" not in samples and "skewness" in samples
+
+
+
+def effect_beyond_float64(case):
+    """A group column, a finite outcome and a mediator on which an effect
+    exceeds float64 in the outcome's units. "gap": group a's outcome sits
+    near +1e308, b's near -1e308, and the mediator is independent noise;
+    "mediated": the same outcome, with the group's code as the mediator,
+    which routes the whole effect through it; "split": an effect of 1.9e308
+    split 0.55 : 0.45 between the direct and the mediated path, so each
+    part is finite and only their total is not."""
+    rng = np.random.default_rng(7)
+    t = rng.integers(0, 2, N)
+    if case == "split":
+        m = t + 0.1 * rng.standard_normal(N)
+        y = (0.55 * (t - 0.5) + 0.45 * (m - 0.5)) * 1e308 * 1.9
+    else:
+        y = np.where(t == 1, 1e308, -1e308) * (1 - 1e-3 * rng.random(N))
+        m = rng.standard_normal(N) if case == "gap" else t.astype(float)
+    return [categorical("g", t, ("a", "b")), Column("y", y)], Column("m", m)
+
+
+@pytest.mark.parametrize("metric_id, key, case", [
+    ("causal_effect", "ace", "gap"),
+    ("pse", "ade", "gap"),
+    ("pse", "aie", "mediated"),
+    ("pse", "total", "split"),
+])
+def test_an_effect_beyond_float64_raises(metric_id, key, case):
+    cols, mediator = effect_beyond_float64(case)
+    assert np.isfinite(cols[1].data).all()
+    inputs = {"mediator": mediator} if metric_id == "pse" else {}
+    with pytest.raises(NumericRangeError, match=(
+            f"^{metric_id}: {key} exceeds float64 in the outcome's units$")):
+        run_metric(metric_id, cols, **inputs)
