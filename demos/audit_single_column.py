@@ -5,7 +5,6 @@ the gender column and prints the resulting markdown report. Pass an output
 directory as the first argument to also get the SVG chart and JSON findings.
 """
 
-import os
 import sys
 from importlib import resources
 
@@ -15,8 +14,6 @@ from biasaudit.orchestrator import RulePlanner, TaskContext, build_registry, run
 
 def main():
     out_dir = sys.argv[1] if len(sys.argv) > 1 else None
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     dataset = str(resources.files("biasaudit.data").joinpath("sample.csv"))
     task = TaskContext(
         question="Is the gender column balanced?",

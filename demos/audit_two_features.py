@@ -6,7 +6,6 @@ metrics (Cohen's d, causal effect, and friends) run and the chart is a
 per-group box plot.
 """
 
-import os
 import sys
 from importlib import resources
 
@@ -16,8 +15,6 @@ from biasaudit.orchestrator import RulePlanner, TaskContext, build_registry, run
 
 def main():
     out_dir = sys.argv[1] if len(sys.argv) > 1 else None
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     dataset = str(resources.files("biasaudit.data").joinpath("sample.csv"))
     task = TaskContext(
         question="Does the score differ across gender groups?",

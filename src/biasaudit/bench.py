@@ -41,14 +41,14 @@ from .orchestrator import (
 from .severity import DEFAULT_TABLE, ThresholdTable, map_to_level
 from .tabular import clean_missing, extract_columns, load_table
 
-# Task bias types as they appear in taskset files. "implication" leaves the
-# distribution/correlation split to the feature count.
-_BIAS_TYPE_IN = {
+# Task bias types as they appear in taskset files and ``--bias-type``.
+# "implication" leaves the distribution/correlation split to the feature count.
+BIAS_TYPES = {
     "distribution": BiasType.DISTRIBUTION,
     "correlation": BiasType.CORRELATION,
     "implication": BiasType.UNSTATED,
 }
-_BIAS_TYPE_OUT = {v: k.capitalize() for k, v in _BIAS_TYPE_IN.items()}
+_BIAS_TYPE_OUT = {v: k.capitalize() for k, v in BIAS_TYPES.items()}
 TYPE_ROWS = ("Distribution", "Correlation", "Implication")
 # The feature counts each bias type takes, and their wording.
 _ARITY = {
@@ -67,13 +67,9 @@ def check_feature_count(where: str, bias_type: BiasType, features) -> None:
                           f"take {wording}, got {len(features)}")
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+@dataclass(frozen=True, kw_only=True)
+class TaskSpec(TaskContext):
     id: str
-    dataset: str
-    question: str
-    bias_type: BiasType
-    features: tuple
 
     def __post_init__(self):
         check_feature_count(f"task {self.id}", self.bias_type, self.features)
@@ -99,10 +95,10 @@ def load_taskset(path) -> list:
             raise SchemaError(f"taskset entry {i}: expected an object, "
                               f"got {rec!r}")
         try:
-            bias_type = _BIAS_TYPE_IN.get(str(rec["bias_type"]).lower())
+            bias_type = BIAS_TYPES.get(str(rec["bias_type"]).lower())
             if bias_type is None:
                 raise SchemaError(f"taskset entry {i}: bias_type must be one "
-                                  f"of {list(_BIAS_TYPE_IN)}, got "
+                                  f"of {list(BIAS_TYPES)}, got "
                                   f"{rec['bias_type']!r}")
             dataset, question = rec["dataset"], rec["question"]
             for name, value in (("dataset", dataset), ("question", question)):
@@ -392,14 +388,11 @@ class BenchmarkReport:
 
 def _run_one(task: TaskSpec, planner_factory, registry, thresholds, out_dir,
              library, load):
-    context = TaskContext(question=task.question, dataset=task.dataset,
-                          features=task.features, bias_type=task.bias_type)
     task_dir = log_path = None
     if out_dir is not None:
         task_dir = os.path.join(out_dir, task.id)
-        os.makedirs(task_dir, exist_ok=True)
         log_path = os.path.join(out_dir, f"{task.id}.log.jsonl")
-    report, _ = run_session(context, planner_factory(), registry,
+    report, _ = run_session(task, planner_factory(), registry,
                             thresholds=thresholds, out_dir=task_dir,
                             library=library, log_path=log_path, loader=load)
     if not report.complete or not report.findings:

@@ -114,7 +114,7 @@ def _planner(config: Config):
 
 
 def _task_from_args(args) -> TaskContext:
-    bias_type = benchmod._BIAS_TYPE_IN.get(args.bias_type, BiasType.UNSTATED)
+    bias_type = benchmod.BIAS_TYPES.get(args.bias_type, BiasType.UNSTATED)
     benchmod.check_feature_count("--features", bias_type, args.features)
     question = args.question or (
         f"Audit feature(s) {', '.join(args.features)} of {args.dataset} "
@@ -125,10 +125,8 @@ def _task_from_args(args) -> TaskContext:
 
 
 def _run_detect_session(args, config):
-    log_path = None
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        log_path = os.path.join(args.out, "session.log.jsonl")
+    log_path = (None if args.out is None
+                else os.path.join(args.out, "session.log.jsonl"))
     return run_session(
         _task_from_args(args), _planner(config), build_registry(),
         budget=args.budget, thresholds=_thresholds(config), out_dir=args.out,
@@ -246,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     session.add_argument("dataset")
     session.add_argument("--features", nargs="+", required=True)
     session.add_argument("--bias-type", dest="bias_type", default=None,
-                         choices=list(benchmod._BIAS_TYPE_IN))
+                         choices=list(benchmod.BIAS_TYPES))
     session.add_argument("--question", default=None)
     session.add_argument("--budget", type=int, default=64)
     session.add_argument("--out", default=None)

@@ -20,6 +20,7 @@ import inspect
 import json
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,6 +28,7 @@ from . import methodlib
 from .errors import (
     BiasAuditError,
     EndOfInputError,
+    MalformedLogError,
     NetworkError,
     PlannerError,
     ToolError,
@@ -158,16 +160,19 @@ class SessionLog:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SessionLog":
-        from .errors import MalformedLogError
+        types = typing.get_type_hints(LogEvent)  # field -> type, in order
         events = []
         for lineno, line in enumerate(text.splitlines()):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                events.append(LogEvent(rec["seq"], rec["stage"], rec["actor"],
-                                       rec["action"], rec["payload"],
-                                       rec["wall_ms"]))
+                for key, kind in types.items():
+                    value = rec[key]
+                    if isinstance(value, bool) or not isinstance(value, kind):
+                        raise TypeError(f"{key} must be of type "
+                                        f"{kind.__name__}, got {value!r}")
+                events.append(LogEvent(**{key: rec[key] for key in types}))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise MalformedLogError(f"log line {lineno}: {exc}") from exc
         return cls(events=events)
@@ -583,6 +588,13 @@ def get_user_input(state: SessionState, prompt: str = "", reader=None) -> str:
 
 def advisor_review(payload: dict, state: SessionState) -> Critique:
     """Deterministic rule-mode critique of a plan, results, or report."""
+    if not isinstance(payload, dict):
+        return Critique(Verdict.REVISE, (
+            f"consultation payload must be an object, got {payload!r}",))
+    for key in ("scheduled", "unrecovered_errors"):
+        if not isinstance(payload.get(key, ()), (list, tuple)):
+            return Critique(Verdict.REVISE, (
+                f"{key} must be a list, got {payload[key]!r}",))
     kind = payload.get("kind")
     if kind == "plan":
         try:
@@ -591,8 +603,7 @@ def advisor_review(payload: dict, state: SessionState) -> Critique:
             return Critique(Verdict.REVISE, (
                 f"plan names no valid scenario: {payload.get('scenario')!r}",))
         required = [METRIC_TO_TOOL[m] for m in SCENARIO_METRICS[scenario]]
-        scheduled = set(payload.get("scheduled", ()))
-        missing = [t for t in required if t not in scheduled]
+        missing = [t for t in required if t not in payload.get("scheduled", ())]
         issues = []
         suggestions = []
         if missing:
@@ -885,12 +896,15 @@ def run_session(task: TaskContext, planner, registry: ToolRegistry,
                 budget: int = 64, thresholds: ThresholdTable = DEFAULT_TABLE,
                 out_dir=None, library=None, log_path=None, loader=None):
     """Drive one workflow session to a report and a structured log, which
-    is written to ``log_path``, if given, however the session ends.
+    is written to ``log_path``, if given, however the session ends; the
+    charts and report go to ``out_dir``, created if missing.
 
     ``loader`` reads the dataset for ``load_csv_file`` (``load_table`` if
     None); the table it returns is read, never changed."""
     if library is None:
         library = methodlib.builtin_library()
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     state = SessionState(task=task, registry=registry, thresholds=thresholds,
                          out_dir=out_dir, library=library, loader=loader,
                          budget=budget)

@@ -69,6 +69,14 @@ class TestTaskSpec:
         assert task(bias_type=BiasType.UNSTATED).type_label == "Implication"
         assert task().type_label == "Distribution"
 
+    def test_is_the_session_task_with_an_id(self):
+        spec = task()
+        assert isinstance(spec, TaskContext)
+        assert not spec.interactive
+        with pytest.raises(TypeError, match="id"):
+            TaskSpec(dataset="d.csv", question="q", features=("a",),
+                     bias_type=BiasType.DISTRIBUTION)
+
 
 class TestLoadTaskset:
     def test_bundled_sample_taskset(self):
@@ -286,6 +294,20 @@ class TestRunBenchmark:
         md = report.to_markdown()
         for label in ("Distribution", "Correlation", "Implication", "Overall"):
             assert f"| {label} |" in md
+
+    def test_each_session_is_given_its_task(self, registry, tmp_path):
+        tasks = small_taskset(tmp_path)
+        seen = []
+
+        class Seeing(RulePlanner):
+            def next(self, state):
+                if not seen or seen[-1] is not state.task:
+                    seen.append(state.task)
+                return super().next(state)
+
+        run_benchmark(tasks, Seeing, registry)
+        assert len(seen) == len(tasks)
+        assert all(got is want for got, want in zip(seen, tasks))
 
     def test_parallel_jobs_agree(self, registry, tmp_path):
         tasks = small_taskset(tmp_path)

@@ -1,6 +1,6 @@
 """Source hygiene: no module under ``biasaudit`` imports a name it never
-uses, or defines a function, class or public method that no code, or only
-tests, refer to."""
+uses, reads another biasaudit module's private name, or defines a function,
+class or public method that no code, or only tests, refer to."""
 
 import ast
 import pathlib
@@ -141,3 +141,50 @@ def test_detects_method_only_tests_call():
     tests = references(ast.parse("assert Box().names() == []\n"))
     assert unreferenced(ast.parse(source), library + tests) == []
     assert unreferenced(ast.parse(source), library) == ["Box.names"]
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(tree: ast.Module) -> list:
+    """The private names ``tree`` takes from other biasaudit modules, as
+    (line, name): those a ``from`` import of a biasaudit module binds, and
+    attributes read through a name that a biasaudit import binds."""
+    found = []
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "biasaudit"):
+            found += [(node.lineno, a.name) for a in node.names
+                      if is_private(a.name)]
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(a.asname or "biasaudit" for a in node.names
+                         if a.name.split(".")[0] == "biasaudit")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_private_reads_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert private_reads(tree) == []
+
+
+def test_detects_private_read_across_modules():
+    source = ("import os\nimport biasaudit.tabular\n"
+              "from . import bench as b\nfrom .metrics import base, _tools\n"
+              "from biasaudit.errors import _Hidden\n"
+              "b._TYPES\nbase.run._cache\nbiasaudit.tabular._cut\n"
+              "os._exit\nself._own\nb.__file__\nb.TYPES\n")
+    assert private_reads(ast.parse(source)) == [
+        (4, "_tools"), (5, "_Hidden"), (6, "_TYPES"), (7, "_cache"),
+        (8, "_cut")]

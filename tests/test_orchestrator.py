@@ -163,6 +163,16 @@ class TestRunSession:
         assert (out / "findings.json").exists()
         assert (out / report.charts[0]).exists()
 
+    def test_out_dir_is_created(self, registry, cat_csv, tmp_path):
+        out = tmp_path / "a" / "b"
+        report, _ = run_session(cat_task(cat_csv), RulePlanner(), registry,
+                                out_dir=out)
+        assert report.complete
+        assert (out / "report.md").exists()
+        assert (out / "findings.json").exists()
+        assert report.charts and all((out / chart).exists()
+                                     for chart in report.charts)
+
     def test_budget_zero_incomplete(self, registry, cat_csv):
         report, log = run_session(cat_task(cat_csv), RulePlanner(), registry,
                                   budget=0)
@@ -698,6 +708,28 @@ class TestAdvisor:
         assert critique.verdict is Verdict.REVISE
         assert critique.issues
 
+    @pytest.mark.parametrize("payload, issue", [
+        ({"kind": "plan", "scenario": "cat_dist", "scheduled": 5,
+          "cleaning_done": True},
+         "scheduled must be a list, got 5"),
+        ({"kind": "results", "unrecovered_errors": 5},
+         "unrecovered_errors must be a list, got 5"),
+        (["kind", "plan"],
+         "consultation payload must be an object, got ['kind', 'plan']"),
+    ], ids=["scheduled", "unrecovered_errors", "not-an-object"])
+    def test_unreadable_payload_is_a_revise_critique(self, registry, cat_csv,
+                                                     payload, issue):
+        # A planner's consult the advisor cannot read is critiqued, and the
+        # session goes on to the end of its script.
+        script = [Action(ActionKind.CONSULT_ADVISOR, payload=payload)]
+        report, log = run_session(cat_task(cat_csv), ScriptedPlanner(script),
+                                  registry, library=[])
+        critique = next(e.payload for e in log.events
+                        if e.action == "critique")
+        assert critique == {"verdict": "revise", "issues": [issue],
+                            "suggested": []}
+        assert log.events[-1].action == "finish"
+
     def test_revise_without_issues_invalid(self):
         from biasaudit.orchestrator import Critique
         with pytest.raises(ValueError):
@@ -953,3 +985,27 @@ class TestSessionLog:
     def test_missing_field_rejected(self):
         with pytest.raises(MalformedLogError):
             SessionLog.from_jsonl('{"seq": 0, "stage": "user_input"}\n')
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seq", '"1"', "seq must be of type int, got '1'"),
+        ("seq", "true", "seq must be of type int, got True"),
+        ("wall_ms", "0.5", "wall_ms must be of type int, got 0.5"),
+        ("wall_ms", "false", "wall_ms must be of type int, got False"),
+        ("stage", "1", "stage must be of type str, got 1"),
+        ("actor", "null", "actor must be of type str, got None"),
+        ("action", '["result"]', "action must be of type str, got ['result']"),
+        ("payload", "[1]", "payload must be of type dict, got [1]"),
+        ("payload", '"ok"', "payload must be of type dict, got 'ok'"),
+    ], ids=["seq-str", "seq-bool", "wall_ms-float", "wall_ms-bool",
+            "stage-int", "actor-null", "action-list", "payload-list",
+            "payload-str"])
+    def test_field_of_the_wrong_type_rejected(self, key, value, message):
+        record = {"seq": "1", "stage": '"user_input"', "actor": '"tool"',
+                  "action": '"result"', "payload": "{}", "wall_ms": "0"}
+        record[key] = value
+        line = "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}"
+        text = ('{"seq": 0, "stage": "user_input", "actor": "user", '
+                '"action": "task", "payload": {}, "wall_ms": 0}\n' + line)
+        with pytest.raises(MalformedLogError) as info:
+            SessionLog.from_jsonl(text)
+        assert str(info.value) == f"log line 1: {message}"

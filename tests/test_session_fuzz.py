@@ -69,18 +69,22 @@ def tool_call(tool):
 
 
 # The three kinds of advisor consult the rule planner sends. A plan consult
-# may also name no scenario, or one that does not exist.
+# may also name no scenario, or one that does not exist; its scheduled
+# tools and a results consult's errors may be of any type, and a payload
+# may be no object at all.
 consults = st.one_of(
     st.fixed_dictionaries({
         "kind": st.just("plan"),
-        "scheduled": st.lists(st.sampled_from(TOOLS), max_size=5),
+        "scheduled": st.lists(st.sampled_from(TOOLS), max_size=5) | junk,
         "cleaning_done": st.booleans()}, optional={
         "scenario": st.sampled_from([s.value for s in Scenario] + ["nope"])}),
     st.fixed_dictionaries({
         "kind": st.just("results"),
         "findings": st.integers(0, 5),
-        "unrecovered_errors": st.lists(st.text(max_size=8), max_size=2)}),
+        "unrecovered_errors": (st.lists(st.text(max_size=8), max_size=2)
+                               | junk)}),
     st.just({"kind": "report"}),
+    junk.filter(lambda payload: not isinstance(payload, dict)),
 ).map(lambda payload: Action(ActionKind.CONSULT_ADVISOR, payload=payload))
 
 # The tools that read or change the session's table come up more often, so
