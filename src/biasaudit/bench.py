@@ -247,6 +247,10 @@ class HeuristicJudge:
 
         tool_events = [e for e in events if e.actor == "tool"]
         tool_names = [e.payload.get("tool") for e in tool_events]
+        for e, tool in zip(tool_events, tool_names):
+            if tool is not None and not isinstance(tool, str):
+                raise MalformedLogError(
+                    f"event {e.seq}: tool must be a str, got {tool!r}")
         tool_failures = [e for e in tool_events if not e.payload.get("ok")]
         detection_invoked = {DETECTION_TOOLS[t] for t in tool_names
                              if t in DETECTION_TOOLS}

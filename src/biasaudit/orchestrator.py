@@ -145,6 +145,10 @@ class LogEvent:
                 "wall_ms": self.wall_ms}
 
 
+# LogEvent's field -> type, in order: what from_jsonl checks a record against.
+_LOG_FIELDS = typing.get_type_hints(LogEvent)
+
+
 @dataclass
 class SessionLog:
     events: list = field(default_factory=list)
@@ -160,19 +164,18 @@ class SessionLog:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SessionLog":
-        types = typing.get_type_hints(LogEvent)  # field -> type, in order
         events = []
         for lineno, line in enumerate(text.splitlines()):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                for key, kind in types.items():
+                for key, kind in _LOG_FIELDS.items():
                     value = rec[key]
                     if isinstance(value, bool) or not isinstance(value, kind):
                         raise TypeError(f"{key} must be of type "
                                         f"{kind.__name__}, got {value!r}")
-                events.append(LogEvent(**{key: rec[key] for key in types}))
+                events.append(LogEvent(**{key: rec[key] for key in _LOG_FIELDS}))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise MalformedLogError(f"log line {lineno}: {exc}") from exc
         return cls(events=events)

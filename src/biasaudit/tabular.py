@@ -13,6 +13,11 @@ instead), until a block it cannot split exactly as ``csv.reader`` would;
 ``csv.reader`` reads the rest from there, 4096 rows at a time. A numeric
 block with missing cells is parsed by the same numpy cast as one without.
 
+:func:`write_table` writes the bytes ``csv.writer`` would, one block of
+4096 rows per write: each column's block becomes a list of texts at once,
+floats by ``repr`` and labels by indexing the column's texts, which
+``csv.writer`` quotes once per distinct label and header name.
+
 :func:`shared` keeps a value computed from an ordered set of columns for as
 long as those columns live, and no longer: the metrics keep their first
 steps and results there, and :func:`clean_missing` its drop_row cut.
@@ -598,20 +603,54 @@ def save_table(table: Table, path) -> None:
 
 
 def write_table(table: Table, fh: TextIO) -> None:
-    """Write a table as CSV (missing cells empty), a block of rows at a time."""
-    csv.writer(fh, lineterminator="\n").writerows(_csv_rows(table))
+    """Write a table as CSV, the bytes ``csv.writer(fh, lineterminator="\\n")``
+    writes, with one ``fh.write`` for the header and one per block of
+    ``_CSV_BLOCK`` rows.
 
-
-def _csv_rows(table: Table):
-    """The header, then each row's cells formatted for CSV."""
-    yield table.column_names
-    # A categorical column's texts by code; code -1 reads the trailing "".
-    texts = [None if c.labels is None else [*map(_format_cell, c.labels), ""]
+    A numerical cell is its ``repr``, a finite whole number as an int, and
+    empty if missing. A categorical column's cells index a list of texts
+    built once: each label's, quoted by ``csv.writer`` itself, and an empty
+    one for code -1; the header names are quoted the same way. In a
+    one-column table a row whose one field is empty (a missing cell, an
+    empty label or name) is written ``""``, as csv writes such a row. So the
+    text of at most one block is alive at once.
+    """
+    empty = '""' if len(table.columns) == 1 else ""
+    fh.write(",".join(_quoted(table.column_names, empty)) + "\n")
+    # A categorical column's texts by code; code -1 reads the trailing one.
+    texts = [None if c.labels is None
+             else [*_quoted(map(_format_cell, c.labels), empty), empty]
              for c in table.columns]
     for start in range(0, table.row_count, _CSV_BLOCK):
-        parts = [c.data[start:start + _CSV_BLOCK].tolist() for c in table.columns]
-        yield from zip(*(map(_format_cell if t is None else t.__getitem__, part)
-                         for part, t in zip(parts, texts)))
+        parts = [c.data[start:start + _CSV_BLOCK] for c in table.columns]
+        cols = [_number_texts(part, empty) if t is None
+                else list(map(t.__getitem__, part.tolist()))
+                for part, t in zip(parts, texts)]
+        fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+def _quoted(texts, empty: str) -> list:
+    """Each text as ``csv.writer`` writes it as one field of a row of
+    several; a field written empty is ``empty``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    quoted = []
+    for text in texts:
+        writer.writerow((text, ""))  # the field, then ",\n"
+        quoted.append(buf.getvalue()[:-2] or empty)
+        buf.seek(0)
+        buf.truncate()
+    return quoted
+
+
+def _number_texts(part: np.ndarray, empty: str) -> list:
+    """:func:`_format_cell` of each float of a block, but ``empty`` for NaN:
+    ``repr``, mended at the few cells that are NaN or finite and whole."""
+    texts = list(map(repr, part.tolist()))
+    odd = np.isnan(part) | (np.trunc(part) == part) & np.isfinite(part)
+    for i, v in zip(np.flatnonzero(odd).tolist(), part[odd].tolist()):
+        texts[i] = empty if math.isnan(v) else str(int(v))
+    return texts
 
 
 def _format_cell(v) -> str:

@@ -240,6 +240,18 @@ class TestHeuristicJudge:
         with pytest.raises(MalformedLogError):
             HeuristicJudge().score(log)
 
+    @pytest.mark.parametrize("tool", ["[1]", "5"], ids=["list", "int"])
+    def test_tool_that_is_not_a_str_rejected(self, tool):
+        log = SessionLog.from_jsonl(
+            '{"seq": 0, "stage": "user_input", "actor": "user", '
+            '"action": "task", "payload": {}, "wall_ms": 0}\n'
+            '{"seq": 1, "stage": "preprocessing", "actor": "tool", '
+            f'"action": "result", "payload": {{"tool": {tool}, "ok": true}}, '
+            '"wall_ms": 0}\n')
+        message = f"event 1: tool must be a str, got {tool}"
+        with pytest.raises(MalformedLogError, match=f"^{re.escape(message)}$"):
+            HeuristicJudge().score(log)
+
     def test_deterministic(self, registry, tmp_path):
         log = clean_log(registry, tmp_path)
         a = HeuristicJudge().score(log)

@@ -311,12 +311,15 @@ class TestSynth:
         assert path.read_text(encoding="utf-8").splitlines()[0] == "x,y"
 
     def test_stdout_matches_out_file(self, tmp_path, capfdbinary):
-        spec = ["synth", "--scenario", "cat_num", "--n", "300", "--seed", "3"]
-        path = tmp_path / "t.csv"
-        assert main([*spec, "--out", str(path)]) == 0
-        capfdbinary.readouterr()
-        assert main(spec) == 0
-        assert capfdbinary.readouterr().out == path.read_bytes()
+        # 5000 rows span two of write_table's blocks.
+        for scenario in synthgen.Scenario:
+            spec = ["synth", "--scenario", scenario.value, "--n", "5000",
+                    "--seed", "3"]
+            path = tmp_path / f"{scenario.value}.csv"
+            assert main([*spec, "--out", str(path)]) == 0
+            capfdbinary.readouterr()
+            assert main(spec) == 0
+            assert capfdbinary.readouterr().out == path.read_bytes(), scenario
 
     def test_invalid_strength_exit_one(self, capsys):
         code = main(["synth", "--scenario", "cat_dist", "--strength", "1.5"])

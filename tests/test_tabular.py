@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import reference_writer
 
 from biasaudit import tabular
 from biasaudit.errors import (
@@ -141,6 +142,28 @@ class TestLoadTable:
         write_table(t, buf)
         assert p.read_bytes() == buf.getvalue().encode("utf-8")
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.just(math.nan),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=30))
+    def test_roundtrip_keeps_every_finite_float(self, tmp_path_factory, cells):
+        # 0.5 keeps the column numerical; -0.0 is pinned on its own below.
+        data = np.array([0.5, *cells])
+        p = tmp_path_factory.mktemp("rt") / "x.csv"
+        save_table(Table((Column("x", data),)), p)
+        back = load_table(p).column("x").data
+        assert np.array_equal(np.isnan(back), np.isnan(data))
+        expected = np.where(data == 0, 0.0, data)  # -0.0 reads back as 0.0
+        present = ~np.isnan(data)
+        assert back[present].view(np.int64).tolist() == \
+            expected[present].view(np.int64).tolist()
+
+    def test_negative_zero_reads_back_as_zero(self, tmp_path):
+        p = tmp_path / "z.csv"
+        save_table(Table((Column("x", np.array([-0.0, 0.5])),)), p)
+        assert p.read_text(encoding="utf-8") == "x\n0\n0.5\n"
+        assert math.copysign(1.0, load_table(p).column("x").data[0]) == 1.0
+
 
 class TestExtract:
     def test_single_column(self):
@@ -271,6 +294,54 @@ class TestColumnView:
         t = load_table(write(tmp_path, "g,x\na,1.5\nb,2.5\n"))
         cleaned = clean_missing(t, ["g", "x"]).table
         assert all(a is b for a, b in zip(cleaned.columns, t.columns))
+
+
+# Texts that csv must quote (or, for a lone "\r" on 3.11, must not), texts
+# with surrounding spaces, and the empty text.
+WRITER_TEXT = st.one_of(
+    st.sampled_from(["", " ", " a ", "a,b", 'say "hi"', "two\nlines", "\r",
+                     "cr\r", "\r\n", '"', ","]),
+    st.text(st.sampled_from(',"\n\r \taé'), max_size=6))
+# NaN, ±0.0, ±inf, whole numbers up to 1e300, subnormals and any float.
+WRITER_NUMBER = st.one_of(
+    st.sampled_from([math.nan, -0.0, 0.0, math.inf, -math.inf, 1e20, 1e300,
+                     -1e300, 5e-324, -1e-310]),
+    st.integers(-10 ** 300, 10 ** 300).map(float),
+    st.floats(width=64))
+
+
+@st.composite
+def writer_tables(draw):
+    """A table of 1-3 columns and 0-9 rows: numerical columns of
+    ``WRITER_NUMBER``, categorical ones of text or float labels or None."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, 9))
+    names = draw(st.lists(WRITER_TEXT, min_size=width, max_size=width,
+                          unique=True))
+    label = st.one_of(st.none(), WRITER_TEXT, WRITER_NUMBER)
+    cols = []
+    for name in names:
+        kind = draw(st.sampled_from(["numerical", "categorical"]))
+        cells = WRITER_NUMBER if kind == "numerical" else label
+        cols.append(Column.of(name, kind, draw(st.lists(
+            cells, min_size=rows, max_size=rows))))
+    return Table(tuple(cols))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(writer_tables(), st.integers(1, 4))
+@example(table_of([("", "numerical", (math.nan, -0.0, 1e300))]), 2)
+@example(table_of([("g", "categorical", ("", None, "\r", " a "))]), 3)
+@example(table_of([("", "categorical", ())]), 1)
+@example(Table(()), 1)
+def test_write_table_writes_the_reference_bytes(table, block):
+    # A block of 1-4 rows makes most tables' rows span blocks.
+    out, ref = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tabular, "_CSV_BLOCK", block)
+        write_table(table, out)
+        reference_writer.write_rows(table, ref)
+    assert out.getvalue() == ref.getvalue()
 
 
 # NaN, signed zeros, values whose str order is not their numeric order,
